@@ -13,11 +13,9 @@
    strictly less on the sporadic family where simulation subsumes
    zones that differ only above the L/U constants.
 
-   Each cell additionally carries a reduction-off run (Extra+LU with
-   the active-clock reduction disabled) and a flow-off run (Extra+LU
-   with the builder's static extrapolation bounds instead of the
-   dataflow-refined ones): both knobs must preserve every result
-   verbatim and never explore more states than their off position.
+   Every run has the engine's always-on flow-refined bounds and
+   active-clock reduction; their differential oracles live in the test
+   suites (test_flow, test_analysis).
 
    Query cells (everything driven by a sup-query: radionav and the
    station family) also carry a sliced run (Extra+LU with the
@@ -119,8 +117,6 @@ type cell = {
   extram : run;
   extralu : run;
   lusim : run;  (* a<|LU simulation subsumption, unextrapolated zones *)
-  extralu_nored : run;  (* Extra+LU with ~reduction:None *)
-  extralu_noflow : run;  (* Extra+LU with ~bounds:Static *)
   slice : slice_run option;
       (* Extra+LU re-run with query-directed slicing on; only for
          cells driven by a sup-query — the raw-exploration synthetic
@@ -166,13 +162,12 @@ let radionav_cell (row : R.row) column =
   let gen = Gen.generate ~measure:(row.R.scenario, req) sys in
   let obs = Option.get gen.Gen.observer in
   (* every baseline column is pinned to ~slicing:Off so the explored
-     counts measure the abstraction knobs alone; the sliced column is
-     the only run with the reduction on *)
-  let sup_stats ?(domains = 1) ?reduction ?bounds ?(slicing = Reach.Off)
-      abstraction =
+     counts measure the abstractions alone; the sliced column is the
+     only run with the query-directed reduction on *)
+  let sup_stats ?(domains = 1) ?(slicing = Reach.Off) abstraction =
     match
-      Wcrt.sup ~abstraction ~domains ?reduction ?bounds ~slicing gen.Gen.net
-        ~at:obs.Gen.seen ~clock:obs.Gen.obs_clock
+      Wcrt.sup ~abstraction ~domains ~slicing gen.Gen.net ~at:obs.Gen.seen
+        ~clock:obs.Gen.obs_clock
     with
     | Wcrt.Sup { value; stats; _ } ->
         (run_of_stats stats (Printf.sprintf "wcrt=%d" value), stats)
@@ -181,9 +176,7 @@ let radionav_cell (row : R.row) column =
         (run_of_stats stats "budget", stats)
     | Wcrt.Sup_unbounded { stats; _ } -> (run_of_stats stats "unbounded", stats)
   in
-  let sup ?reduction ?bounds ?slicing abstraction =
-    fst (sup_stats ?reduction ?bounds ?slicing abstraction)
-  in
+  let sup ?slicing abstraction = fst (sup_stats ?slicing abstraction) in
   let name =
     Printf.sprintf "%s/%s/%s [%s]"
       (match row.R.combo with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
@@ -216,8 +209,6 @@ let radionav_cell (row : R.row) column =
     extram = sup Reach.ExtraM;
     extralu;
     lusim = sup Reach.LuSim;
-    extralu_nored = sup ~reduction:Reach.None Reach.ExtraLU;
-    extralu_noflow = sup ~bounds:Reach.Static Reach.ExtraLU;
     slice;
     parallel;
     cert = certify_sup gen.Gen.net ~at:obs.Gen.seen ~clock:obs.Gen.obs_clock;
@@ -252,8 +243,9 @@ let radionav_cells () =
    scan must take the guard bound's worst case over the declared range
    (L(x_i) = 4*S_i); the dataflow analysis proves s_i is the constant
    S_i, so the flow-refined L is 4x tighter and Extra+LU merges
-   correspondingly more states.  This is the flow-bounds column's
-   guaranteed strict win.                                              *)
+   correspondingly more states.  ExtraM reads the builder's classical
+   constants and merges none of them: its column grows fastest here
+   (the family stops at 3 clients for that reason).                    *)
 (* ------------------------------------------------------------------ *)
 
 let sporadic_family n =
@@ -319,17 +311,14 @@ let sporadic_family n =
 
 let sporadic_cell n =
   let net = sporadic_family n in
-  let explore_stats ?(domains = 1) ?reduction ?bounds abstraction =
+  let explore_stats ?(domains = 1) abstraction =
     match
-      Reach.explore ~abstraction ~domains ?reduction ?bounds net
-        ~on_store:(fun _ -> ())
+      Reach.explore ~abstraction ~domains net ~on_store:(fun _ -> ())
     with
     | `Complete stats -> (run_of_stats stats "complete", stats)
     | `Budget_exhausted stats -> (run_of_stats stats "budget", stats)
   in
-  let explore ?reduction ?bounds abstraction =
-    fst (explore_stats ?reduction ?bounds abstraction)
-  in
+  let explore abstraction = fst (explore_stats abstraction) in
   let extralu = explore Reach.ExtraLU in
   let parallel =
     match bench_par_domains with
@@ -344,15 +333,13 @@ let sporadic_cell n =
     extram = explore Reach.ExtraM;
     extralu;
     lusim = explore Reach.LuSim;
-    extralu_nored = explore ~reduction:Reach.None Reach.ExtraLU;
-    extralu_noflow = explore ~bounds:Reach.Static Reach.ExtraLU;
     slice = Option.None;
     parallel;
     cert = Option.None;
   }
 
 let ring_cells () =
-  List.map sporadic_cell (if quick then [ 3 ] else [ 1; 2; 3; 4 ])
+  List.map sporadic_cell (if quick then [ 3 ] else [ 1; 2; 3 ])
 
 (* ------------------------------------------------------------------ *)
 (* Station family: the slicing column's guaranteed strict win.  A
@@ -437,11 +424,8 @@ let station_cell n =
   let net = station_family n in
   let at = Ita_mc.Query.at net ~comp:"Station" ~loc:"Done" in
   let clock = 1 (* y *) in
-  let sup_stats ?reduction ?bounds ?(slicing = Reach.Off) abstraction =
-    match
-      Wcrt.sup ~abstraction ~domains:1 ?reduction ?bounds ~slicing net ~at
-        ~clock
-    with
+  let sup_stats ?(slicing = Reach.Off) abstraction =
+    match Wcrt.sup ~abstraction ~domains:1 ~slicing net ~at ~clock with
     | Wcrt.Sup { value; stats; _ } ->
         (run_of_stats stats (Printf.sprintf "wcrt=%d" value), stats)
     | Wcrt.Goal_unreachable stats -> (run_of_stats stats "unreachable", stats)
@@ -449,9 +433,7 @@ let station_cell n =
         (run_of_stats stats "budget", stats)
     | Wcrt.Sup_unbounded { stats; _ } -> (run_of_stats stats "unbounded", stats)
   in
-  let sup ?reduction ?bounds ?slicing abstraction =
-    fst (sup_stats ?reduction ?bounds ?slicing abstraction)
-  in
+  let sup ?slicing abstraction = fst (sup_stats ?slicing abstraction) in
   let slice =
     let _, snet, _ =
       Reach.slice_query Reach.CoiMerge ~extra_clocks:[ clock ] net at
@@ -469,8 +451,6 @@ let station_cell n =
     extram = sup Reach.ExtraM;
     extralu = sup Reach.ExtraLU;
     lusim = sup Reach.LuSim;
-    extralu_nored = sup ~reduction:Reach.None Reach.ExtraLU;
-    extralu_noflow = sup ~bounds:Reach.Static Reach.ExtraLU;
     slice;
     parallel = Option.None;
     cert = certify_sup net ~at ~clock;
@@ -494,32 +474,18 @@ let json_cell buf c =
     if c.extram.explored = 0 then 1.0
     else float_of_int c.extralu.explored /. float_of_int c.extram.explored
   in
-  let red_ratio =
-    if c.extralu_nored.explored = 0 then 1.0
-    else
-      float_of_int c.extralu.explored /. float_of_int c.extralu_nored.explored
-  in
-  let flow_ratio =
-    if c.extralu_noflow.explored = 0 then 1.0
-    else
-      float_of_int c.extralu.explored /. float_of_int c.extralu_noflow.explored
-  in
   let lusim_ratio =
     if c.extralu.explored = 0 then 1.0
     else float_of_int c.lusim.explored /. float_of_int c.extralu.explored
   in
   Buffer.add_string buf
     (Printf.sprintf
-       {|    {"name": %S, "kind": %S, "results_match": %b, "explored_ratio": %.4f, "lusim_results_match": %b, "lusim_explored_ratio": %.4f, "reduction_results_match": %b, "reduction_explored_ratio": %.4f, "flow_results_match": %b, "flow_bounds_explored_ratio": %.4f, |}
+       {|    {"name": %S, "kind": %S, "results_match": %b, "explored_ratio": %.4f, "lusim_results_match": %b, "lusim_explored_ratio": %.4f, |}
        c.name c.kind
        (c.extram.result = c.extralu.result)
        ratio
        (c.extralu.result = c.lusim.result)
-       lusim_ratio
-       (c.extralu.result = c.extralu_nored.result)
-       red_ratio
-       (c.extralu.result = c.extralu_noflow.result)
-       flow_ratio);
+       lusim_ratio);
   (match c.slice with
   | None ->
       Buffer.add_string buf
@@ -566,10 +532,6 @@ let json_cell buf c =
   json_run buf c.extralu;
   Buffer.add_string buf {|, "lusim": |};
   json_run buf c.lusim;
-  Buffer.add_string buf {|, "extralu_no_reduction": |};
-  json_run buf c.extralu_nored;
-  Buffer.add_string buf {|, "extralu_no_flow": |};
-  json_run buf c.extralu_noflow;
   Buffer.add_string buf "}"
 
 (* the producing commit, so a checked-in BENCH_mc.json is attributable;
@@ -592,18 +554,6 @@ let () =
   let lusim_mismatches =
     List.filter (fun c -> c.extralu.result <> c.lusim.result) cells
   in
-  let red_mismatches =
-    List.filter (fun c -> c.extralu.result <> c.extralu_nored.result) cells
-  in
-  let red_regressions =
-    List.filter (fun c -> c.extralu.explored > c.extralu_nored.explored) cells
-  in
-  let flow_mismatches =
-    List.filter (fun c -> c.extralu.result <> c.extralu_noflow.result) cells
-  in
-  let flow_regressions =
-    List.filter (fun c -> c.extralu.explored > c.extralu_noflow.explored) cells
-  in
   let slice_mismatches =
     List.filter
       (fun c ->
@@ -623,11 +573,10 @@ let () =
   List.iter
     (fun c ->
       Printf.printf
-        "%-40s extram %7d  extralu %7d  lusim %7d  no-red %7d  no-flow %7d  \
-         ratio %.3f  lusim-ratio %.3f  [%s]\n\
+        "%-40s extram %7d  extralu %7d  lusim %7d  ratio %.3f  lusim-ratio \
+         %.3f  [%s]\n\
          %!"
         c.name c.extram.explored c.extralu.explored c.lusim.explored
-        c.extralu_nored.explored c.extralu_noflow.explored
         (if c.extram.explored = 0 then 1.0
          else float_of_int c.extralu.explored /. float_of_int c.extram.explored)
         (if c.extralu.explored = 0 then 1.0
@@ -686,19 +635,6 @@ let () =
   in
   let po_ratio = ratio_of po_cells in
   Printf.printf "radionav explored ratio (extralu / extram): %.3f\n%!" po_ratio;
-  let red_ratio =
-    let off = total cells (fun c -> c.extralu_nored.explored) in
-    let on = total cells (fun c -> c.extralu.explored) in
-    if off = 0 then 1.0 else float_of_int on /. float_of_int off
-  in
-  Printf.printf "reduction explored ratio (active / none): %.3f\n%!" red_ratio;
-  let flow_ratio =
-    let off = total cells (fun c -> c.extralu_noflow.explored) in
-    let on = total cells (fun c -> c.extralu.explored) in
-    if off = 0 then 1.0 else float_of_int on /. float_of_int off
-  in
-  Printf.printf "flow-bounds explored ratio (flow / static): %.3f\n%!"
-    flow_ratio;
   let lusim_ratio_of l =
     let lu = total l (fun c -> c.extralu.explored) in
     let ls = total l (fun c -> c.lusim.explored) in
@@ -772,12 +708,6 @@ let () =
        lusim_sporadic_ratio);
   Buffer.add_string buf "\n";
   Buffer.add_string buf
-    (Printf.sprintf {|  "reduction_explored_ratio": %.4f,|} red_ratio);
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf
-    (Printf.sprintf {|  "flow_bounds_explored_ratio": %.4f,|} flow_ratio);
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf
     (Printf.sprintf {|  "slice_explored_ratio": %.4f,|} slice_ratio);
   Buffer.add_string buf "\n";
   Buffer.add_string buf
@@ -821,30 +751,6 @@ let () =
       "ERROR: LuSim shows no strict win on the sporadic family \
        (ratio %.4f)\n"
       lusim_sporadic_ratio;
-    exit 1
-  end;
-  if red_mismatches <> [] then begin
-    Printf.eprintf
-      "ERROR: %d cells disagree between reduction on and off\n"
-      (List.length red_mismatches);
-    exit 1
-  end;
-  if red_regressions <> [] then begin
-    Printf.eprintf
-      "ERROR: %d cells explore MORE states with the reduction on\n"
-      (List.length red_regressions);
-    exit 1
-  end;
-  if flow_mismatches <> [] then begin
-    Printf.eprintf
-      "ERROR: %d cells disagree between flow-refined and static bounds\n"
-      (List.length flow_mismatches);
-    exit 1
-  end;
-  if flow_regressions <> [] then begin
-    Printf.eprintf
-      "ERROR: %d cells explore MORE states with flow-refined bounds\n"
-      (List.length flow_regressions);
     exit 1
   end;
   if par_mismatches <> [] then begin

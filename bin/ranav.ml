@@ -36,88 +36,20 @@ let column_conv =
   let print ppf c = Format.pp_print_string ppf (R.column_name c) in
   Arg.conv (parse, print)
 
-let order_conv =
-  let parse = function
-    | "bfs" -> Ok Reach.Bfs
-    | "dfs" -> Ok Reach.Dfs
-    | "rdfs" -> Ok (Reach.Random_dfs 1)
-    | s -> Error (`Msg (Printf.sprintf "unknown order %S" s))
-  in
-  let print ppf o =
-    Format.pp_print_string ppf
-      (match o with
-      | Reach.Bfs -> "bfs"
-      | Reach.Dfs -> "dfs"
-      | Reach.Random_dfs _ -> "rdfs")
-  in
-  Arg.conv (parse, print)
-
-let abstraction_conv =
-  let parse = function
-    | "extram" -> Ok Reach.ExtraM
-    | "extralu" -> Ok Reach.ExtraLU
-    | "lusim" -> Ok Reach.LuSim
-    | s ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown abstraction %S (extram, extralu or lusim)"
-               s))
-  in
-  let print ppf a =
-    Format.pp_print_string ppf
-      (match a with
-      | Reach.ExtraM -> "extram"
-      | Reach.ExtraLU -> "extralu"
-      | Reach.LuSim -> "lusim")
-  in
-  Arg.conv (parse, print)
-
 let abstraction_arg =
   Arg.(
     value
-    & opt abstraction_conv (Reach.default_abstraction ())
+    & opt Knob.abstraction (Reach.default_abstraction ())
     & info [ "abstraction" ]
         ~doc:
           "zone abstraction: extralu (default), lusim (store \
            unextrapolated zones, subsume with the a<|LU simulation — \
            coarsest) or extram (oracle)")
 
-let bounds_conv =
-  let parse = function
-    | "flow" -> Ok Reach.Flow
-    | "static" -> Ok Reach.Static
-    | s -> Error (`Msg (Printf.sprintf "unknown bounds %S (flow or static)" s))
-  in
-  let print ppf b =
-    Format.pp_print_string ppf
-      (match b with Reach.Flow -> "flow" | Reach.Static -> "static")
-  in
-  Arg.conv (parse, print)
-
-let bounds_arg =
-  Arg.(
-    value
-    & opt bounds_conv Reach.Flow
-    & info [ "bounds" ]
-        ~doc:
-          "extrapolation-bound source: flow (default, refined by the \
-           dataflow analysis) or static (the builder's one-shot scan)")
-
-let slicing_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Reach.parse_slicing s) in
-  let print ppf s =
-    Format.pp_print_string ppf
-      (match s with
-      | Reach.Off -> "off"
-      | Reach.Coi -> "coi"
-      | Reach.CoiMerge -> "coimerge")
-  in
-  Arg.conv (parse, print)
-
 let slicing_arg =
   Arg.(
     value
-    & opt slicing_conv (Reach.default_slicing ())
+    & opt Knob.slicing (Reach.default_slicing ())
     & info [ "slicing" ]
         ~doc:
           "query-directed model reduction before exploring: coimerge \
@@ -140,7 +72,7 @@ let column_arg =
   Arg.(value & opt column_conv R.Pno & info [ "column" ] ~doc:"po/pno/sp/pj/bur")
 
 let order_arg =
-  Arg.(value & opt order_conv Reach.Bfs & info [ "order" ] ~doc:"bfs/dfs/rdfs")
+  Arg.(value & opt Knob.order Reach.Bfs & info [ "order" ] ~doc:"bfs/dfs/rdfs")
 
 let budget_arg =
   Arg.(
@@ -163,7 +95,7 @@ let domains_arg =
 (* ------------------------------------------------------------------ *)
 
 let run_wcrt combo column scenario requirement order seed budget probe_start_ms
-    abstraction bounds domains slicing certify cert_out =
+    abstraction domains slicing certify cert_out =
   let order = seeded_order order seed in
   let sys = R.system combo column in
   let method_ =
@@ -179,8 +111,8 @@ let run_wcrt combo column scenario requirement order seed budget probe_start_ms
           }
   in
   let r =
-    Analyze.wcrt ~method_ ~order ~abstraction ~bounds ?domains ~slicing
-      ~certify ?cert_out sys ~scenario ~requirement
+    Analyze.wcrt ~method_ ~order ~abstraction ?domains ~slicing ~certify
+      ?cert_out sys ~scenario ~requirement
   in
   Format.printf "%s %s/%s [%s]: uncontended %a ms, wcrt %a ms (%d states, %.2fs)@."
     (match combo with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
@@ -241,7 +173,7 @@ let wcrt_cmd =
     Term.(
       const run_wcrt $ combo_arg $ column_arg $ scenario $ requirement
       $ order_arg $ seed_arg $ budget_arg $ probe_start $ abstraction_arg
-      $ bounds_arg $ domains_arg $ slicing_arg $ certify $ cert_out)
+      $ domains_arg $ slicing_arg $ certify $ cert_out)
 
 (* ------------------------------------------------------------------ *)
 (* table1                                                              *)
@@ -535,8 +467,8 @@ let technique_conv =
 
 let run_explore combo column scenario requirement techniques mmi_mips rad_mips
     nav_mips bus_kbps decode_on jobs timeout_s cache_dir no_cache mc_states
-    mc_seconds mc_abstraction mc_bounds mc_domains mc_slicing mc_certify
-    sim_runs sim_horizon_s inject_crash isolation =
+    mc_seconds mc_abstraction mc_domains mc_slicing mc_certify sim_runs
+    sim_horizon_s inject_crash isolation =
   let open Ita_dse in
   let space =
     Spaces.radionav ~combo ~column ~mmi_mips ~rad_mips ~nav_mips ~bus_kbps
@@ -548,7 +480,6 @@ let run_explore combo column scenario requirement techniques mmi_mips rad_mips
       Job.mc_states;
       mc_seconds;
       mc_abstraction;
-      mc_bounds;
       mc_domains;
       mc_slicing;
       mc_certify;
@@ -703,8 +634,8 @@ let explore_cmd =
       const run_explore $ combo $ column $ scenario $ requirement
       $ techniques $ mmi $ rad $ nav $ bus $ decode_on $ jobs $ timeout
       $ cache_dir $ no_cache $ mc_states $ mc_seconds $ abstraction_arg
-      $ bounds_arg $ mc_domains $ slicing_arg $ mc_certify $ sim_runs
-      $ sim_horizon $ inject_crash $ isolation)
+      $ mc_domains $ slicing_arg $ mc_certify $ sim_runs $ sim_horizon
+      $ inject_crash $ isolation)
 
 (* ------------------------------------------------------------------ *)
 (* lint: static analysis of the generated networks                     *)

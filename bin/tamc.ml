@@ -10,57 +10,10 @@ module Cert = Ita_cert.Cert
 module Cert_emit = Ita_mc.Cert_emit
 module E = Ita_tafmt.Elaborate
 
-let order_conv =
-  let parse = function
-    | "bfs" -> Ok Reach.Bfs
-    | "dfs" -> Ok Reach.Dfs
-    | "rdfs" -> Ok (Reach.Random_dfs 1)
-    | s -> Error (`Msg (Printf.sprintf "unknown order %S" s))
-  in
-  let print ppf o =
-    Format.pp_print_string ppf
-      (match o with
-      | Reach.Bfs -> "bfs"
-      | Reach.Dfs -> "dfs"
-      | Reach.Random_dfs _ -> "rdfs")
-  in
-  Arg.conv (parse, print)
-
-let abstraction_conv =
-  let parse = function
-    | "extram" -> Ok Reach.ExtraM
-    | "extralu" -> Ok Reach.ExtraLU
-    | "lusim" -> Ok Reach.LuSim
-    | s ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown abstraction %S (extram, extralu or lusim)"
-               s))
-  in
-  let print ppf a =
-    Format.pp_print_string ppf
-      (match a with
-      | Reach.ExtraM -> "extram"
-      | Reach.ExtraLU -> "extralu"
-      | Reach.LuSim -> "lusim")
-  in
-  Arg.conv (parse, print)
-
-let slicing_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Reach.parse_slicing s) in
-  let print ppf s =
-    Format.pp_print_string ppf
-      (match s with
-      | Reach.Off -> "off"
-      | Reach.Coi -> "coi"
-      | Reach.CoiMerge -> "coimerge")
-  in
-  Arg.conv (parse, print)
-
 let slicing_arg =
   Arg.(
     value
-    & opt slicing_conv (Reach.default_slicing ())
+    & opt Knob.slicing (Reach.default_slicing ())
     & info [ "slicing" ]
         ~doc:
           "query-directed model reduction before exploring: coimerge \
@@ -254,7 +207,7 @@ let check_cmd =
     Arg.(value & opt (some int) None & info [ "budget-states" ] ~doc:"state cap")
   in
   let order =
-    Arg.(value & opt order_conv Reach.Bfs & info [ "order" ] ~doc:"bfs/dfs/rdfs")
+    Arg.(value & opt Knob.order Reach.Bfs & info [ "order" ] ~doc:"bfs/dfs/rdfs")
   in
   let trace =
     Arg.(value & flag & info [ "trace" ] ~doc:"print witness traces")
@@ -272,7 +225,7 @@ let check_cmd =
   let abstraction =
     Arg.(
       value
-      & opt abstraction_conv (Reach.default_abstraction ())
+      & opt Knob.abstraction (Reach.default_abstraction ())
       & info [ "abstraction" ]
           ~doc:
             "zone abstraction: extralu, lusim (store unextrapolated \

@@ -42,8 +42,6 @@ val wcrt :
   ?method_:method_ ->
   ?order:Reach.order ->
   ?abstraction:Reach.abstraction ->
-  ?reduction:Reach.reduction ->
-  ?bounds:Reach.bounds ->
   ?domains:int ->
   ?slicing:Reach.slicing ->
   ?certify:bool ->
@@ -82,8 +80,6 @@ val check_budgets :
   ?method_:method_ ->
   ?order:Ita_mc.Reach.order ->
   ?abstraction:Reach.abstraction ->
-  ?reduction:Reach.reduction ->
-  ?bounds:Reach.bounds ->
   ?domains:int ->
   ?slicing:Reach.slicing ->
   Sysmodel.t ->

@@ -15,7 +15,7 @@ let dir t = t.dir
 
 (* bump when Job.result or the key fields change shape: old entries
    become misses *)
-let version = "ita-dse-v7"
+let version = "ita-dse-v8"
 
 let job_key (spec : Job.spec) =
   let b = spec.Job.budget in
@@ -31,17 +31,8 @@ let job_key (spec : Job.spec) =
             spec.Job.requirement;
             opt string_of_int b.Job.mc_states;
             opt string_of_float b.Job.mc_seconds;
-            (match b.Job.mc_abstraction with
-            | Ita_mc.Reach.ExtraM -> "extram"
-            | Ita_mc.Reach.ExtraLU -> "extralu"
-            | Ita_mc.Reach.LuSim -> "lusim");
-            (match b.Job.mc_bounds with
-            | Ita_mc.Reach.Static -> "static"
-            | Ita_mc.Reach.Flow -> "flow");
-            (match b.Job.mc_slicing with
-            | Ita_mc.Reach.Off -> "off"
-            | Ita_mc.Reach.Coi -> "coi"
-            | Ita_mc.Reach.CoiMerge -> "coimerge");
+            Ita_mc.Reach.abstraction_name b.Job.mc_abstraction;
+            Ita_mc.Reach.slicing_name b.Job.mc_slicing;
             opt string_of_int b.Job.mc_domains;
             string_of_bool b.Job.mc_certify;
             string_of_int b.Job.sim_runs;

@@ -23,7 +23,6 @@ type budget = {
   mc_states : int option;
   mc_seconds : float option;
   mc_abstraction : Reach.abstraction;
-  mc_bounds : Reach.bounds;
   mc_domains : int option;
   mc_slicing : Reach.slicing;
   mc_certify : bool;
@@ -36,7 +35,6 @@ let default_budget =
     mc_states = None;
     mc_seconds = None;
     mc_abstraction = Reach.ExtraLU;
-    mc_bounds = Reach.Flow;
     mc_domains = None;
     mc_slicing = Reach.CoiMerge;
     mc_certify = false;
@@ -85,9 +83,8 @@ let run_mc spec =
   in
   match
     Wcrt.sup ~budget ~abstraction:spec.budget.mc_abstraction
-      ~bounds:spec.budget.mc_bounds ?domains:spec.budget.mc_domains
-      ~slicing:spec.budget.mc_slicing ?snap gen.Gen.net ~at:obs.Gen.seen
-      ~clock:obs.Gen.obs_clock
+      ?domains:spec.budget.mc_domains ~slicing:spec.budget.mc_slicing ?snap
+      gen.Gen.net ~at:obs.Gen.seen ~clock:obs.Gen.obs_clock
   with
   | Wcrt.Sup { value; kind; stats } -> (
       (* a certified mc cell: re-validate the exact verdict with the

@@ -21,8 +21,6 @@ type budget = {
   mc_seconds : float option;  (** wall-clock cap for the exploration *)
   mc_abstraction : Ita_mc.Reach.abstraction;
       (** zone abstraction for the exploration *)
-  mc_bounds : Ita_mc.Reach.bounds;
-      (** extrapolation-bound source (flow-refined or static) *)
   mc_domains : int option;
       (** worker domains inside one exploration ([None]: the engine
           default, {!Ita_mc.Reach.default_domains}).  Sweeps running
@@ -43,8 +41,9 @@ type budget = {
 }
 
 val default_budget : budget
-(** Unlimited model checking under Extra+LU with flow-refined bounds
-    and [CoiMerge] slicing; 5 simulation seeds of 30 s each. *)
+(** Unlimited model checking under Extra+LU and [CoiMerge] slicing,
+    with the engine's always-on flow-refined bounds and active-clock
+    reduction; 5 simulation seeds of 30 s each. *)
 
 type spec = {
   sys : Sysmodel.t;

@@ -16,9 +16,9 @@ module Cert = Ita_cert.Cert
    checker's successors leave them running.  Freeing them is sound —
    an inactive clock stays inactive until some edge resets it, so the
    freed antichain is still inductive — and necessary, or consecution
-   would reject every certificate produced with the (default) reduction
-   on.  The query's clocks are pinned always-active, so judgment bounds
-   are never weakened. *)
+   would reject every certificate, the reduction being always on.  The
+   query's clocks are pinned always-active, so judgment bounds are
+   never weakened. *)
 let free_inactive (net : Network.t) (st : Semantics.state) z =
   let n = Array.length net.Network.clock_names in
   let n_comp = Array.length net.Network.automata in

@@ -23,8 +23,6 @@ let combine a b =
   }
 
 type abstraction = Semantics.abstraction = ExtraM | ExtraLU | LuSim
-type reduction = Semantics.reduction = None | Active
-type bounds = Static | Flow
 
 module Slice = Ita_analysis.Slice
 
@@ -73,6 +71,13 @@ let parse_slicing s =
   | "coi" -> Ok Coi
   | "coimerge" -> Ok CoiMerge
   | _ -> Error "valid values: off, coi, coimerge"
+
+let abstraction_name = function
+  | ExtraM -> "extram"
+  | ExtraLU -> "extralu"
+  | LuSim -> "lusim"
+
+let slicing_name = function Off -> "off" | Coi -> "coi" | CoiMerge -> "coimerge"
 
 let warn_env var value err fallback =
   Printf.eprintf "tamc: warning: %s=%S ignored (%s); using %s\n%!" var value
@@ -332,8 +337,7 @@ let witness_of nodes id =
 
 (* Sequential engine — the exact pre-parallel code path, selected by
    [~domains:1]. *)
-let run_seq ~order ~budget ~abstraction ~reduction ~lu_of net ~ranges ~goal
-    ~on_store
+let run_seq ~order ~budget ~abstraction ~lu_of net ~ranges ~goal ~on_store
     : engine_result * (unit -> (Semantics.state * Dbm.t list) list) =
   let t0 = Unix.gettimeofday () in
   let pack = make_packer net ranges in
@@ -400,7 +404,7 @@ let run_seq ~order ~budget ~abstraction ~reduction ~lu_of net ~ranges ~goal
         end
   in
   try
-    add Option.None (-1) (Semantics.initial ~abstraction ~reduction net);
+    add Option.None (-1) (Semantics.initial ~abstraction net);
     let continue = ref true in
     while !continue do
       match waiting.pop () with
@@ -411,8 +415,7 @@ let run_seq ~order ~budget ~abstraction ~reduction ~lu_of net ~ranges ~goal
             incr explored;
             if over_budget () then raise Exit;
             let succs =
-              Array.of_list
-                (Semantics.successors ~abstraction ~reduction net n.config)
+              Array.of_list (Semantics.successors ~abstraction net n.config)
             in
             (match rng with Some g -> Prng.shuffle g succs | None -> ());
             Array.iter
@@ -545,7 +548,7 @@ module Par = struct
     in
     go (Some n) []
 
-  let run ~order ~budget ~abstraction ~reduction ~lu_of ~domains net ~ranges
+  let run ~order ~budget ~abstraction ~lu_of ~domains net ~ranges
       ~goal ~on_store =
     let t0 = Unix.gettimeofday () in
     let pack = make_packer net ranges in
@@ -616,8 +619,7 @@ module Par = struct
         let e = 1 + Atomic.fetch_and_add explored 1 in
         if over_budget e then halt Pbudget;
         let succs =
-          Array.of_list
-            (Semantics.successors ~abstraction ~reduction net n.pconfig)
+          Array.of_list (Semantics.successors ~abstraction net n.pconfig)
         in
         (match rng with Some g -> Prng.shuffle g succs | None -> ());
         Array.iter
@@ -678,7 +680,7 @@ module Par = struct
           ignore
             (Atomic.compare_and_set stop Option.None (Some (Perror (ex, bt))))
     in
-    (try add 0 Option.None Option.None (Semantics.initial ~abstraction ~reduction net)
+    (try add 0 Option.None Option.None (Semantics.initial ~abstraction net)
      with Halt -> ());
     if Atomic.get stop = Option.None then begin
       let doms =
@@ -720,14 +722,14 @@ type snapshot = {
   snap_passed : (Semantics.state * Dbm.t list) list;
 }
 
-(* Core loop shared by [reach], [explore] and [explore_passed].  [goal]
-   maps a fresh configuration to its non-empty goal zone when it hits
-   the target; goal checking happens at state creation time so that
+(* Core loop shared by [reach] and [explore].  [goal] maps a fresh
+   configuration to its non-empty goal zone when it hits the target;
+   goal checking happens at state creation time so that
    counterexamples are found as early as possible (UPPAAL does the
    same).  Returns the result, the passed-list dump thunk and the
    network as explored (after flow refinement). *)
-let run ?(order = Bfs) ?(budget = no_budget) ?abstraction
-    ?(reduction = Active) ?(bounds = Flow) ?domains net ~goal ~on_store () =
+let run ?(order = Bfs) ?(budget = no_budget) ?abstraction ?domains net ~goal
+    ~on_store () =
   let abstraction =
     match abstraction with Some a -> a | None -> default_abstraction ()
   in
@@ -736,20 +738,16 @@ let run ?(order = Bfs) ?(budget = no_budget) ?abstraction
   in
   (* the dataflow analysis tightens the per-location L/U clock bounds
      (read by [Semantics.extrapolate]) and shrinks the variable ranges
-     the packed state key allots bits to; [Static] keeps the builder's
-     one-shot bounds and the declared ranges as a differential oracle *)
-  let net, ranges =
-    match bounds with
-    | Static -> (net, net.Network.var_ranges)
-    | Flow ->
-        let fa = Ita_analysis.Flow.analyze net in
-        ( Ita_analysis.Flow.refine_lu fa net,
-          Ita_analysis.Flow.global_ranges fa )
-  in
+     the packed state key allots bits to.  It rewrites only [lloc] and
+     [uloc], never [k], so [ExtraM] explores the builder's bounds and
+     serves as the tests' oracle for the refinement *)
+  let fa = Ita_analysis.Flow.analyze net in
+  let net = Ita_analysis.Flow.refine_lu fa net in
+  let ranges = Ita_analysis.Flow.global_ranges fa in
   (* Under [LuSim] the antichains order zones by a◁LU simulation over
-     the per-state L/U constants — resolved against the (possibly
-     flow-refined) [net] above, so the subsumption test and the
-     [ExtraLU] extrapolation always read the same bounds *)
+     the per-state L/U constants — resolved against the flow-refined
+     [net] above, so the subsumption test and the [ExtraLU]
+     extrapolation always read the same bounds *)
   let lu_of =
     match abstraction with
     | LuSim ->
@@ -758,11 +756,10 @@ let run ?(order = Bfs) ?(budget = no_budget) ?abstraction
   in
   let result, dump =
     if domains = 1 then
-      run_seq ~order ~budget ~abstraction ~reduction ~lu_of net ~ranges ~goal
-        ~on_store
+      run_seq ~order ~budget ~abstraction ~lu_of net ~ranges ~goal ~on_store
     else
-      Par.run ~order ~budget ~abstraction ~reduction ~lu_of ~domains net
-        ~ranges ~goal ~on_store
+      Par.run ~order ~budget ~abstraction ~lu_of ~domains net ~ranges ~goal
+        ~on_store
   in
   (result, dump, net)
 
@@ -801,8 +798,8 @@ let slice_query mode ?(extra_clocks = []) net (q : Query.t) =
   in
   (sl, sl.Slice.net, q')
 
-let reach ?order ?budget ?abstraction ?reduction ?bounds ?domains ?slicing
-    ?snap net (q : Query.t) =
+let reach ?order ?budget ?abstraction ?domains ?slicing ?snap net
+    (q : Query.t) =
   let mode =
     match slicing with Some s -> s | Option.None -> default_slicing ()
   in
@@ -817,7 +814,7 @@ let reach ?order ?budget ?abstraction ?reduction ?bounds ?domains ?slicing
     Semantics.zone_of_goal net c q.Query.guard ~comp_locs:q.Query.comp_locs
   in
   match
-    run ?order ?budget ?abstraction ?reduction ?bounds ?domains net ~goal
+    run ?order ?budget ?abstraction ?domains net ~goal
       ~on_store:(fun _ -> ())
       ()
   with
@@ -842,15 +839,15 @@ let reach ?order ?budget ?abstraction ?reduction ?bounds ?domains ?slicing
       Unreachable stats
   | Out_of_budget stats, _, _ -> Budget_exhausted stats
 
-let explore ?order ?budget ?abstraction ?reduction ?bounds ?domains
-    ?(extra_bounds = []) ?snap net ~on_store =
+let explore ?order ?budget ?abstraction ?domains ?(extra_bounds = []) ?snap
+    net ~on_store =
   let net =
     List.fold_left
       (fun net (x, c) -> Network.bump_clock_bound net x c)
       net extra_bounds
   in
   match
-    run ?order ?budget ?abstraction ?reduction ?bounds ?domains net
+    run ?order ?budget ?abstraction ?domains net
       ~goal:(fun _ -> Option.None)
       ~on_store ()
   with
@@ -860,23 +857,6 @@ let explore ?order ?budget ?abstraction ?reduction ?bounds ?domains
       | Some f -> f (xnet, dump ())
       | Option.None -> ());
       `Complete stats
-  | Out_of_budget stats, _, _ -> `Budget_exhausted stats
-
-let explore_passed ?order ?budget ?abstraction ?reduction ?bounds ?domains
-    ?(extra_bounds = []) net =
-  let net =
-    List.fold_left
-      (fun net (x, c) -> Network.bump_clock_bound net x c)
-      net extra_bounds
-  in
-  match
-    run ?order ?budget ?abstraction ?reduction ?bounds ?domains net
-      ~goal:(fun _ -> Option.None)
-      ~on_store:(fun _ -> ())
-      ()
-  with
-  | Goal_found _, _, _ -> assert false
-  | Space_exhausted stats, dump, _ -> `Complete (dump (), stats)
   | Out_of_budget stats, _, _ -> `Budget_exhausted stats
 
 let pp_stats ppf s =

@@ -19,28 +19,18 @@ type abstraction = Semantics.abstraction = ExtraM | ExtraLU | LuSim
         and for exact goal-zone bounds.  Under [LuSim] zones are stored
         unextrapolated and the passed-list antichains subsume with the
         a◁LU simulation test ({!Ita_dbm.Dbm.le_lu}) over the same
-        (flow-refined when [bounds = Flow]) per-state L/U constants the
-        [ExtraLU] extrapolation reads — strictly coarser pruning,
-        identical verdicts and WCRTs, exact goal zones and witness
-        traces. *)
+        flow-refined per-state L/U constants the [ExtraLU]
+        extrapolation reads — strictly coarser pruning, identical
+        verdicts and WCRTs, exact goal zones and witness traces.
 
-type reduction = Semantics.reduction = None | Active
-    (** Active-clock reduction (see {!Semantics.reduction}).  The
-        default everywhere is [Active]; [None] is kept as a
-        differential-testing oracle and for state-space measurements
-        of the reduction itself. *)
-
-type bounds = Static | Flow
-    (** Source of the per-location L/U extrapolation bounds and of the
-        variable ranges behind the packed passed-list key.  [Flow]
-        (the default everywhere) runs the abstract-interpretation
-        dataflow analysis ({!Ita_analysis.Flow}) first: clock bounds
-        are recomputed over the live control flow with guard constants
-        evaluated under the inferred intervals (never looser than the
-        builder's), and each variable is packed into exactly its
-        inferred range.  [Static] keeps the builder's one-shot bounds
-        and the declared ranges — the differential-testing oracle and
-        the "flow off" column of the benchmark. *)
+        Every exploration first runs the abstract-interpretation
+        dataflow analysis ({!Ita_analysis.Flow}): the per-location L/U
+        clock bounds are recomputed over the live control flow with
+        guard constants evaluated under the inferred intervals (never
+        looser than the builder's), and each variable is packed into
+        exactly its inferred range.  The refinement rewrites only the
+        L/U tables, never the classical constants, so [ExtraM] is also
+        the tests' oracle for it. *)
 
 type slicing = Ita_analysis.Slice.mode = Off | Coi | CoiMerge
     (** Query-directed model reduction applied before exploration (see
@@ -65,6 +55,12 @@ val parse_abstraction : string -> (abstraction, string) result
 val parse_slicing : string -> (slicing, string) result
 (** Parse a [TAMC_SLICING]-style value ([off] / [coi] / [coimerge],
     case-insensitive). *)
+
+val abstraction_name : abstraction -> string
+(** The lower-case name {!parse_abstraction} reads back. *)
+
+val slicing_name : slicing -> string
+(** The lower-case name {!parse_slicing} reads back. *)
 
 val default_domains : unit -> int
 (** Worker-domain count used when a caller passes no [?domains]: the
@@ -169,8 +165,6 @@ val reach :
   ?order:order ->
   ?budget:budget ->
   ?abstraction:abstraction ->
-  ?reduction:reduction ->
-  ?bounds:bounds ->
   ?domains:int ->
   ?slicing:slicing ->
   ?snap:(snapshot -> unit) ->
@@ -209,8 +203,6 @@ val explore :
   ?order:order ->
   ?budget:budget ->
   ?abstraction:abstraction ->
-  ?reduction:reduction ->
-  ?bounds:bounds ->
   ?domains:int ->
   ?extra_bounds:(Guard.clock * int) list ->
   ?snap:(Network.t * (Semantics.state * Semantics.Dbm.t list) list -> unit) ->
@@ -224,28 +216,13 @@ val explore :
     tracking, deadlock probes) need no changes.
 
     [?snap] fires on [`Complete] with the explored (flow-refined,
-    bumped) network and the sorted passed list; callers that slice
-    themselves ({!Wcrt.sup}) assemble the full {!snapshot} from it. *)
-
-val explore_passed :
-  ?order:order ->
-  ?budget:budget ->
-  ?abstraction:abstraction ->
-  ?reduction:reduction ->
-  ?bounds:bounds ->
-  ?domains:int ->
-  ?extra_bounds:(Guard.clock * int) list ->
-  Network.t ->
-  [ `Complete of (Semantics.state * Semantics.Dbm.t list) list * stats
-  | `Budget_exhausted of stats ]
-(** Like {!explore} but returns the final passed list: per interned
-    discrete state, the antichain of maximal zones stored for it.
-    Entries are sorted by discrete state and each antichain by
-    {!Ita_dbm.Dbm.compare}, so under subset subsumption
-    ([ExtraM]/[ExtraLU]) a complete exploration's output is
-    byte-identical at any domain count.  Under [LuSim] contents are
-    only canonical up to mutual a◁LU simulation (see {!stats.stored});
-    the test layer checks two-way simulation coverage instead. *)
+    bumped) network and the final passed list: per interned discrete
+    state, the antichain of maximal zones stored for it, sorted as in
+    {!snapshot.snap_passed}.  Under subset subsumption
+    ([ExtraM]/[ExtraLU]) it is byte-identical at any domain count;
+    under [LuSim] it is only canonical up to mutual a◁LU simulation
+    (see {!stats.stored}).  Callers that slice themselves
+    ({!Wcrt.sup}) assemble the full {!snapshot} from it. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 val pp_witness : Network.t -> Format.formatter -> step list -> unit

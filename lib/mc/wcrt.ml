@@ -17,7 +17,7 @@ let goal_sup net (q : Query.t) clock (c : Semantics.config) =
   | None -> None
   | Some z -> Some (Dbm.sup z clock)
 
-let sup ?order ?budget ?abstraction ?reduction ?bounds ?domains ?slicing ?snap
+let sup ?order ?budget ?abstraction ?domains ?slicing ?snap
     ?(initial_ceiling = 1_000_000) ?(max_ceiling = 1 lsl 40) net ~at ~clock =
   (* slice once, before the ceiling loop: the cone is seeded with the
      goal plus the measured clock, so the sup is taken over exactly the
@@ -52,8 +52,8 @@ let sup ?order ?budget ?abstraction ?reduction ?bounds ?domains ?slicing ?snap
       | Some _ -> Some (fun s -> last_snap := Some s)
     in
     let result =
-      Reach.explore ?order ?budget ?abstraction ?reduction ?bounds ?domains
-        ~extra_bounds ?snap:explore_snap net ~on_store
+      Reach.explore ?order ?budget ?abstraction ?domains ~extra_bounds
+        ?snap:explore_snap net ~on_store
     in
     let observed () =
       match !best with
@@ -101,14 +101,13 @@ type search_result = {
   total_elapsed : float;
 }
 
-let check ?order ?budget ?abstraction ?reduction ?bounds ?domains ?slicing net
-    (at : Query.t) clock c =
+let check ?order ?budget ?abstraction ?domains ?slicing net (at : Query.t)
+    clock c =
   let q = Query.with_guard at (Guard.clock_ge clock c) in
-  Reach.reach ?order ?budget ?abstraction ?reduction ?bounds ?domains ?slicing
-    net q
+  Reach.reach ?order ?budget ?abstraction ?domains ?slicing net q
 
-let binary_search ?order ?budget ?abstraction ?reduction ?bounds ?domains
-    ?slicing ?(hi = 1_000_000) net ~at ~clock =
+let binary_search ?order ?budget ?abstraction ?domains ?slicing
+    ?(hi = 1_000_000) net ~at ~clock =
   let runs = ref 0 and explored = ref 0 and elapsed = ref 0.0 in
   let note (s : Reach.stats) =
     incr runs;
@@ -127,8 +126,7 @@ let binary_search ?order ?budget ?abstraction ?reduction ?bounds ?domains
   let exception Stop of search_result in
   let test c =
     match
-      check ?order ?budget ?abstraction ?reduction ?bounds ?domains ?slicing
-        net at clock c
+      check ?order ?budget ?abstraction ?domains ?slicing net at clock c
     with
     | Reach.Reachable { stats; _ } ->
         note stats;
@@ -174,8 +172,8 @@ let binary_search ?order ?budget ?abstraction ?reduction ?bounds ?domains
     result (Some !lo) (Some !up)
   with Stop r -> r
 
-let probe_lower ?order ?abstraction ?reduction ?bounds ?domains ?slicing net
-    ~at ~clock ~budget ~start ~step =
+let probe_lower ?order ?abstraction ?domains ?slicing net ~at ~clock ~budget
+    ~start ~step =
   let runs = ref 0 and explored = ref 0 and elapsed = ref 0.0 in
   let note (s : Reach.stats) =
     incr runs;
@@ -187,8 +185,7 @@ let probe_lower ?order ?abstraction ?reduction ?bounds ?domains ?slicing net
   let continue = ref true in
   while !continue do
     match
-      check ?order ?abstraction ?reduction ?bounds ?domains ?slicing ~budget
-        net at clock !c
+      check ?order ?abstraction ?domains ?slicing ~budget net at clock !c
     with
     | Reach.Reachable { stats; _ } ->
         note stats;

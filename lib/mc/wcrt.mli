@@ -36,8 +36,6 @@ val sup :
   ?order:Reach.order ->
   ?budget:Reach.budget ->
   ?abstraction:Reach.abstraction ->
-  ?reduction:Reach.reduction ->
-  ?bounds:Reach.bounds ->
   ?domains:int ->
   ?slicing:Reach.slicing ->
   ?snap:(Reach.snapshot -> unit) ->
@@ -73,8 +71,6 @@ val binary_search :
   ?order:Reach.order ->
   ?budget:Reach.budget ->
   ?abstraction:Reach.abstraction ->
-  ?reduction:Reach.reduction ->
-  ?bounds:Reach.bounds ->
   ?domains:int ->
   ?slicing:Reach.slicing ->
   ?hi:int ->
@@ -89,8 +85,6 @@ val binary_search :
 val probe_lower :
   ?order:Reach.order ->
   ?abstraction:Reach.abstraction ->
-  ?reduction:Reach.reduction ->
-  ?bounds:Reach.bounds ->
   ?domains:int ->
   ?slicing:Reach.slicing ->
   Network.t ->

@@ -3,7 +3,6 @@ module Dbm = Ita_dbm.Dbm
 type state = { locs : int array; env : int array }
 type config = { state : state; zone : Dbm.t }
 type abstraction = ExtraM | ExtraLU | LuSim
-type reduction = None | Active
 
 type label =
   | Internal of { comp : int; edge : int }
@@ -85,7 +84,8 @@ let apply_invariants (net : Network.t) st z =
 
 (* Clocks inactive at every component's current location carry no
    information: pin them to 0 so that zones differing only in dead
-   clocks coincide (active-clock reduction). *)
+   clocks coincide (active-clock reduction, always on).  Clocks the
+   network pins are left alone. *)
 let normalize_inactive (net : Network.t) st z =
   let n = Array.length net.Network.clock_names in
   let n_comp = Array.length net.Network.automata in
@@ -130,28 +130,29 @@ let extrapolate (net : Network.t) abstraction st z =
   | LuSim -> ()
 
 (* Delay-close [z] in discrete state [st]: up, then invariants, then
-   extrapolation.  [z] must already satisfy the invariants. *)
-let delay_close net abstraction reduction st z =
+   extrapolation, then active-clock reduction.  [z] must already
+   satisfy the invariants. *)
+let delay_close net abstraction st z =
   if delay_allowed net st then begin
     Dbm.up z;
     apply_invariants net st z
   end;
   extrapolate net abstraction st z;
-  match reduction with None -> () | Active -> normalize_inactive net st z
+  normalize_inactive net st z
 
-let initial ?(abstraction = ExtraLU) ?(reduction = Active) (net : Network.t) =
+let initial ?(abstraction = ExtraLU) (net : Network.t) =
   let locs = Array.map (fun (a : Automaton.t) -> a.initial) net.automata in
   let env = Array.copy net.var_init in
   let st = { locs; env } in
   let z = Dbm.zero (Network.n_clocks net) in
   apply_invariants net st z;
-  delay_close net abstraction reduction st z;
+  delay_close net abstraction st z;
   { state = st; zone = z }
 
 (* One discrete step: [parts] is the ordered list of participating
    (component, edge) pairs, the sender first.  Returns [None] when the
    step is disabled by clock guards or the target invariants. *)
-let fire (net : Network.t) abstraction reduction c parts =
+let fire (net : Network.t) abstraction c parts =
   let z = Dbm.copy c.zone in
   (* clock guards are evaluated under the pre-update environment *)
   List.iter
@@ -173,13 +174,12 @@ let fire (net : Network.t) abstraction reduction c parts =
     apply_invariants net st z;
     if Dbm.is_empty z then Option.None
     else begin
-      delay_close net abstraction reduction st z;
+      delay_close net abstraction st z;
       if Dbm.is_empty z then Option.None else Some { state = st; zone = z }
     end
   end
 
-let successors ?(abstraction = ExtraLU) ?(reduction = Active) (net : Network.t)
-    c =
+let successors ?(abstraction = ExtraLU) (net : Network.t) c =
   let st = c.state in
   let n = Array.length net.automata in
   let committed = any_committed net st in
@@ -198,7 +198,7 @@ let successors ?(abstraction = ExtraLU) ?(reduction = Active) (net : Network.t)
   let acc = ref [] in
   let emit label parts =
     if committed_ok parts then
-      match fire net abstraction reduction c parts with
+      match fire net abstraction c parts with
       | Some c' -> acc := (label, c') :: !acc
       | None -> ()
   in

@@ -11,7 +11,18 @@
       leaving a committed location may fire;
     - after each discrete step the zone is delay-closed (unless delay
       is forbidden), re-constrained by invariants and extrapolated with
-      the network's maximal constants. *)
+      the network's maximal constants;
+    - active-clock reduction (Daws–Yovine) is always on: delay-closure
+      pins every clock that is inactive in the current location vector
+      ([Network.active], minus [Network.pinned]) to [0], so zones
+      differing only in dead clock values coincide.  This is sound: an
+      inactive clock is reset before it is next tested, hence its value
+      cannot influence any future guard or invariant.  The unreduced
+      zone graph, the differential-testing oracle, is the one of the
+      same network with every clock pinned
+      ([Network.bump_clock_bound net x 0] for each clock [x]): a bound
+      of [0] changes no constant, and pinned clocks are never
+      normalized. *)
 
 module Dbm = Ita_dbm.Dbm
 
@@ -37,19 +48,6 @@ type abstraction = ExtraM | ExtraLU | LuSim
         zone set: an exploration that stores [LuSim] zones must subsume
         with [Dbm.le_lu], as [Ita_mc.Reach] does. *)
 
-type reduction = None | Active
-    (** Active-clock reduction (Daws–Yovine).  Under [Active]
-        delay-closure pins every clock that is inactive in the current
-        location vector ([Network.active], minus [Network.pinned]) to
-        [0], so zones differing only in dead clock values coincide —
-        a sound reduction: an inactive clock is reset before it is
-        next tested, hence its value cannot influence any future guard
-        or invariant.  [None] keeps dead clock values, which can only
-        enlarge (never change the verdicts of) the explored zone
-        graph; it is the differential-testing oracle for [Active].
-        An exploration must use one reduction for all configurations
-        it builds. *)
-
 type label =
   | Internal of { comp : int; edge : int }
   | Sync of {
@@ -69,8 +67,8 @@ val lu_bounds : Network.t -> state -> int array * int array
     abstraction extrapolates with and the [LuSim] passed list feeds to
     {!Dbm.le_lu}. *)
 
-val initial : ?abstraction:abstraction -> ?reduction:reduction -> Network.t -> config
-(** Defaults: [ExtraLU] abstraction, [Active] reduction.  An
+val initial : ?abstraction:abstraction -> Network.t -> config
+(** Default: [ExtraLU] abstraction.  An
     exploration must use the same abstraction for every configuration
     it builds. *)
 
@@ -78,7 +76,6 @@ val delay_allowed : Network.t -> state -> bool
 
 val successors :
   ?abstraction:abstraction ->
-  ?reduction:reduction ->
   Network.t ->
   config ->
   (label * config) list

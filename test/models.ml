@@ -12,6 +12,17 @@ let edge ?(guard = tt) ?(sync = Automaton.NoSync) ?(update = Update.none) src
     dst =
   { Automaton.src; guard; sync; update; dst }
 
+(* The unreduced zone graph as a network transform: every clock pinned
+   always-active, so active-clock reduction normalizes nothing, and a
+   bound of 0 changes no extrapolation constant.  The oracle the
+   reduction's differential tests compare against. *)
+let pin_all (net : Network.t) =
+  let n = Array.length net.Network.clock_names in
+  let rec go net x =
+    if x >= n then net else go (Network.bump_clock_bound net x 0) (x + 1)
+  in
+  go net 1
+
 (* Two-phase automaton: L0 --(1 <= x <= 2, x := 0)--> L1 (inv x <= 4)
    --(x == 4)--> L2.  Clock [y] is never reset, so on *entering* L2 it
    ranges over [5, 6]: the canonical sup-query example.  L2 is

@@ -1,7 +1,8 @@
 (* Static-analysis tests: one minimal triggering model per lint pass,
    clean-baseline checks over the generated case-study networks and
    the shipped example models, and a differential suite showing the
-   active-clock reduction changes no verdict and no WCRT value. *)
+   active-clock reduction changes no verdict and no WCRT value and
+   never explores more states. *)
 
 open Ita_ta
 module D = Ita_analysis.Diagnostic
@@ -358,21 +359,23 @@ let test_examples_baseline () =
     example_files
 
 (* ------------------------------------------------------------------ *)
-(* Active-clock reduction differential: disabling or enabling the
-   reduction must change no reachability verdict and no WCRT sup
-   value — only the number of explored symbolic states.                *)
+(* Active-clock reduction differential: the reduction is always on,
+   and [Models.pin_all net] — every clock pinned always-active — is the
+   unreduced oracle.  The two must agree on every reachability verdict
+   and WCRT sup value, and the reduced exploration of the whole zone
+   graph must never explore more symbolic states.                      *)
 (* ------------------------------------------------------------------ *)
+
+let pin_all = Models.pin_all
 
 let verdict = function
   | Reach.Reachable _ -> "reachable"
   | Reach.Unreachable _ -> "unreachable"
   | Reach.Budget_exhausted _ -> "budget"
 
-let sup_fingerprint ?(initial_ceiling = 64) ?(max_ceiling = 256) ~reduction net
-    ~at ~clock =
-  match
-    Wcrt.sup ~reduction ~initial_ceiling ~max_ceiling net ~at ~clock
-  with
+let sup_fingerprint ?(initial_ceiling = 64) ?(max_ceiling = 256) net ~at
+    ~clock =
+  match Wcrt.sup ~initial_ceiling ~max_ceiling net ~at ~clock with
   | Wcrt.Sup { value; kind; _ } ->
       Printf.sprintf "sup %d %s" value
         (match kind with
@@ -381,6 +384,22 @@ let sup_fingerprint ?(initial_ceiling = 64) ?(max_ceiling = 256) ~reduction net
   | Wcrt.Goal_unreachable _ -> "unreachable"
   | Wcrt.Sup_budget_exhausted _ -> "budget"
   | Wcrt.Sup_unbounded _ -> "unbounded"
+
+(* explored symbolic states of the whole zone graph, sequential engine
+   (parallel counts are schedule-dependent) *)
+let explored net =
+  match
+    Reach.explore ~budget:(Reach.states 200_000) ~domains:1 net
+      ~on_store:(fun _ -> ())
+  with
+  | `Complete s -> s.Reach.explored
+  | `Budget_exhausted _ -> Alcotest.fail "exploration should complete"
+
+let reduction_never_hurts name net =
+  let on = explored net and off = explored (pin_all net) in
+  if on > off then
+    Alcotest.failf "%s: reduced run explores %d states, unreduced %d" name on
+      off
 
 let check_net_reduction_agrees name net =
   let n_clocks = Array.length net.Network.clock_names in
@@ -392,12 +411,8 @@ let check_net_reduction_agrees name net =
             Query.at net ~comp:a.Automaton.name ~loc:l.Automaton.loc_name
           in
           for x = 1 to n_clocks - 1 do
-            let off =
-              sup_fingerprint ~reduction:Reach.None net ~at ~clock:x
-            in
-            let on =
-              sup_fingerprint ~reduction:Reach.Active net ~at ~clock:x
-            in
+            let off = sup_fingerprint (pin_all net) ~at ~clock:x in
+            let on = sup_fingerprint net ~at ~clock:x in
             Alcotest.(check string)
               (Printf.sprintf "%s: sup %s at %s.%s" name
                  net.Network.clock_names.(x) a.Automaton.name
@@ -405,7 +420,8 @@ let check_net_reduction_agrees name net =
               off on
           done)
         a.Automaton.locations)
-    net.Network.automata
+    net.Network.automata;
+  reduction_never_hurts name net
 
 let test_reduction_agrees_on_models () =
   let nets =
@@ -427,27 +443,20 @@ let test_reduction_agrees_on_examples () =
         (fun i q ->
           match q with
           | E.Reach_q q ->
-              let off =
-                verdict (Reach.reach ~reduction:Reach.None net q)
-              in
-              let on =
-                verdict (Reach.reach ~reduction:Reach.Active net q)
-              in
+              let off = verdict (Reach.reach (pin_all net) q) in
+              let on = verdict (Reach.reach net q) in
               Alcotest.(check string)
                 (Printf.sprintf "%s query %d" file i)
                 off on
           | E.Sup_q { clock; at } ->
-              let off =
-                sup_fingerprint ~reduction:Reach.None net ~at ~clock
-              in
-              let on =
-                sup_fingerprint ~reduction:Reach.Active net ~at ~clock
-              in
+              let off = sup_fingerprint (pin_all net) ~at ~clock in
+              let on = sup_fingerprint net ~at ~clock in
               Alcotest.(check string)
                 (Printf.sprintf "%s sup query %d" file i)
                 off on
           | E.Deadlock_q -> ())
-        queries)
+        queries;
+      reduction_never_hurts file net)
     example_files
 
 (* Random diagonal-free automata, as in the abstraction differential of
@@ -511,17 +520,17 @@ let test_reduction_random =
       for l = 0 to nl - 1 do
         let at = Query.at net ~comp:"P" ~loc:(Printf.sprintf "L%d" l) in
         let q = Query.with_guard at (Guard.clock_ge 2 c) in
-        let off = verdict (Reach.reach ~reduction:Reach.None net q) in
-        let on = verdict (Reach.reach ~reduction:Reach.Active net q) in
+        let off = verdict (Reach.reach (pin_all net) q) in
+        let on = verdict (Reach.reach net q) in
         if off <> on then ok := false;
         for x = 1 to 2 do
           if
-            sup_fingerprint ~reduction:Reach.None net ~at ~clock:x
-            <> sup_fingerprint ~reduction:Reach.Active net ~at ~clock:x
+            sup_fingerprint (pin_all net) ~at ~clock:x
+            <> sup_fingerprint net ~at ~clock:x
           then ok := false
         done
       done;
-      !ok)
+      !ok && explored net <= explored (pin_all net))
 
 (* And lint itself never crashes on random nets: total by construction *)
 let test_lint_total_random =

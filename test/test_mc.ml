@@ -647,6 +647,11 @@ let test_parse_abstraction () =
   ok "extram" Reach.ExtraM;
   ok "ExtraLU" Reach.ExtraLU;
   ok " lusim " Reach.LuSim;
+  ok "LuSim" Reach.LuSim;
+  (* the printer the CLIs and the DSE cache key use reads back *)
+  List.iter
+    (fun a -> ok (Reach.abstraction_name a) a)
+    [ Reach.ExtraM; Reach.ExtraLU; Reach.LuSim ];
   err "extra+lu";
   err "m";
   err ""
@@ -666,6 +671,9 @@ let test_parse_slicing () =
   ok "off" Reach.Off;
   ok "COI" Reach.Coi;
   ok " CoiMerge " Reach.CoiMerge;
+  List.iter
+    (fun m -> ok (Reach.slicing_name m) m)
+    [ Reach.Off; Reach.Coi; Reach.CoiMerge ];
   err "cone";
   err "on";
   err ""

@@ -29,9 +29,17 @@ let antichain_fp net passed =
 let resident_zones passed =
   List.fold_left (fun n (_, zones) -> n + List.length zones) 0 passed
 
-let explore_passed_exn ?budget ?abstraction ~domains net =
-  match Reach.explore_passed ?budget ?abstraction ~domains net with
-  | `Complete (passed, stats) -> (passed, stats)
+(* the final passed list and stats of a complete exploration, read
+   off the [?snap] hook *)
+let passed_list_exn ?budget ?abstraction ~domains net =
+  let passed = ref [] in
+  match
+    Reach.explore ?budget ?abstraction ~domains
+      ~snap:(fun (_, p) -> passed := p)
+      net
+      ~on_store:(fun _ -> ())
+  with
+  | `Complete stats -> (!passed, stats)
   | `Budget_exhausted _ -> Alcotest.fail "exploration should complete"
 
 (* ------------------------------------------------------------------ *)
@@ -91,17 +99,17 @@ let check_antichains name net =
      simulate each other and the surviving representative is
      schedule-dependent, so these checks pin Extra+LU regardless of
      TAMC_ABSTRACTION (LuSim coverage: check_lusim_differential) *)
-  let explore_passed_exn ?budget ~domains net =
-    explore_passed_exn ?budget ~abstraction:Reach.ExtraLU ~domains net
+  let passed_list_exn ?budget ~domains net =
+    passed_list_exn ?budget ~abstraction:Reach.ExtraLU ~domains net
   in
-  let seq_passed, seq_stats = explore_passed_exn ~domains:1 net in
+  let seq_passed, seq_stats = passed_list_exn ~domains:1 net in
   let seq_fp = antichain_fp net seq_passed in
   Alcotest.(check int)
     (name ^ ": sequential stored = resident zones")
     (resident_zones seq_passed) seq_stats.Reach.stored;
   List.iter
     (fun d ->
-      let passed, stats = explore_passed_exn ~domains:d net in
+      let passed, stats = passed_list_exn ~domains:d net in
       Alcotest.(check int)
         (Printf.sprintf "%s: stats.domains (d=%d)" name d)
         d stats.Reach.domains;
@@ -215,11 +223,11 @@ let check_lusim_differential name net =
      passed list up to mutual simulation, and every verdict/WCRT under
      LuSim must equal Extra+LU's at 1 and 4 domains *)
   let rnet = Ita_analysis.Flow.(refine_lu (analyze net) net) in
-  let seq_passed, _ = explore_passed_exn ~abstraction:Reach.LuSim ~domains:1 net in
+  let seq_passed, _ = passed_list_exn ~abstraction:Reach.LuSim ~domains:1 net in
   List.iter
     (fun d ->
       let passed, stats =
-        explore_passed_exn ~abstraction:Reach.LuSim ~domains:d net
+        passed_list_exn ~abstraction:Reach.LuSim ~domains:d net
       in
       Alcotest.(check int)
         (Printf.sprintf "%s: lusim stored = resident zones (d=%d)" name d)
@@ -479,10 +487,10 @@ let test_random_nets_par_agree =
          Extra+LU: cross-engine stored equality is the
          subset-subsumption promise) *)
       let _, seq_stats =
-        explore_passed_exn ~abstraction:Reach.ExtraLU ~domains:1 net
+        passed_list_exn ~abstraction:Reach.ExtraLU ~domains:1 net
       in
       let _, par_stats =
-        explore_passed_exn ~abstraction:Reach.ExtraLU ~domains:4 net
+        passed_list_exn ~abstraction:Reach.ExtraLU ~domains:4 net
       in
       if seq_stats.Reach.stored <> par_stats.Reach.stored then ok := false;
       (* concrete oracle: a random walk is covered by the parallel
@@ -504,17 +512,17 @@ let test_random_nets_par_agree =
 let test_stress_deterministic_stats () =
   (* pinned to Extra+LU: the bit-for-bit antichain determinism under
      test is the subset-subsumption promise (see check_antichains) *)
-  let explore_passed_exn ~domains net =
-    explore_passed_exn ~abstraction:Reach.ExtraLU ~domains net
+  let passed_list_exn ~domains net =
+    passed_list_exn ~abstraction:Reach.ExtraLU ~domains net
   in
   let net = wide_frontier () in
   let at = Query.at net ~comp:"P0" ~loc:"B" in
-  let base_passed, base_stats = explore_passed_exn ~domains:4 net in
+  let base_passed, base_stats = passed_list_exn ~domains:4 net in
   let base_fp = antichain_fp net base_passed in
   let base_sup = sup_fp ~abstraction:Reach.ExtraLU ~domains:4 net ~at ~clock:1 () in
   Alcotest.(check string) "sup value" "sup 5 attained" base_sup;
   for run = 1 to 50 do
-    let passed, stats = explore_passed_exn ~domains:4 net in
+    let passed, stats = passed_list_exn ~domains:4 net in
     Alcotest.(check int)
       (Printf.sprintf "run %d: stored deterministic" run)
       base_stats.Reach.stored stats.Reach.stored;
@@ -537,17 +545,17 @@ let test_stored_is_resident () =
      zones actually resident in the dumped passed list, and match the
      sequential count *)
   let net = wide_frontier () in
-  let passed, stats = explore_passed_exn ~domains:4 net in
+  let passed, stats = passed_list_exn ~domains:4 net in
   Alcotest.(check int) "stored = resident zones" (resident_zones passed)
     stats.Reach.stored;
   (* the cross-engine stored equality is again the subset-subsumption
      promise, so pin Extra+LU for it *)
   let passed_lu, stats_lu =
-    explore_passed_exn ~abstraction:Reach.ExtraLU ~domains:4 net
+    passed_list_exn ~abstraction:Reach.ExtraLU ~domains:4 net
   in
   Alcotest.(check int) "stored = resident zones (extralu)"
     (resident_zones passed_lu) stats_lu.Reach.stored;
-  let _, seq_stats = explore_passed_exn ~abstraction:Reach.ExtraLU ~domains:1 net in
+  let _, seq_stats = passed_list_exn ~abstraction:Reach.ExtraLU ~domains:1 net in
   Alcotest.(check int) "parallel stored = sequential stored"
     seq_stats.Reach.stored stats_lu.Reach.stored
 
@@ -557,7 +565,10 @@ let test_stored_is_resident () =
 
 let test_parallel_budget () =
   let net = wide_frontier () in
-  (match Reach.explore_passed ~domains:4 ~budget:(Reach.states 1) net with
+  (match
+     Reach.explore ~domains:4 ~budget:(Reach.states 1) net
+       ~on_store:(fun _ -> ())
+   with
   | `Budget_exhausted stats ->
       Alcotest.(check int) "domains in stats" 4 stats.Reach.domains
   | `Complete _ -> Alcotest.fail "a one-state budget must exhaust")
