@@ -13,17 +13,10 @@
    strictly less on the sporadic family where simulation subsumes
    zones that differ only above the L/U constants.
 
-   Every run has the engine's always-on flow-refined bounds and
-   active-clock reduction; their differential oracles live in the test
-   suites (test_flow, test_analysis).
-
-   Query cells (everything driven by a sup-query: radionav and the
-   station family) also carry a sliced run (Extra+LU with the
-   query-directed CoiMerge reduction on) against their slicing-off
-   baselines: results must match verbatim, the aggregate
-   slice_explored_ratio must stay <= 1.0, and the station family —
-   a measured server with a quasi-equal clock pair plus sporadic
-   clients outside the query cone — must show a strict win.
+   Every run has the engine's always-on query-directed slicing,
+   flow-refined bounds and active-clock reduction; their differential
+   oracles live in the test suites (test_slice, test_flow,
+   test_analysis).
 
    Run with: dune exec bench/mc_bench.exe            (full suite)
              BENCH_QUICK=1 dune exec bench/mc_bench.exe   (CI smoke)
@@ -60,12 +53,6 @@ type par_run = {
   par : run;
 }
 
-type slice_run = {
-  sliced : run;  (* Extra+LU with ~slicing:CoiMerge *)
-  clocks_before : int;  (* DBM dimension (incl. the reference clock) *)
-  clocks_after : int;  (* same, on the sliced network *)
-}
-
 type cert_run = {
   cert_states : int;  (* antichain entries in the certificate *)
   cert_check_ms : float;  (* independent checker wall-clock *)
@@ -82,7 +69,7 @@ let certify_sup net ~at ~clock =
   let module Cert_emit = Ita_mc.Cert_emit in
   let snap = ref Option.None in
   match
-    Wcrt.sup ~abstraction:Reach.ExtraLU ~domains:1 ~slicing:Reach.Off
+    Wcrt.sup ~abstraction:Reach.ExtraLU ~domains:1
       ~snap:(fun s -> snap := Some s)
       net ~at ~clock
   with
@@ -117,10 +104,6 @@ type cell = {
   extram : run;
   extralu : run;
   lusim : run;  (* a<|LU simulation subsumption, unextrapolated zones *)
-  slice : slice_run option;
-      (* Extra+LU re-run with query-directed slicing on; only for
-         cells driven by a sup-query — the raw-exploration synthetic
-         cells have no query to slice against *)
   parallel : par_run option;
       (* Extra+LU re-run on the parallel engine; only computed on
          multi-core hosts and only for cells big enough to amortize
@@ -161,12 +144,9 @@ let radionav_cell (row : R.row) column =
   let req = Scenario.requirement s row.R.requirement in
   let gen = Gen.generate ~measure:(row.R.scenario, req) sys in
   let obs = Option.get gen.Gen.observer in
-  (* every baseline column is pinned to ~slicing:Off so the explored
-     counts measure the abstractions alone; the sliced column is the
-     only run with the query-directed reduction on *)
-  let sup_stats ?(domains = 1) ?(slicing = Reach.Off) abstraction =
+  let sup_stats ?(domains = 1) abstraction =
     match
-      Wcrt.sup ~abstraction ~domains ~slicing gen.Gen.net ~at:obs.Gen.seen
+      Wcrt.sup ~abstraction ~domains gen.Gen.net ~at:obs.Gen.seen
         ~clock:obs.Gen.obs_clock
     with
     | Wcrt.Sup { value; stats; _ } ->
@@ -176,26 +156,13 @@ let radionav_cell (row : R.row) column =
         (run_of_stats stats "budget", stats)
     | Wcrt.Sup_unbounded { stats; _ } -> (run_of_stats stats "unbounded", stats)
   in
-  let sup ?slicing abstraction = fst (sup_stats ?slicing abstraction) in
+  let sup abstraction = fst (sup_stats abstraction) in
   let name =
     Printf.sprintf "%s/%s/%s [%s]"
       (match row.R.combo with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
       row.R.scenario row.R.requirement (R.column_name column)
   in
   let extralu = sup Reach.ExtraLU in
-  let slice =
-    let _, snet, _ =
-      Reach.slice_query Reach.CoiMerge
-        ~extra_clocks:[ obs.Gen.obs_clock ]
-        gen.Gen.net obs.Gen.seen
-    in
-    Some
-      {
-        sliced = sup ~slicing:Reach.CoiMerge Reach.ExtraLU;
-        clocks_before = Array.length gen.Gen.net.Network.clock_names;
-        clocks_after = Array.length snet.Network.clock_names;
-      }
-  in
   let parallel =
     match bench_par_domains with
     | Some d when extralu.elapsed >= par_min_seq_elapsed ->
@@ -209,7 +176,6 @@ let radionav_cell (row : R.row) column =
     extram = sup Reach.ExtraM;
     extralu;
     lusim = sup Reach.LuSim;
-    slice;
     parallel;
     cert = certify_sup gen.Gen.net ~at:obs.Gen.seen ~clock:obs.Gen.obs_clock;
   }
@@ -333,131 +299,12 @@ let sporadic_cell n =
     extram = explore Reach.ExtraM;
     extralu;
     lusim = explore Reach.LuSim;
-    slice = Option.None;
     parallel;
     cert = Option.None;
   }
 
 let ring_cells () =
   List.map sporadic_cell (if quick then [ 3 ] else [ 1; 2; 3 ])
-
-(* ------------------------------------------------------------------ *)
-(* Station family: the slicing column's guaranteed strict win.  A
-   measured server whose service window is tracked by a quasi-equal
-   clock pair (y and y2, always reset together — the paper's
-   measuring-automaton idiom duplicated per requirement), plus n
-   sporadic clients that never synchronize with it and share none of
-   its clocks or variables.  The sup-query over the server's response
-   clock sees the clients multiply the interleaving for no reason:
-   CoiMerge removes all n clients (cone) and merges y2 into y
-   (quasi-equality), so both slice_explored_ratio and
-   slice_clocks_ratio are strictly below 1 here.                       *)
-(* ------------------------------------------------------------------ *)
-
-let station_family n =
-  let b = Network.Builder.create () in
-  let y = Network.Builder.clock b "y" in
-  let y2 = Network.Builder.clock b "y2" in
-  let clocks =
-    Array.init n (fun i -> Network.Builder.clock b (Printf.sprintf "x%d" i))
-  in
-  let loc ?(kind = Automaton.Normal) ?(invariant = Guard.tt) loc_name =
-    { Automaton.loc_name; invariant; kind }
-  in
-  Network.Builder.add_automaton b
-    (Automaton.make ~name:"Station"
-       ~locations:
-         [
-           loc "Idle";
-           loc "Busy" ~invariant:(Guard.clock_le y 10);
-           (* committed: the sup is read at entry, not after an
-              arbitrary dwell, so the cell reports a finite WCRT *)
-           loc "Done" ~kind:Automaton.Committed;
-         ]
-       ~edges:
-         [
-           {
-             Automaton.src = 0;
-             guard = Guard.tt;
-             sync = Automaton.NoSync;
-             update = Update.reset y @ Update.reset y2;
-             dst = 1;
-           };
-           {
-             Automaton.src = 1;
-             guard = Guard.conj (Guard.clock_ge y 5) (Guard.clock_ge y2 5);
-             sync = Automaton.NoSync;
-             update = [];
-             dst = 2;
-           };
-           {
-             Automaton.src = 2;
-             guard = Guard.tt;
-             sync = Automaton.NoSync;
-             update = [];
-             dst = 0;
-           };
-         ]
-       ~initial:0);
-  for i = 0 to n - 1 do
-    let x = clocks.(i) in
-    let sep = 3 + (2 * i) in
-    Network.Builder.add_automaton b
-      (Automaton.make
-         ~name:(Printf.sprintf "C%d" i)
-         ~locations:[ loc "L" ]
-         ~edges:
-           [
-             {
-               Automaton.src = 0;
-               guard = Guard.clock_ge x sep;
-               sync = Automaton.NoSync;
-               update = Update.reset x;
-               dst = 0;
-             };
-           ]
-         ~initial:0)
-  done;
-  Network.Builder.build b
-
-let station_cell n =
-  let net = station_family n in
-  let at = Ita_mc.Query.at net ~comp:"Station" ~loc:"Done" in
-  let clock = 1 (* y *) in
-  let sup_stats ?(slicing = Reach.Off) abstraction =
-    match Wcrt.sup ~abstraction ~domains:1 ~slicing net ~at ~clock with
-    | Wcrt.Sup { value; stats; _ } ->
-        (run_of_stats stats (Printf.sprintf "wcrt=%d" value), stats)
-    | Wcrt.Goal_unreachable stats -> (run_of_stats stats "unreachable", stats)
-    | Wcrt.Sup_budget_exhausted { stats; _ } ->
-        (run_of_stats stats "budget", stats)
-    | Wcrt.Sup_unbounded { stats; _ } -> (run_of_stats stats "unbounded", stats)
-  in
-  let sup ?slicing abstraction = fst (sup_stats ?slicing abstraction) in
-  let slice =
-    let _, snet, _ =
-      Reach.slice_query Reach.CoiMerge ~extra_clocks:[ clock ] net at
-    in
-    Some
-      {
-        sliced = sup ~slicing:Reach.CoiMerge Reach.ExtraLU;
-        clocks_before = Array.length net.Network.clock_names;
-        clocks_after = Array.length snet.Network.clock_names;
-      }
-  in
-  {
-    name = Printf.sprintf "station %d" n;
-    kind = "station";
-    extram = sup Reach.ExtraM;
-    extralu = sup Reach.ExtraLU;
-    lusim = sup Reach.LuSim;
-    slice;
-    parallel = Option.None;
-    cert = certify_sup net ~at ~clock;
-  }
-
-let station_cells () =
-  List.map station_cell (if quick then [ 3 ] else [ 2; 3; 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* JSON output (by hand; the repo carries no JSON dependency)          *)
@@ -486,22 +333,6 @@ let json_cell buf c =
        ratio
        (c.extralu.result = c.lusim.result)
        lusim_ratio);
-  (match c.slice with
-  | None ->
-      Buffer.add_string buf
-        {|"slice_results_match": null, "slice_explored_ratio": null, "slice_clocks_ratio": null, |}
-  | Some sr ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           {|"slice_results_match": %b, "slice_explored_ratio": %.4f, "slice_clocks_ratio": %.4f, "sliced": |}
-           (c.extralu.result = sr.sliced.result)
-           (if c.extralu.explored = 0 then 1.0
-            else
-              float_of_int sr.sliced.explored
-              /. float_of_int c.extralu.explored)
-           (float_of_int sr.clocks_after /. float_of_int sr.clocks_before));
-      json_run buf sr.sliced;
-      Buffer.add_string buf ", ");
   (match c.cert with
   | None ->
       Buffer.add_string buf
@@ -547,20 +378,12 @@ let git_commit () =
 
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_mc.json" in
-  let cells = radionav_cells () @ ring_cells () @ station_cells () in
+  let cells = radionav_cells () @ ring_cells () in
   let mismatches =
     List.filter (fun c -> c.extram.result <> c.extralu.result) cells
   in
   let lusim_mismatches =
     List.filter (fun c -> c.extralu.result <> c.lusim.result) cells
-  in
-  let slice_mismatches =
-    List.filter
-      (fun c ->
-        match c.slice with
-        | Some sr -> c.extralu.result <> sr.sliced.result
-        | None -> false)
-      cells
   in
   let par_mismatches =
     List.filter
@@ -586,20 +409,6 @@ let () =
          else
            Printf.sprintf "MISMATCH %s vs %s vs %s" c.extram.result
              c.extralu.result c.lusim.result);
-      (match c.slice with
-      | None -> ()
-      | Some sr ->
-          Printf.printf
-            "%-40s sliced %7d  clocks %d -> %d  slice-ratio %.3f  [%s]\n%!" ""
-            sr.sliced.explored sr.clocks_before sr.clocks_after
-            (if c.extralu.explored = 0 then 1.0
-             else
-               float_of_int sr.sliced.explored
-               /. float_of_int c.extralu.explored)
-            (if sr.sliced.result = c.extralu.result then "match"
-             else
-               Printf.sprintf "MISMATCH %s vs %s" c.extralu.result
-                 sr.sliced.result));
       (match c.cert with
       | None -> ()
       | Some cr ->
@@ -645,33 +454,6 @@ let () =
   let lusim_sporadic_ratio = lusim_ratio_of sporadic_cells in
   Printf.printf "lusim explored ratio (lusim / extralu): %.3f\n%!" lusim_ratio;
   Printf.printf "lusim sporadic explored ratio: %.3f\n%!" lusim_sporadic_ratio;
-  let slice_cells = List.filter (fun c -> c.slice <> Option.None) cells in
-  let slice_ratio_of l =
-    let off = total l (fun c -> c.extralu.explored) in
-    let on =
-      total l (fun c ->
-          match c.slice with Some sr -> sr.sliced.explored | None -> 0)
-    in
-    if off = 0 then 1.0 else float_of_int on /. float_of_int off
-  in
-  let slice_ratio = slice_ratio_of slice_cells in
-  let station_cells' = List.filter (fun c -> c.kind = "station") cells in
-  let station_slice_ratio = slice_ratio_of station_cells' in
-  let slice_clocks_ratio =
-    let before =
-      total slice_cells (fun c ->
-          match c.slice with Some sr -> sr.clocks_before | None -> 0)
-    in
-    let after =
-      total slice_cells (fun c ->
-          match c.slice with Some sr -> sr.clocks_after | None -> 0)
-    in
-    if before = 0 then 1.0 else float_of_int after /. float_of_int before
-  in
-  Printf.printf "slice explored ratio (coimerge / off): %.3f\n%!" slice_ratio;
-  Printf.printf "slice station explored ratio: %.3f\n%!" station_slice_ratio;
-  Printf.printf "slice clocks ratio (coimerge / off): %.3f\n%!"
-    slice_clocks_ratio;
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
@@ -707,16 +489,6 @@ let () =
        {|  "lusim_sporadic_explored_ratio": %.4f,|}
        lusim_sporadic_ratio);
   Buffer.add_string buf "\n";
-  Buffer.add_string buf
-    (Printf.sprintf {|  "slice_explored_ratio": %.4f,|} slice_ratio);
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|  "slice_station_explored_ratio": %.4f,|}
-       station_slice_ratio);
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf
-    (Printf.sprintf {|  "slice_clocks_ratio": %.4f,|} slice_clocks_ratio);
   Buffer.add_string buf "\n  \"cells\": [\n";
   List.iteri
     (fun i c ->
@@ -757,26 +529,6 @@ let () =
     Printf.eprintf
       "ERROR: %d cells disagree between the sequential and parallel engines\n"
       (List.length par_mismatches);
-    exit 1
-  end;
-  if slice_mismatches <> [] then begin
-    Printf.eprintf
-      "ERROR: %d cells disagree between slicing on and off\n"
-      (List.length slice_mismatches);
-    exit 1
-  end;
-  if slice_ratio > 1.0 then begin
-    Printf.eprintf
-      "ERROR: slicing explored MORE states than the unsliced baseline in \
-       aggregate (ratio %.4f)\n"
-      slice_ratio;
-    exit 1
-  end;
-  if station_cells' <> [] && station_slice_ratio >= 1.0 then begin
-    Printf.eprintf
-      "ERROR: slicing shows no strict win on the station family \
-       (ratio %.4f)\n"
-      station_slice_ratio;
     exit 1
   end;
   let cert_rejections =

@@ -1,7 +1,7 @@
 (* Command-line converters for the engine knobs, shared by ranav and
-   tamc.  Abstraction and slicing parse and print through the same
-   functions as their TAMC_* environment variables, so the flag and
-   the variable accept exactly the same spellings. *)
+   tamc.  Abstraction and domain count parse and print through the
+   same functions as their TAMC_* environment variables, so the flag
+   and the variable accept exactly the same spellings. *)
 
 open Cmdliner
 module Reach = Ita_mc.Reach
@@ -13,7 +13,7 @@ let of_parser parse name =
   Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (name v))
 
 let abstraction = of_parser Reach.parse_abstraction Reach.abstraction_name
-let slicing = of_parser Reach.parse_slicing Reach.slicing_name
+let domains = of_parser Reach.parse_domains string_of_int
 
 let order =
   let parse = function

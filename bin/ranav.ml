@@ -46,16 +46,6 @@ let abstraction_arg =
            unextrapolated zones, subsume with the a<|LU simulation — \
            coarsest) or extram (oracle)")
 
-let slicing_arg =
-  Arg.(
-    value
-    & opt Knob.slicing (Reach.default_slicing ())
-    & info [ "slicing" ]
-        ~doc:
-          "query-directed model reduction before exploring: coimerge \
-           (default; cone-of-influence slice plus quasi-equal clock \
-           merging), coi (slice only) or off (oracle)")
-
 (* the parser above cannot know the seed yet; thread it in here *)
 let seeded_order order seed =
   match order with Reach.Random_dfs _ -> Reach.Random_dfs seed | o -> o
@@ -83,7 +73,7 @@ let budget_arg =
 let domains_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Knob.domains) None
     & info [ "domains" ]
         ~doc:
           "worker domains for the zone exploration (default: the \
@@ -95,7 +85,7 @@ let domains_arg =
 (* ------------------------------------------------------------------ *)
 
 let run_wcrt combo column scenario requirement order seed budget probe_start_ms
-    abstraction domains slicing certify cert_out =
+    abstraction domains certify cert_out =
   let order = seeded_order order seed in
   let sys = R.system combo column in
   let method_ =
@@ -111,8 +101,8 @@ let run_wcrt combo column scenario requirement order seed budget probe_start_ms
           }
   in
   let r =
-    Analyze.wcrt ~method_ ~order ~abstraction ?domains ~slicing ~certify
-      ?cert_out sys ~scenario ~requirement
+    Analyze.wcrt ~method_ ~order ~abstraction ?domains ~certify ?cert_out sys
+      ~scenario ~requirement
   in
   Format.printf "%s %s/%s [%s]: uncontended %a ms, wcrt %a ms (%d states, %.2fs)@."
     (match combo with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
@@ -173,7 +163,7 @@ let wcrt_cmd =
     Term.(
       const run_wcrt $ combo_arg $ column_arg $ scenario $ requirement
       $ order_arg $ seed_arg $ budget_arg $ probe_start $ abstraction_arg
-      $ domains_arg $ slicing_arg $ certify $ cert_out)
+      $ domains_arg $ certify $ cert_out)
 
 (* ------------------------------------------------------------------ *)
 (* table1                                                              *)
@@ -467,8 +457,8 @@ let technique_conv =
 
 let run_explore combo column scenario requirement techniques mmi_mips rad_mips
     nav_mips bus_kbps decode_on jobs timeout_s cache_dir no_cache mc_states
-    mc_seconds mc_abstraction mc_domains mc_slicing mc_certify sim_runs
-    sim_horizon_s inject_crash isolation =
+    mc_seconds mc_abstraction mc_domains mc_certify sim_runs sim_horizon_s
+    inject_crash isolation =
   let open Ita_dse in
   let space =
     Spaces.radionav ~combo ~column ~mmi_mips ~rad_mips ~nav_mips ~bus_kbps
@@ -481,7 +471,6 @@ let run_explore combo column scenario requirement techniques mmi_mips rad_mips
       mc_seconds;
       mc_abstraction;
       mc_domains;
-      mc_slicing;
       mc_certify;
       sim_runs;
       sim_horizon_us = int_of_float (sim_horizon_s *. 1e6);
@@ -583,7 +572,7 @@ let explore_cmd =
   let mc_domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Knob.domains) None
       & info [ "mc-domains" ]
           ~doc:
             "worker domains inside each model-checking job (default: 1 \
@@ -634,7 +623,7 @@ let explore_cmd =
       const run_explore $ combo $ column $ scenario $ requirement
       $ techniques $ mmi $ rad $ nav $ bus $ decode_on $ jobs $ timeout
       $ cache_dir $ no_cache $ mc_states $ mc_seconds $ abstraction_arg
-      $ mc_domains $ slicing_arg $ mc_certify $ sim_runs $ sim_horizon
+      $ mc_domains $ mc_certify $ sim_runs $ sim_horizon
       $ inject_crash $ isolation)
 
 (* ------------------------------------------------------------------ *)

@@ -10,17 +10,6 @@ module Cert = Ita_cert.Cert
 module Cert_emit = Ita_mc.Cert_emit
 module E = Ita_tafmt.Elaborate
 
-let slicing_arg =
-  Arg.(
-    value
-    & opt Knob.slicing (Reach.default_slicing ())
-    & info [ "slicing" ]
-        ~doc:
-          "query-directed model reduction before exploring: coimerge \
-           (cone-of-influence slice plus quasi-equal clock merging), coi \
-           (slice only) or off (oracle); default: the TAMC_SLICING \
-           environment variable, else coimerge")
-
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ta")
 
@@ -34,7 +23,7 @@ let load ?validate path =
   | Ita_ta.Network.Invalid_model m ->
       Error (Printf.sprintf "%s: invalid model: %s" path m)
 
-let run_check path order budget trace domains abstraction slicing cert_out =
+let run_check path order budget trace domains abstraction cert_out =
   match load path with
   | Error m ->
       prerr_endline m;
@@ -114,8 +103,7 @@ let run_check path order budget trace domains abstraction slicing cert_out =
                   else None
                 in
                 match
-                  Reach.reach ~order ~budget ~abstraction ?domains ~slicing
-                    ?snap net q
+                  Reach.reach ~order ~budget ~abstraction ?domains ?snap net q
                 with
                 | Reach.Reachable { witness; stats; _ } ->
                     Format.printf "REACHABLE (%a)@." Reach.pp_stats stats;
@@ -152,8 +140,7 @@ let run_check path order budget trace domains abstraction slicing cert_out =
                   else None
                 in
                 match
-                  Wcrt.sup ~order ~abstraction ?domains ~slicing ?snap net ~at
-                    ~clock
+                  Wcrt.sup ~order ~abstraction ?domains ?snap net ~at ~clock
                 with
                 | Wcrt.Sup { value; kind; stats } -> (
                     Format.printf "%d%s (%a)@." value
@@ -215,7 +202,7 @@ let check_cmd =
   let domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Knob.domains) None
       & info [ "domains" ]
           ~doc:
             "worker domains for the exploration (default: the \
@@ -248,7 +235,7 @@ let check_cmd =
     (Cmd.info "check" ~doc:"run the queries of a .ta file")
     Term.(
       const run_check $ file_arg $ order $ budget $ trace $ domains
-      $ abstraction $ slicing_arg $ cert_out)
+      $ abstraction $ cert_out)
 
 (* certify: re-elaborate the model from source and verify a previously
    emitted certificate with the independent checker ([Ita_cert]).
@@ -563,7 +550,8 @@ let flow_cmd =
 (* slice: report what the query-directed reduction removes or merges,
    each removal mapped back to its declaration's source position. *)
 
-let run_slice path slicing =
+let run_slice path =
+  let slicing = Reach.default_slicing () in
   match load path with
   | Error m ->
       prerr_endline m;
@@ -607,7 +595,7 @@ let slice_cmd =
          "report the query-directed model reduction: components, clocks \
           and variables outside each query's cone of influence, \
           quasi-equal clock merges and dead edges, with source positions")
-    Term.(const run_slice $ file_arg $ slicing_arg)
+    Term.(const run_slice $ file_arg)
 
 let () =
   exit

@@ -23,7 +23,7 @@ type result = {
   certified : (Ita_cert.Cert.stats, Ita_cert.Cert.failure) Stdlib.result option;
 }
 
-let wcrt ?(method_ = Exhaustive) ?order ?abstraction ?domains ?slicing
+let wcrt ?(method_ = Exhaustive) ?order ?abstraction ?domains
     ?(certify = false) ?cert_out sys ~scenario ~requirement =
   let s = Sysmodel.scenario sys scenario in
   let req = Scenario.requirement s requirement in
@@ -49,7 +49,7 @@ let wcrt ?(method_ = Exhaustive) ?order ?abstraction ?domains ?slicing
     match method_ with
     | Exhaustive -> (
         match
-          Wcrt.sup ?order ?abstraction ?domains ?slicing ?snap
+          Wcrt.sup ?order ?abstraction ?domains ?snap
             ~initial_ceiling:(max 4 (4 * uncontended_us))
             gen.Gen.net ~at ~clock
         with
@@ -81,8 +81,8 @@ let wcrt ?(method_ = Exhaustive) ?order ?abstraction ?domains ?slicing
         )
     | Binary { hi } -> (
         let r =
-          Wcrt.binary_search ?order ?abstraction ?domains ?slicing ~hi
-            gen.Gen.net ~at ~clock
+          Wcrt.binary_search ?order ?abstraction ?domains ~hi gen.Gen.net
+            ~at ~clock
         in
         match (r.Wcrt.lower, r.Wcrt.upper) with
         | Some l, Some u when u = l + 1 ->
@@ -94,8 +94,8 @@ let wcrt ?(method_ = Exhaustive) ?order ?abstraction ?domains ?slicing
         )
     | Structured_testing { order; budget; start; step } -> (
         let r =
-          Wcrt.probe_lower ~order ?abstraction ?domains ?slicing gen.Gen.net
-            ~at ~clock ~budget ~start ~step
+          Wcrt.probe_lower ~order ?abstraction ?domains gen.Gen.net ~at
+            ~clock ~budget ~start ~step
         in
         match r.Wcrt.lower with
         | Some l -> (Wcrt_lower_bound l, r.Wcrt.total_explored, r.Wcrt.total_elapsed)
@@ -133,8 +133,7 @@ type budget_report = {
   verdict : verdict;
 }
 
-let check_budgets ?method_ ?order ?abstraction ?domains ?slicing
-    (sys : Sysmodel.t) =
+let check_budgets ?method_ ?order ?abstraction ?domains (sys : Sysmodel.t) =
   List.concat_map
     (fun (s : Scenario.t) ->
       List.filter_map
@@ -143,7 +142,7 @@ let check_budgets ?method_ ?order ?abstraction ?domains ?slicing
           | None -> None
           | Some budget ->
               let r =
-                wcrt ?method_ ?order ?abstraction ?domains ?slicing sys
+                wcrt ?method_ ?order ?abstraction ?domains sys
                   ~scenario:s.Scenario.name
                   ~requirement:req.Scenario.req_name
               in

@@ -43,7 +43,6 @@ val wcrt :
   ?order:Reach.order ->
   ?abstraction:Reach.abstraction ->
   ?domains:int ->
-  ?slicing:Reach.slicing ->
   ?certify:bool ->
   ?cert_out:string ->
   Sysmodel.t ->
@@ -81,7 +80,6 @@ val check_budgets :
   ?order:Ita_mc.Reach.order ->
   ?abstraction:Reach.abstraction ->
   ?domains:int ->
-  ?slicing:Reach.slicing ->
   Sysmodel.t ->
   budget_report list
 (** The paper's framing — "does the product work, given a set of hard

@@ -24,7 +24,6 @@ type budget = {
   mc_seconds : float option;
   mc_abstraction : Reach.abstraction;
   mc_domains : int option;
-  mc_slicing : Reach.slicing;
   mc_certify : bool;
   sim_runs : int;
   sim_horizon_us : int;
@@ -36,7 +35,6 @@ let default_budget =
     mc_seconds = None;
     mc_abstraction = Reach.ExtraLU;
     mc_domains = None;
-    mc_slicing = Reach.CoiMerge;
     mc_certify = false;
     sim_runs = 5;
     sim_horizon_us = 30_000_000;
@@ -83,8 +81,8 @@ let run_mc spec =
   in
   match
     Wcrt.sup ~budget ~abstraction:spec.budget.mc_abstraction
-      ?domains:spec.budget.mc_domains ~slicing:spec.budget.mc_slicing ?snap
-      gen.Gen.net ~at:obs.Gen.seen ~clock:obs.Gen.obs_clock
+      ?domains:spec.budget.mc_domains ?snap gen.Gen.net ~at:obs.Gen.seen
+      ~clock:obs.Gen.obs_clock
   with
   | Wcrt.Sup { value; kind; stats } -> (
       (* a certified mc cell: re-validate the exact verdict with the

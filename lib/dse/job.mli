@@ -26,10 +26,6 @@ type budget = {
           default, {!Ita_mc.Reach.default_domains}).  Sweeps running
           jobs on a shared domain pool pin this to [1] so the pool's
           parallelism is not multiplied by the engine's. *)
-  mc_slicing : Ita_mc.Reach.slicing;
-      (** query-directed model reduction applied before the
-          exploration ({!Ita_mc.Reach.slicing}); part of the cache
-          key. *)
   mc_certify : bool;
       (** re-validate every exact mc verdict with the independent
           certificate checker before it enters the results; a
@@ -41,9 +37,9 @@ type budget = {
 }
 
 val default_budget : budget
-(** Unlimited model checking under Extra+LU and [CoiMerge] slicing,
-    with the engine's always-on flow-refined bounds and active-clock
-    reduction; 5 simulation seeds of 30 s each. *)
+(** Unlimited model checking under Extra+LU, with the engine's
+    always-on query-directed slicing, flow-refined bounds and
+    active-clock reduction; 5 simulation seeds of 30 s each. *)
 
 type spec = {
   sys : Sysmodel.t;

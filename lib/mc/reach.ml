@@ -45,12 +45,12 @@ type outcome =
   | Unreachable of stats
   | Budget_exhausted of stats
 
-(* The environment knobs (TAMC_DOMAINS / TAMC_ABSTRACTION /
-   TAMC_SLICING) are operator knobs, not an API: unrecognised values
-   fall back to the default rather than fail — but loudly, on stderr,
-   naming the valid values, so a typo like [extra+lu] can no longer
-   silently invalidate a whole CI leg.  The pure parsers are exposed
-   for the command-line converters and the unit tests. *)
+(* The environment knobs (TAMC_DOMAINS / TAMC_ABSTRACTION) are
+   operator knobs, not an API: unrecognised values fall back to the
+   default rather than fail — but loudly, on stderr, naming the valid
+   values, so a typo like [extra+lu] can no longer silently invalidate
+   a whole CI leg.  The pure parsers are exposed for the command-line
+   converters and the unit tests. *)
 
 let parse_domains s =
   match int_of_string_opt (String.trim s) with
@@ -65,19 +65,10 @@ let parse_abstraction s =
   | "lusim" -> Ok LuSim
   | _ -> Error "valid values: extram, extralu, lusim"
 
-let parse_slicing s =
-  match String.lowercase_ascii (String.trim s) with
-  | "off" -> Ok Off
-  | "coi" -> Ok Coi
-  | "coimerge" -> Ok CoiMerge
-  | _ -> Error "valid values: off, coi, coimerge"
-
 let abstraction_name = function
   | ExtraM -> "extram"
   | ExtraLU -> "extralu"
   | LuSim -> "lusim"
-
-let slicing_name = function Off -> "off" | Coi -> "coi" | CoiMerge -> "coimerge"
 
 let warn_env var value err fallback =
   Printf.eprintf "tamc: warning: %s=%S ignored (%s); using %s\n%!" var value
@@ -109,12 +100,10 @@ let default_domains () =
 let default_abstraction () =
   env_knob "TAMC_ABSTRACTION" parse_abstraction "extralu" (fun () -> ExtraLU)
 
-(* The model-reduction mode when the caller does not say: the
-   TAMC_SLICING environment variable (so CI can force the whole test
-   suite through the unsliced paths) or cone-of-influence slicing plus
-   quasi-equal clock merging. *)
-let default_slicing () =
-  env_knob "TAMC_SLICING" parse_slicing "coimerge" (fun () -> CoiMerge)
+(* The model reduction every query runs under: cone-of-influence
+   slicing plus quasi-equal clock merging.  Exposed so replays of the
+   engine's slice ([tamc slice], benchmarks) use the same mode. *)
+let default_slicing () = CoiMerge
 
 (* Discrete states are interned under a packed key: locations and
    variables bit-packed into a short int array, each variable in
@@ -798,12 +787,8 @@ let slice_query mode ?(extra_clocks = []) net (q : Query.t) =
   in
   (sl, sl.Slice.net, q')
 
-let reach ?order ?budget ?abstraction ?domains ?slicing ?snap net
-    (q : Query.t) =
-  let mode =
-    match slicing with Some s -> s | Option.None -> default_slicing ()
-  in
-  let sl, net, q = slice_query mode net q in
+let reach ?order ?budget ?abstraction ?domains ?snap net (q : Query.t) =
+  let sl, net, q = slice_query (default_slicing ()) net q in
   let net =
     List.fold_left
       (fun net (x, c) -> Network.bump_clock_bound net x c)

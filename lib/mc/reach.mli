@@ -33,13 +33,14 @@ type abstraction = Semantics.abstraction = ExtraM | ExtraLU | LuSim
         the tests' oracle for it. *)
 
 type slicing = Ita_analysis.Slice.mode = Off | Coi | CoiMerge
-    (** Query-directed model reduction applied before exploration (see
-        {!Ita_analysis.Slice}).  The default everywhere is
-        {!default_slicing} (normally [CoiMerge]): components, variables
-        and clocks outside the query's backward cone of influence are
-        removed and quasi-equal clocks are merged, with byte-identical
-        verdicts and WCRTs.  [Coi] skips the merging; [Off] is the
-        differential-testing oracle. *)
+    (** Query-directed model reduction modes (see
+        {!Ita_analysis.Slice}).  {!reach} and {!Wcrt.sup} always run
+        {!default_slicing}: components, variables and clocks outside
+        the query's backward cone of influence are removed and
+        quasi-equal clocks are merged, with byte-identical verdicts and
+        WCRTs.  [Coi] (no merging) and [Off] (the identity) remain for
+        {!slice_query} callers; the unsliced oracle is {!explore},
+        which never slices. *)
 
 type budget = { max_states : int option; max_seconds : float option }
 
@@ -52,15 +53,8 @@ val parse_abstraction : string -> (abstraction, string) result
 (** Parse a [TAMC_ABSTRACTION]-style value ([extram] / [extralu] /
     [lusim], case-insensitive). *)
 
-val parse_slicing : string -> (slicing, string) result
-(** Parse a [TAMC_SLICING]-style value ([off] / [coi] / [coimerge],
-    case-insensitive). *)
-
 val abstraction_name : abstraction -> string
 (** The lower-case name {!parse_abstraction} reads back. *)
-
-val slicing_name : slicing -> string
-(** The lower-case name {!parse_slicing} reads back. *)
 
 val default_domains : unit -> int
 (** Worker-domain count used when a caller passes no [?domains]: the
@@ -78,11 +72,10 @@ val default_abstraction : unit -> abstraction
     a one-line stderr warning naming the valid values. *)
 
 val default_slicing : unit -> slicing
-(** Slicing mode used when a caller passes no [?slicing]: the
-    [TAMC_SLICING] environment variable ([off] / [coi] / [coimerge],
-    so CI can force the whole suite through the unsliced paths), else
-    [CoiMerge].  Unrecognised values fall back to [CoiMerge] after a
-    one-line stderr warning naming the valid values. *)
+(** The slicing mode {!reach} and {!Wcrt.sup} always use: the constant
+    [CoiMerge].  Exposed so the [tamc slice] report and benchmark
+    replays of the engine's slice pass the same mode to
+    {!slice_query}. *)
 
 val slice_query :
   slicing ->
@@ -166,7 +159,6 @@ val reach :
   ?budget:budget ->
   ?abstraction:abstraction ->
   ?domains:int ->
-  ?slicing:slicing ->
   ?snap:(snapshot -> unit) ->
   Network.t ->
   Query.t ->
@@ -177,11 +169,11 @@ val reach :
     exact reachable valuations (verdicts are unaffected); pass
     [~abstraction:ExtraM] when tight goal-zone bounds matter.
 
-    [?slicing] (default {!default_slicing}) reduces the network to the
-    query's cone of influence first; the verdict is unaffected.
-    Witnesses, states and the goal zone are translated back to the
-    original network's index space: removed components are shown at
-    their initial location, removed variables at their initial value,
+    The network is first reduced to the query's cone of influence
+    with {!default_slicing}; the verdict is unaffected.  Witnesses,
+    states and the goal zone are translated back to the original
+    network's index space: removed components are shown at their
+    initial location, removed variables at their initial value,
     removed clocks unconstrained, merged clocks equal to their
     representative.
 
@@ -211,6 +203,8 @@ val explore :
   [ `Complete of stats | `Budget_exhausted of stats ]
 (** Full exploration, calling [on_store] once per non-subsumed symbolic
     state; used by sup-style queries and state-space measurements.
+    It takes no query and never slices, so the tests use it as the
+    unsliced oracle for {!reach} and {!Wcrt.sup}.
     With [domains > 1] the [on_store] calls are serialised under a
     dedicated mutex, so existing single-threaded consumers (sup
     tracking, deadlock probes) need no changes.

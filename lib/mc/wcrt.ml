@@ -17,16 +17,16 @@ let goal_sup net (q : Query.t) clock (c : Semantics.config) =
   | None -> None
   | Some z -> Some (Dbm.sup z clock)
 
-let sup ?order ?budget ?abstraction ?domains ?slicing ?snap
+let sup ?order ?budget ?abstraction ?domains ?snap
     ?(initial_ceiling = 1_000_000) ?(max_ceiling = 1 lsl 40) net ~at ~clock =
   (* slice once, before the ceiling loop: the cone is seeded with the
      goal plus the measured clock, so the sup is taken over exactly the
      same runs — the exploration below runs on the reduced network and
      needs no index translation of its own *)
-  let mode =
-    match slicing with Some s -> s | None -> Reach.default_slicing ()
+  let sl, net, at =
+    Reach.slice_query (Reach.default_slicing ()) ~extra_clocks:[ clock ] net
+      at
   in
-  let sl, net, at = Reach.slice_query mode ~extra_clocks:[ clock ] net at in
   let clock =
     match Ita_analysis.Slice.map_clock sl clock with
     | Some c -> c
@@ -101,13 +101,12 @@ type search_result = {
   total_elapsed : float;
 }
 
-let check ?order ?budget ?abstraction ?domains ?slicing net (at : Query.t)
-    clock c =
+let check ?order ?budget ?abstraction ?domains net (at : Query.t) clock c =
   let q = Query.with_guard at (Guard.clock_ge clock c) in
-  Reach.reach ?order ?budget ?abstraction ?domains ?slicing net q
+  Reach.reach ?order ?budget ?abstraction ?domains net q
 
-let binary_search ?order ?budget ?abstraction ?domains ?slicing
-    ?(hi = 1_000_000) net ~at ~clock =
+let binary_search ?order ?budget ?abstraction ?domains ?(hi = 1_000_000) net
+    ~at ~clock =
   let runs = ref 0 and explored = ref 0 and elapsed = ref 0.0 in
   let note (s : Reach.stats) =
     incr runs;
@@ -125,9 +124,7 @@ let binary_search ?order ?budget ?abstraction ?domains ?slicing
   in
   let exception Stop of search_result in
   let test c =
-    match
-      check ?order ?budget ?abstraction ?domains ?slicing net at clock c
-    with
+    match check ?order ?budget ?abstraction ?domains net at clock c with
     | Reach.Reachable { stats; _ } ->
         note stats;
         `Reachable
@@ -172,8 +169,8 @@ let binary_search ?order ?budget ?abstraction ?domains ?slicing
     result (Some !lo) (Some !up)
   with Stop r -> r
 
-let probe_lower ?order ?abstraction ?domains ?slicing net ~at ~clock ~budget
-    ~start ~step =
+let probe_lower ?order ?abstraction ?domains net ~at ~clock ~budget ~start
+    ~step =
   let runs = ref 0 and explored = ref 0 and elapsed = ref 0.0 in
   let note (s : Reach.stats) =
     incr runs;
@@ -184,9 +181,7 @@ let probe_lower ?order ?abstraction ?domains ?slicing net ~at ~clock ~budget
   let c = ref start in
   let continue = ref true in
   while !continue do
-    match
-      check ?order ?abstraction ?domains ?slicing ~budget net at clock !c
-    with
+    match check ?order ?abstraction ?domains ~budget net at clock !c with
     | Reach.Reachable { stats; _ } ->
         note stats;
         lower := Some !c;

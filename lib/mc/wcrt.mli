@@ -37,7 +37,6 @@ val sup :
   ?budget:Reach.budget ->
   ?abstraction:Reach.abstraction ->
   ?domains:int ->
-  ?slicing:Reach.slicing ->
   ?snap:(Reach.snapshot -> unit) ->
   ?initial_ceiling:int ->
   ?max_ceiling:int ->
@@ -51,9 +50,9 @@ val sup :
     [1_000_000]) and is multiplied by 4 until the sup falls strictly
     below it, which guarantees soundness of the abstraction.
 
-    [?slicing] (default {!Reach.default_slicing}) reduces the network
-    to the cone of the goal plus the measured clock before exploring;
-    the supremum is unchanged.
+    The network is first reduced with {!Reach.default_slicing} to the
+    cone of the goal plus the measured clock; the supremum is
+    unchanged.
 
     [?snap] fires exactly when the result is [Sup], with the final
     (below-ceiling) attempt's {!Reach.snapshot} for certificate
@@ -72,7 +71,6 @@ val binary_search :
   ?budget:Reach.budget ->
   ?abstraction:Reach.abstraction ->
   ?domains:int ->
-  ?slicing:Reach.slicing ->
   ?hi:int ->
   Network.t ->
   at:Query.t ->
@@ -86,7 +84,6 @@ val probe_lower :
   ?order:Reach.order ->
   ?abstraction:Reach.abstraction ->
   ?domains:int ->
-  ?slicing:Reach.slicing ->
   Network.t ->
   at:Query.t ->
   clock:Guard.clock ->

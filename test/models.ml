@@ -162,3 +162,94 @@ let broadcast_pair () =
   Network.Builder.add_automaton b
     (recv "RDIS" (Guard.data Expr.(Cmp (Eq, Var ok, Int 0))));
   Network.Builder.build b
+
+(* A wide-frontier, high-subsumption model: three interleaved
+   components, each looping through branches that reset its own clock,
+   so many discrete interleavings keep producing comparable zones for
+   the same state and the antichain prunes heavily — the worst case
+   for concurrent subsumed inserts.  Every location B carries an
+   invariant, so each component constrains time and a query's cone
+   keeps all three: its slices are the identity. *)
+let wide_frontier () =
+  let b = Network.Builder.create () in
+  let clocks =
+    Array.init 3 (fun i -> Network.Builder.clock b (Printf.sprintf "c%d" i))
+  in
+  Array.iteri
+    (fun i x ->
+      let locations =
+        [ loc "A"; loc "B" ~invariant:(Guard.clock_le x 5); loc "C" ]
+      in
+      let edges =
+        [
+          edge 0 1 ~update:(Update.reset x);
+          edge 0 2 ~guard:(Guard.clock_ge x 2) ~update:(Update.reset x);
+          edge 1 0 ~guard:(Guard.clock_ge x 3);
+          edge 2 0 ~update:(Update.reset x);
+        ]
+      in
+      Network.Builder.add_automaton b
+        (Automaton.make ~name:(Printf.sprintf "P%d" i) ~locations ~edges
+           ~initial:0))
+    clocks;
+  Network.Builder.build b
+
+module Reach = Ita_mc.Reach
+module Query = Ita_mc.Query
+module Wcrt = Ita_mc.Wcrt
+module Bound = Ita_dbm.Bound
+
+(* The unsliced oracles for [Reach.reach] and [Wcrt.sup], which always
+   slice.  [Reach.explore] takes no query and never slices: explore the
+   whole network under Extra+LU on the sequential engine, with the
+   query's clock constants (and, for a sup, the measured clock at
+   [max_ceiling]) as extra bounds, and test every stored configuration
+   against the goal.  Under subset subsumption every generated zone
+   lies inside a stored one, so the stored configurations meet the
+   goal exactly when a generated one does.  A sup is read off one
+   exploration at [max_ceiling]: [Wcrt.sup] reaches the same value
+   through smaller ceilings first. *)
+let unsliced_explore net extra_bounds on_store =
+  match
+    Reach.explore ~abstraction:Reach.ExtraLU ~domains:1 ~extra_bounds net
+      ~on_store
+  with
+  | `Complete stats -> stats
+  | `Budget_exhausted _ -> assert false (* no budget *)
+
+let goal_zone net (q : Query.t) c =
+  Semantics.zone_of_goal net c q.Query.guard ~comp_locs:q.Query.comp_locs
+
+(* [true] iff the goal of [q] is reachable *)
+let unsliced_reach net q =
+  let hit = ref false in
+  ignore
+    (unsliced_explore net (Query.clock_constants net q) (fun c ->
+         if goal_zone net q c <> None then hit := true));
+  !hit
+
+let unsliced_sup ?(max_ceiling = 1 lsl 40) net ~at ~clock =
+  let best = ref None in
+  let stats =
+    unsliced_explore net
+      ((clock, max_ceiling) :: Query.clock_constants net at)
+      (fun c ->
+        match goal_zone net at c with
+        | None -> ()
+        | Some z -> (
+            let b = Ita_dbm.Dbm.sup z clock in
+            match !best with
+            | Some b' when not (Bound.lt_bound b' b) -> ()
+            | _ -> best := Some b))
+  in
+  match !best with
+  | None -> Wcrt.Goal_unreachable stats
+  | Some b when Bound.is_infinity b || Bound.value b >= max_ceiling ->
+      Wcrt.Sup_unbounded { ceiling = max_ceiling; stats }
+  | Some b ->
+      Wcrt.Sup
+        {
+          value = Bound.value b;
+          kind = (if Bound.is_strict b then Wcrt.Approached else Wcrt.Attained);
+          stats;
+        }

@@ -1,7 +1,7 @@
 (* Certificate tests: every verdict the engine emits must come with a
    certificate the independent checker accepts — across the full
-   abstraction x slicing x domain-count matrix, on the model zoo, the
-   shipped example files and the radionav case study.  Invariant
+   abstraction x domain-count matrix, on the model zoo, the shipped
+   example files and the radionav case study.  Invariant
    certificates must additionally be byte-identical across domain
    counts, and programmatically corrupted certificates must be
    rejected with the right obligation named. *)
@@ -14,36 +14,8 @@ module R = Ita_casestudy.Radionav
 module E = Ita_tafmt.Elaborate
 
 (* ------------------------------------------------------------------ *)
-(* Models (the test_par zoo, including its wide-frontier stressor)     *)
+(* Models (the test_par zoo, including the wide-frontier stressor)    *)
 (* ------------------------------------------------------------------ *)
-
-let wide_frontier () =
-  let b = Network.Builder.create () in
-  let clocks =
-    Array.init 3 (fun i -> Network.Builder.clock b (Printf.sprintf "c%d" i))
-  in
-  Array.iteri
-    (fun i x ->
-      let locations =
-        [
-          Models.loc "A";
-          Models.loc "B" ~invariant:(Guard.clock_le x 5);
-          Models.loc "C";
-        ]
-      in
-      let edges =
-        [
-          Models.edge 0 1 ~update:(Update.reset x);
-          Models.edge 0 2 ~guard:(Guard.clock_ge x 2) ~update:(Update.reset x);
-          Models.edge 1 0 ~guard:(Guard.clock_ge x 3);
-          Models.edge 2 0 ~update:(Update.reset x);
-        ]
-      in
-      Network.Builder.add_automaton b
-        (Automaton.make ~name:(Printf.sprintf "P%d" i) ~locations ~edges
-           ~initial:0))
-    clocks;
-  Network.Builder.build b
 
 let zoo () =
   [
@@ -52,20 +24,18 @@ let zoo () =
     ("committed-gate", fst (Models.committed_gate ()));
     ("handshake", fst (Models.handshake ()));
     ("broadcast", Models.broadcast_pair ());
-    ("wide-frontier", wide_frontier ());
+    ("wide-frontier", Models.wide_frontier ());
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Emission helpers (mirroring what tamc check --cert does)            *)
 (* ------------------------------------------------------------------ *)
 
-let reach_cert ?(abstraction = Reach.ExtraLU) ?(slicing = Reach.Off)
-    ?(domains = 1) net (q : Query.t) =
+let reach_cert ?(abstraction = Reach.ExtraLU) ?(domains = 1) net
+    (q : Query.t) =
   let snap = ref None in
   match
-    Reach.reach ~abstraction ~slicing ~domains
-      ~snap:(fun s -> snap := Some s)
-      net q
+    Reach.reach ~abstraction ~domains ~snap:(fun s -> snap := Some s) net q
   with
   | Reach.Unreachable _ -> (
       match !snap with
@@ -78,12 +48,11 @@ let reach_cert ?(abstraction = Reach.ExtraLU) ?(slicing = Reach.Off)
            (List.filter_map (fun (s : Reach.step) -> s.Reach.via) witness))
   | Reach.Budget_exhausted _ -> None
 
-let sup_cert ?(abstraction = Reach.ExtraLU) ?(slicing = Reach.Off)
-    ?(domains = 1) ?(initial_ceiling = 64) ?(max_ceiling = 256) net ~at ~clock
-    =
+let sup_cert ?(abstraction = Reach.ExtraLU) ?(domains = 1)
+    ?(initial_ceiling = 64) ?(max_ceiling = 256) net ~at ~clock =
   let snap = ref None in
   match
-    Wcrt.sup ~abstraction ~slicing ~domains ~initial_ceiling ~max_ceiling
+    Wcrt.sup ~abstraction ~domains ~initial_ceiling ~max_ceiling
       ~snap:(fun s -> snap := Some s)
       net ~at ~clock
   with
@@ -127,7 +96,7 @@ let roundtrip_check name net ~goal qc =
                 f.Cert.message)
       | l -> Alcotest.failf "%s: %d queries after roundtrip" name (List.length l))
 
-let check_net_matrix cfg ~abstraction ~slicing ~domains (name, net) =
+let check_net_matrix cfg ~abstraction ~domains (name, net) =
   let n_clocks = Array.length net.Network.clock_names in
   Array.iter
     (fun (a : Automaton.t) ->
@@ -140,7 +109,7 @@ let check_net_matrix cfg ~abstraction ~slicing ~domains (name, net) =
             List.iter
               (fun c ->
                 let q = Query.with_guard at (Guard.clock_ge x c) in
-                match reach_cert ~abstraction ~slicing ~domains net q with
+                match reach_cert ~abstraction ~domains net q with
                 | None -> ()
                 | Some qc ->
                     roundtrip_check
@@ -151,7 +120,7 @@ let check_net_matrix cfg ~abstraction ~slicing ~domains (name, net) =
                       ~goal:(Cert_emit.goal_of_query q)
                       qc)
               [ 1; 7 ];
-            match sup_cert ~abstraction ~slicing ~domains net ~at ~clock:x with
+            match sup_cert ~abstraction ~domains net ~at ~clock:x with
             | None -> ()
             | Some qc ->
                 roundtrip_check
@@ -169,20 +138,15 @@ let matrix f =
   List.iter
     (fun (aname, abstraction) ->
       List.iter
-        (fun (sname, slicing) ->
-          List.iter
-            (fun domains ->
-              f
-                (Printf.sprintf "[%s/%s/d=%d]" aname sname domains)
-                ~abstraction ~slicing ~domains)
-            [ 1; 4 ])
-        [ ("off", Reach.Off); ("coi", Reach.Coi); ("coimerge", Reach.CoiMerge) ])
+        (fun domains ->
+          f (Printf.sprintf "[%s/d=%d]" aname domains) ~abstraction ~domains)
+        [ 1; 4 ])
     [ ("extram", Reach.ExtraM); ("extralu", Reach.ExtraLU);
       ("lusim", Reach.LuSim) ]
 
 let test_zoo_matrix () =
-  matrix (fun cfg ~abstraction ~slicing ~domains ->
-      List.iter (check_net_matrix cfg ~abstraction ~slicing ~domains) (zoo ()))
+  matrix (fun cfg ~abstraction ~domains ->
+      List.iter (check_net_matrix cfg ~abstraction ~domains) (zoo ()))
 
 (* ------------------------------------------------------------------ *)
 (* The shipped example files, through the same pipeline                *)
@@ -200,13 +164,13 @@ let test_examples_matrix () =
   List.iter
     (fun file ->
       let { E.net; queries; _ } = E.load_file (model_path file) in
-      matrix (fun cfg ~abstraction ~slicing ~domains ->
+      matrix (fun cfg ~abstraction ~domains ->
           List.iteri
             (fun i q ->
               match q with
               | E.Deadlock_q -> ()
               | E.Reach_q q -> (
-                  match reach_cert ~abstraction ~slicing ~domains net q with
+                  match reach_cert ~abstraction ~domains net q with
                   | None -> ()
                   | Some qc ->
                       roundtrip_check
@@ -216,8 +180,8 @@ let test_examples_matrix () =
                         qc)
               | E.Sup_q { clock; at } -> (
                   match
-                    sup_cert ~abstraction ~slicing ~domains
-                      ~initial_ceiling:1024 ~max_ceiling:65536 net ~at ~clock
+                    sup_cert ~abstraction ~domains ~initial_ceiling:1024
+                      ~max_ceiling:65536 net ~at ~clock
                   with
                   | None -> ()
                   | Some qc ->
@@ -241,9 +205,9 @@ let test_radionav_certificates () =
   let net = gen.Ita_core.Gen.net in
   let obs = Option.get gen.Ita_core.Gen.observer in
   let at = obs.Ita_core.Gen.seen and clock = obs.Ita_core.Gen.obs_clock in
-  matrix (fun cfg ~abstraction ~slicing ~domains ->
+  matrix (fun cfg ~abstraction ~domains ->
       match
-        sup_cert ~abstraction ~slicing ~domains ~initial_ceiling:1_000_000
+        sup_cert ~abstraction ~domains ~initial_ceiling:1_000_000
           ~max_ceiling:16_000_000 net ~at ~clock
       with
       | None -> Alcotest.failf "%s radionav: no sup verdict" cfg
@@ -259,33 +223,30 @@ let test_radionav_certificates () =
 (* ------------------------------------------------------------------ *)
 
 let test_domain_count_byte_equality () =
-  let net = wide_frontier () in
+  let net = Models.wide_frontier () in
   let unreach =
     Query.with_guard (Query.at net ~comp:"P0" ~loc:"B") (Guard.clock_ge 1 7)
   in
   let at = Query.at net ~comp:"P0" ~loc:"B" in
-  List.iter
-    (fun (sname, slicing) ->
-      let bytes domains =
-        let qcs =
-          [
-            Option.get (reach_cert ~slicing ~domains net unreach);
-            Option.get (sup_cert ~slicing ~domains net ~at ~clock:1);
-          ]
-        in
-        Cert.to_string (Cert_emit.make net qcs)
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "wide-frontier [%s]: 1-domain and 4-domain \
-                         certificates are byte-identical"
-           sname)
-        (bytes 1) (bytes 4))
-    [ ("off", Reach.Off); ("coi", Reach.Coi); ("coimerge", Reach.CoiMerge) ]
+  let bytes domains =
+    let qcs =
+      [
+        Option.get (reach_cert ~domains net unreach);
+        Option.get (sup_cert ~domains net ~at ~clock:1);
+      ]
+    in
+    Cert.to_string (Cert_emit.make net qcs)
+  in
+  Alcotest.(check string)
+    "wide-frontier: 1-domain and 4-domain certificates are byte-identical"
+    (bytes 1) (bytes 4)
 
 (* ------------------------------------------------------------------ *)
 (* Mutation rejection: corrupted certificates name the right
-   obligation.  Base certificates are produced with slicing off so the
-   mutations interact with the obligations, not with the mask.         *)
+   obligation.  The mutations must interact with the obligations, not
+   with the slice mask, so wf_base checks that the engine's slices of
+   both wide-frontier queries (reach, and sup over c0) are the
+   identity.                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let initial_locs (net : Network.t) =
@@ -301,10 +262,19 @@ let expect_rejection name net ~goal qc expected =
         (Cert.obligation_name f.Cert.obligation)
 
 let wf_base () =
-  let net = wide_frontier () in
-  let unreach =
-    Query.with_guard (Query.at net ~comp:"P0" ~loc:"B") (Guard.clock_ge 1 7)
+  let net = Models.wide_frontier () in
+  let at = Query.at net ~comp:"P0" ~loc:"B" in
+  let unreach = Query.with_guard at (Guard.clock_ge 1 7) in
+  let identity ?extra_clocks q =
+    let sl, _, _ =
+      Reach.slice_query (Reach.default_slicing ()) ?extra_clocks net q
+    in
+    sl.Ita_analysis.Slice.identity
   in
+  Alcotest.(check bool) "wide-frontier: reach slice is the identity" true
+    (identity unreach);
+  Alcotest.(check bool) "wide-frontier: sup slice is the identity" true
+    (identity ~extra_clocks:[ 1 ] at);
   let qc = Option.get (reach_cert net unreach) in
   (net, unreach, qc)
 

@@ -279,7 +279,22 @@ let test_cache_key_discriminates () =
   Alcotest.(check bool) "domain count changes the key" true
     (k
     <> Cache.job_key
-         { spec with Job.budget = { spec.Job.budget with Job.mc_domains = Some 4 } })
+         { spec with Job.budget = { spec.Job.budget with Job.mc_domains = Some 4 } });
+  Alcotest.(check bool) "abstraction changes the key" true
+    (k
+    <> Cache.job_key
+         {
+           spec with
+           Job.budget =
+             { spec.Job.budget with Job.mc_abstraction = Ita_mc.Reach.LuSim };
+         });
+  Alcotest.(check bool) "certification changes the key" true
+    (k
+    <> Cache.job_key
+         {
+           spec with
+           Job.budget = { spec.Job.budget with Job.mc_certify = true };
+         })
 
 let test_cache_corrupt_entry_is_miss () =
   let dir = fresh_dir "corrupt" in

@@ -656,28 +656,6 @@ let test_parse_abstraction () =
   err "m";
   err ""
 
-let test_parse_slicing () =
-  let ok input expected =
-    Alcotest.(check bool)
-      (Printf.sprintf "parse_slicing %S" input)
-      true
-      (Reach.parse_slicing input = Ok expected)
-  and err input =
-    Alcotest.(check bool)
-      (Printf.sprintf "parse_slicing %S rejected" input)
-      true
-      (match Reach.parse_slicing input with Error _ -> true | Ok _ -> false)
-  in
-  ok "off" Reach.Off;
-  ok "COI" Reach.Coi;
-  ok " CoiMerge " Reach.CoiMerge;
-  List.iter
-    (fun m -> ok (Reach.slicing_name m) m)
-    [ Reach.Off; Reach.Coi; Reach.CoiMerge ];
-  err "cone";
-  err "on";
-  err ""
-
 let test_default_domains_env () =
   let fallback = max 1 (Domain.recommended_domain_count ()) in
   with_env "TAMC_DOMAINS" "3" (fun () ->
@@ -704,19 +682,6 @@ let test_default_abstraction_env () =
             (Reach.default_abstraction () = Reach.ExtraLU)))
     [ ""; "extra+lu"; "none" ]
 
-let test_default_slicing_env () =
-  with_env "TAMC_SLICING" "off" (fun () ->
-      Alcotest.(check bool) "honored" true
-        (Reach.default_slicing () = Reach.Off));
-  List.iter
-    (fun bad ->
-      with_env "TAMC_SLICING" bad (fun () ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%S falls back to coimerge" bad)
-            true
-            (Reach.default_slicing () = Reach.CoiMerge)))
-    [ ""; "banana"; "merge" ]
-
 let () =
   Alcotest.run "mc"
     [
@@ -724,13 +689,10 @@ let () =
         [
           Alcotest.test_case "parse domains" `Quick test_parse_domains;
           Alcotest.test_case "parse abstraction" `Quick test_parse_abstraction;
-          Alcotest.test_case "parse slicing" `Quick test_parse_slicing;
           Alcotest.test_case "TAMC_DOMAINS fallback" `Quick
             test_default_domains_env;
           Alcotest.test_case "TAMC_ABSTRACTION fallback" `Quick
             test_default_abstraction_env;
-          Alcotest.test_case "TAMC_SLICING fallback" `Quick
-            test_default_slicing_env;
         ] );
       ( "reach",
         [

@@ -43,42 +43,6 @@ let passed_list_exn ?budget ?abstraction ~domains net =
   | `Budget_exhausted _ -> Alcotest.fail "exploration should complete"
 
 (* ------------------------------------------------------------------ *)
-(* A wide-frontier, high-subsumption model: three interleaved
-   components, each looping through branches that reset its own clock,
-   so many discrete interleavings keep producing comparable zones for
-   the same state and the antichain prunes heavily — the worst case
-   for concurrent subsumed inserts.                                    *)
-(* ------------------------------------------------------------------ *)
-
-let wide_frontier () =
-  let b = Network.Builder.create () in
-  let clocks =
-    Array.init 3 (fun i -> Network.Builder.clock b (Printf.sprintf "c%d" i))
-  in
-  Array.iteri
-    (fun i x ->
-      let locations =
-        [
-          Models.loc "A";
-          Models.loc "B" ~invariant:(Guard.clock_le x 5);
-          Models.loc "C";
-        ]
-      in
-      let edges =
-        [
-          Models.edge 0 1 ~update:(Update.reset x);
-          Models.edge 0 2 ~guard:(Guard.clock_ge x 2) ~update:(Update.reset x);
-          Models.edge 1 0 ~guard:(Guard.clock_ge x 3);
-          Models.edge 2 0 ~update:(Update.reset x);
-        ]
-      in
-      Network.Builder.add_automaton b
-        (Automaton.make ~name:(Printf.sprintf "P%d" i) ~locations ~edges
-           ~initial:0))
-    clocks;
-  Network.Builder.build b
-
-(* ------------------------------------------------------------------ *)
 (* Satellite: the model-zoo differential suite                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -89,7 +53,7 @@ let zoo () =
     ("committed-gate", fst (Models.committed_gate ()));
     ("handshake", fst (Models.handshake ()));
     ("broadcast", Models.broadcast_pair ());
-    ("wide-frontier", wide_frontier ());
+    ("wide-frontier", Models.wide_frontier ());
   ]
 
 let check_antichains name net =
@@ -515,7 +479,7 @@ let test_stress_deterministic_stats () =
   let passed_list_exn ~domains net =
     passed_list_exn ~abstraction:Reach.ExtraLU ~domains net
   in
-  let net = wide_frontier () in
+  let net = Models.wide_frontier () in
   let at = Query.at net ~comp:"P0" ~loc:"B" in
   let base_passed, base_stats = passed_list_exn ~domains:4 net in
   let base_fp = antichain_fp net base_passed in
@@ -544,7 +508,7 @@ let test_stored_is_resident () =
      comparable inserts must never double-count: stored must equal the
      zones actually resident in the dumped passed list, and match the
      sequential count *)
-  let net = wide_frontier () in
+  let net = Models.wide_frontier () in
   let passed, stats = passed_list_exn ~domains:4 net in
   Alcotest.(check int) "stored = resident zones" (resident_zones passed)
     stats.Reach.stored;
@@ -564,7 +528,7 @@ let test_stored_is_resident () =
 (* ------------------------------------------------------------------ *)
 
 let test_parallel_budget () =
-  let net = wide_frontier () in
+  let net = Models.wide_frontier () in
   (match
      Reach.explore ~domains:4 ~budget:(Reach.states 1) net
        ~on_store:(fun _ -> ())

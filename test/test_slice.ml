@@ -1,9 +1,11 @@
 (* Query-directed model reduction (Slice): unit tests of the cone and
    the quasi-equal merge on hand-built networks, and differential
-   suites showing that slicing changes no verdict and no WCRT — on the
-   model zoo, on the shipped example models, on the radionav case
-   study and on random automata checked against a concrete-walk
-   oracle — across all three abstractions and 1/4 worker domains. *)
+   suites showing that the engine's always-on slicing changes no
+   verdict and no WCRT — on the model zoo, on the shipped example
+   models, on the radionav case study and on random automata checked
+   against a concrete-walk oracle — across all three abstractions and
+   1/4 worker domains.  The unsliced oracles are Models.unsliced_reach
+   and Models.unsliced_sup. *)
 
 open Ita_ta
 open Ita_mc
@@ -20,12 +22,10 @@ let verdict = function
   | Reach.Unreachable _ -> "unreachable"
   | Reach.Budget_exhausted _ -> "budget"
 
-let sup_fp ?(initial_ceiling = 64) ?(max_ceiling = 256) ?abstraction ?domains
-    ~slicing net ~at ~clock () =
-  match
-    Wcrt.sup ?abstraction ?domains ~slicing ~initial_ceiling ~max_ceiling net
-      ~at ~clock
-  with
+let unsliced_verdict net q =
+  if Models.unsliced_reach net q then "reachable" else "unreachable"
+
+let fp_of_sup = function
   | Wcrt.Sup { value; kind; _ } ->
       Printf.sprintf "sup %d %s" value
         (match kind with
@@ -34,6 +34,25 @@ let sup_fp ?(initial_ceiling = 64) ?(max_ceiling = 256) ?abstraction ?domains
   | Wcrt.Goal_unreachable _ -> "unreachable"
   | Wcrt.Sup_budget_exhausted _ -> "budget"
   | Wcrt.Sup_unbounded _ -> "unbounded"
+
+let sup_fp ?(initial_ceiling = 64) ?(max_ceiling = 256) ?abstraction ?domains
+    net ~at ~clock () =
+  fp_of_sup
+    (Wcrt.sup ?abstraction ?domains ~initial_ceiling ~max_ceiling net ~at
+       ~clock)
+
+let unsliced_sup_fp ?(max_ceiling = 256) net ~at ~clock =
+  fp_of_sup (Models.unsliced_sup ~max_ceiling net ~at ~clock)
+
+(* the engine settings every differential compares against the
+   unsliced oracle: each abstraction, sequential and on 4 domains *)
+let configs =
+  List.concat_map
+    (fun d ->
+      List.map (fun a -> (a, d)) [ Reach.ExtraM; Reach.ExtraLU; Reach.LuSim ])
+    [ 1; 4 ]
+
+let config_name (a, d) = Printf.sprintf "%s/d=%d" (Reach.abstraction_name a) d
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built networks                                                 *)
@@ -88,6 +107,8 @@ let test_island_cone () =
   Alcotest.(check (list int)) "z removed" [ z ] sl.Slice.removed_clocks;
   Alcotest.(check (list int)) "v removed" [ v ] sl.Slice.removed_vars;
   Alcotest.(check bool) "not identity" false sl.Slice.identity;
+  let sl_off, _, _ = Reach.slice_query Reach.Off net at in
+  Alcotest.(check bool) "mode Off is the identity" true sl_off.Slice.identity;
   Alcotest.(check (option int)) "P mapped" (Some 0) (Slice.map_comp sl 0);
   Alcotest.(check (option int)) "Q unmapped" None (Slice.map_comp sl 1);
   Alcotest.(check (option int)) "R mapped" (Some 1) (Slice.map_comp sl 2);
@@ -100,18 +121,17 @@ let test_island_cone () =
   (* the verdict and the unmapped witness must look like the original
      network's: full-width location vector, Q frozen at its initial
      location, goal zone at the original DBM dimension *)
-  List.iter
-    (fun slicing ->
-      match Reach.reach ~slicing net at with
-      | Reach.Reachable { witness; goal_zone; _ } ->
-          let last = List.nth witness (List.length witness - 1) in
-          let locs = last.Reach.state.Semantics.locs in
-          Alcotest.(check int) "witness width" 3 (Array.length locs);
-          Alcotest.(check int) "P at L2" 2 locs.(0);
-          Alcotest.(check int) "Q frozen at K0" 0 locs.(1);
-          Alcotest.(check int) "goal zone dimension" 3 (Dbm.dim goal_zone)
-      | _ -> Alcotest.fail "goal should be reachable")
-    [ Reach.Off; Reach.Coi; Reach.CoiMerge ]
+  Alcotest.(check string) "unsliced oracle" "reachable"
+    (unsliced_verdict net at);
+  match Reach.reach net at with
+  | Reach.Reachable { witness; goal_zone; _ } ->
+      let last = List.nth witness (List.length witness - 1) in
+      let locs = last.Reach.state.Semantics.locs in
+      Alcotest.(check int) "witness width" 3 (Array.length locs);
+      Alcotest.(check int) "P at L2" 2 locs.(0);
+      Alcotest.(check int) "Q frozen at K0" 0 locs.(1);
+      Alcotest.(check int) "goal zone dimension" 3 (Dbm.dim goal_zone)
+  | _ -> Alcotest.fail "goal should be reachable"
 
 let test_island_lint_cone () =
   let net, _, _, _ = island_net () in
@@ -163,14 +183,11 @@ let test_twin_merge () =
   let sl', _, _ = Reach.slice_query Reach.Coi ~extra_clocks:[ y ] net at in
   Alcotest.(check bool) "coi keeps both" true (sl'.Slice.merged = []);
   (* sup over the merged-away clock still answers, identically *)
-  let base = sup_fp ~slicing:Reach.Off net ~at ~clock:y () in
-  List.iter
-    (fun slicing ->
-      Alcotest.(check string) "sup y unchanged" base
-        (sup_fp ~slicing net ~at ~clock:y ()))
-    [ Reach.Coi; Reach.CoiMerge ];
+  Alcotest.(check string) "sup y unchanged"
+    (unsliced_sup_fp net ~at ~clock:y)
+    (sup_fp net ~at ~clock:y ());
   (* the unmapped goal zone must pin the merged clocks equal *)
-  match Reach.reach ~slicing:Reach.CoiMerge net at with
+  match Reach.reach net at with
   | Reach.Reachable { goal_zone; _ } ->
       Alcotest.(check int) "goal zone dimension" 3 (Dbm.dim goal_zone);
       Alcotest.(check bool) "x = y in the unmapped zone" true
@@ -178,10 +195,10 @@ let test_twin_merge () =
         && Dbm.get goal_zone y x = Ita_dbm.Bound.le 0)
   | _ -> Alcotest.fail "C should be reachable"
 
-(* The bench's station family in miniature: a measured server with a
-   quasi-equal clock pair plus sporadic clients outside the cone.  The
-   strict-win claim of the benchmark, pinned as a test: same sup,
-   strictly fewer explored states, strictly fewer clocks. *)
+(* A measured server with a quasi-equal clock pair plus sporadic
+   clients outside the cone: the slice's strict win, pinned as a test.
+   Same sup as the unsliced oracle, strictly fewer explored states,
+   strictly fewer clocks. *)
 let station_net n =
   let b = Network.Builder.create () in
   let y = Network.Builder.clock b "y" in
@@ -221,13 +238,19 @@ let test_station_strict_win () =
   let net = station_net 3 in
   let at = Query.at net ~comp:"Station" ~loc:"Done" in
   let clock = 1 (* y *) in
-  let run slicing =
-    match Wcrt.sup ~slicing ~domains:1 net ~at ~clock with
+  let value_explored = function
     | Wcrt.Sup { value; stats; _ } -> (value, stats.Reach.explored)
     | _ -> Alcotest.fail "expected a finite sup"
   in
-  let v_off, n_off = run Reach.Off in
-  let v_on, n_on = run Reach.CoiMerge in
+  (* both explorations extrapolate the measured clock at the engine's
+     first ceiling, which its sup (10) stays below *)
+  let v_off, n_off =
+    value_explored (Models.unsliced_sup ~max_ceiling:1_000_000 net ~at ~clock)
+  in
+  let v_on, n_on =
+    value_explored
+      (Wcrt.sup ~abstraction:Reach.ExtraLU ~domains:1 net ~at ~clock)
+  in
   Alcotest.(check int) "same WCRT" v_off v_on;
   Alcotest.(check bool)
     (Printf.sprintf "strictly fewer states (%d < %d)" n_on n_off)
@@ -243,19 +266,29 @@ let test_station_strict_win () =
    (R is S's binary peer), so the slice must be the identity — same
    network, same exploration, byte-identical stats. *)
 let test_identity () =
-  let net = fst (Models.handshake ()) in
+  let net, z = Models.handshake () in
   let at = Query.at net ~comp:"S" ~loc:"P1" in
   let sl, snet, at' = Reach.slice_query Reach.CoiMerge net at in
   Alcotest.(check bool) "identity" true sl.Slice.identity;
   Alcotest.(check bool) "same network" true (snet == net);
   Alcotest.(check bool) "same query" true (at' == at);
-  let explored slicing =
-    match Reach.reach ~slicing ~domains:1 net at with
-    | Reach.Reachable { stats; _ } -> stats.Reach.explored
-    | _ -> Alcotest.fail "reachable"
+  let sl, _, _ = Reach.slice_query Reach.CoiMerge ~extra_clocks:[ z ] net at in
+  Alcotest.(check bool) "sup slice is the identity" true sl.Slice.identity;
+  (* one sup attempt at ceiling 64 on each side: the engine's sliced
+     exploration and the oracle's unsliced one must be the same run *)
+  let counts = function
+    | Wcrt.Sup { stats; _ }
+    | Wcrt.Goal_unreachable stats
+    | Wcrt.Sup_budget_exhausted { stats; _ }
+    | Wcrt.Sup_unbounded { stats; _ } ->
+        (stats.Reach.explored, stats.Reach.stored, stats.Reach.transitions)
   in
-  Alcotest.(check int) "byte-identical exploration" (explored Reach.Off)
-    (explored Reach.CoiMerge)
+  Alcotest.(check (triple int int int))
+    "byte-identical exploration"
+    (counts (Models.unsliced_sup ~max_ceiling:64 net ~at ~clock:z))
+    (counts
+       (Wcrt.sup ~abstraction:Reach.ExtraLU ~domains:1 ~initial_ceiling:64
+          ~max_ceiling:64 net ~at ~clock:z))
 
 (* pp_report smoke: the report must mention the removals and carry the
    resolver's provenance prefix *)
@@ -285,7 +318,7 @@ let test_report () =
     [ "model.ta:2:1"; "Q"; "z"; "v" ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential: the model zoo, all modes x abstractions x domains     *)
+(* Differential: the model zoo, all abstractions x domains             *)
 (* ------------------------------------------------------------------ *)
 
 let zoo () =
@@ -312,46 +345,27 @@ let check_net_differential name net =
             List.iter
               (fun c ->
                 let q = Query.with_guard at (Guard.clock_ge x c) in
-                let base =
-                  verdict (Reach.reach ~slicing:Reach.Off ~domains:1 net q)
-                in
+                let base = unsliced_verdict net q in
                 List.iter
-                  (fun (slicing, abstraction, d) ->
+                  (fun ((abstraction, domains) as cfg) ->
                     Alcotest.(check string)
-                      (Printf.sprintf "%s: verdict %s >= %d at %s.%s" name
-                         net.Network.clock_names.(x) c a.Automaton.name
-                         l.Automaton.loc_name)
+                      (Printf.sprintf "%s [%s]: verdict %s >= %d at %s.%s"
+                         name (config_name cfg) net.Network.clock_names.(x) c
+                         a.Automaton.name l.Automaton.loc_name)
                       base
-                      (verdict
-                         (Reach.reach ~slicing ~abstraction ~domains:d net q)))
-                  [
-                    (Reach.Coi, Reach.ExtraM, 1);
-                    (Reach.Coi, Reach.ExtraLU, 1);
-                    (Reach.Coi, Reach.LuSim, 1);
-                    (Reach.CoiMerge, Reach.ExtraM, 1);
-                    (Reach.CoiMerge, Reach.ExtraLU, 1);
-                    (Reach.CoiMerge, Reach.LuSim, 1);
-                    (Reach.CoiMerge, Reach.ExtraLU, 4);
-                    (Reach.CoiMerge, Reach.LuSim, 4);
-                  ])
+                      (verdict (Reach.reach ~abstraction ~domains net q)))
+                  configs)
               [ 1; 7 ];
-            let base = sup_fp ~slicing:Reach.Off ~domains:1 net ~at ~clock:x () in
+            let base = unsliced_sup_fp net ~at ~clock:x in
             List.iter
-              (fun (slicing, abstraction, d) ->
+              (fun ((abstraction, domains) as cfg) ->
                 Alcotest.(check string)
-                  (Printf.sprintf "%s: sup %s at %s.%s" name
-                     net.Network.clock_names.(x) a.Automaton.name
-                     l.Automaton.loc_name)
+                  (Printf.sprintf "%s [%s]: sup %s at %s.%s" name
+                     (config_name cfg) net.Network.clock_names.(x)
+                     a.Automaton.name l.Automaton.loc_name)
                   base
-                  (sup_fp ~slicing ~abstraction ~domains:d net ~at ~clock:x ()))
-              [
-                (Reach.Coi, Reach.ExtraM, 1);
-                (Reach.Coi, Reach.ExtraLU, 1);
-                (Reach.CoiMerge, Reach.ExtraM, 1);
-                (Reach.CoiMerge, Reach.ExtraLU, 1);
-                (Reach.CoiMerge, Reach.LuSim, 1);
-                (Reach.CoiMerge, Reach.ExtraLU, 4);
-              ]
+                  (sup_fp ~abstraction ~domains net ~at ~clock:x ()))
+              configs
           done)
         a.Automaton.locations)
     net.Network.automata
@@ -382,52 +396,73 @@ let test_examples_differential () =
         (fun i q ->
           match q with
           | E.Reach_q q ->
-              let base = verdict (Reach.reach ~slicing:Reach.Off net q) in
+              let base = unsliced_verdict net q in
               List.iter
-                (fun slicing ->
+                (fun ((abstraction, domains) as cfg) ->
                   Alcotest.(check string)
-                    (Printf.sprintf "%s query %d" file i)
+                    (Printf.sprintf "%s query %d [%s]" file i (config_name cfg))
                     base
-                    (verdict (Reach.reach ~slicing net q)))
-                [ Reach.Coi; Reach.CoiMerge ]
+                    (verdict (Reach.reach ~abstraction ~domains net q)))
+                configs
           | E.Sup_q { clock; at } ->
               let base =
-                sup_fp ~initial_ceiling:1_000_000 ~max_ceiling:(1 lsl 40)
-                  ~slicing:Reach.Off net ~at ~clock ()
+                unsliced_sup_fp ~max_ceiling:(1 lsl 40) net ~at ~clock
               in
               List.iter
-                (fun slicing ->
+                (fun ((abstraction, domains) as cfg) ->
                   Alcotest.(check string)
-                    (Printf.sprintf "%s sup query %d" file i)
+                    (Printf.sprintf "%s sup query %d [%s]" file i
+                       (config_name cfg))
                     base
                     (sup_fp ~initial_ceiling:1_000_000 ~max_ceiling:(1 lsl 40)
-                       ~slicing net ~at ~clock ()))
-                [ Reach.Coi; Reach.CoiMerge ]
+                       ~abstraction ~domains net ~at ~clock ()))
+                configs
           | E.Deadlock_q -> ())
         queries)
-    [ "fischer.ta"; "train_gate.ta"; "two_phase.ta" ]
+    [ "fischer.ta"; "train_gate.ta"; "two_phase.ta"; "island_demo.ta" ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential: the radionav case study's validated cells             *)
 (* ------------------------------------------------------------------ *)
 
 let test_radionav_differential () =
+  let module Core = Ita_core in
+  let sys = R.system R.Al_tmc R.Po in
   List.iter
     (fun (scen, req, expected) ->
-      let sys = R.system R.Al_tmc R.Po in
+      let s = Core.Sysmodel.scenario sys scen in
+      let gen =
+        Core.Gen.generate
+          ~measure:(scen, Core.Scenario.requirement s req)
+          sys
+      in
+      let obs = Option.get gen.Core.Gen.observer in
+      (* the measured clock is pinned active, so at a 2^40 ceiling the
+         oracle's single exploration would tell its values apart across
+         periods; use Wcrt.sup's default first ceiling (1 s), which
+         both WCRTs stay below *)
+      (match
+         Models.unsliced_sup ~max_ceiling:1_000_000 gen.Core.Gen.net
+           ~at:obs.Core.Gen.seen ~clock:obs.Core.Gen.obs_clock
+       with
+      | Wcrt.Sup { value; _ } ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s: unsliced oracle" scen req)
+            expected value
+      | _ -> Alcotest.failf "%s/%s: oracle expected a finite sup" scen req);
       List.iter
-        (fun slicing ->
+        (fun ((abstraction, domains) as cfg) ->
           match
-            (Ita_core.Analyze.wcrt ~slicing sys ~scenario:scen
+            (Core.Analyze.wcrt ~abstraction ~domains sys ~scenario:scen
                ~requirement:req)
-              .Ita_core.Analyze.outcome
+              .Core.Analyze.outcome
           with
-          | Ita_core.Analyze.Exact_wcrt v ->
+          | Core.Analyze.Exact_wcrt v ->
               Alcotest.(check int)
-                (Printf.sprintf "%s/%s" scen req)
+                (Printf.sprintf "%s/%s [%s]" scen req (config_name cfg))
                 expected v
           | _ -> Alcotest.failf "%s/%s: expected exact WCRT" scen req)
-        [ Reach.Off; Reach.Coi; Reach.CoiMerge ])
+        configs)
     [ ("AddressLookup", "E2E", 79_075); ("HandleTMC", "TMC", 172_106) ]
 
 (* ------------------------------------------------------------------ *)
@@ -522,16 +557,12 @@ let test_random_island =
       for l = 0 to nl - 1 do
         let at = Query.at net ~comp:"P" ~loc:(Printf.sprintf "L%d" l) in
         let q = Query.with_guard at (Guard.clock_ge 1 c) in
-        let base = verdict (Reach.reach ~slicing:Reach.Off net q) in
+        let base = unsliced_verdict net q in
         List.iter
-          (fun slicing ->
-            List.iter
-              (fun abstraction ->
-                if
-                  verdict (Reach.reach ~slicing ~abstraction net q) <> base
-                then ok := false)
-              [ Reach.ExtraM; Reach.ExtraLU; Reach.LuSim ])
-          [ Reach.Coi; Reach.CoiMerge ];
+          (fun (abstraction, domains) ->
+            if verdict (Reach.reach ~abstraction ~domains net q) <> base then
+              ok := false)
+          configs;
         (* the oracle: a concrete state of the ORIGINAL network hitting
            the goal forces the sliced verdict to be reachable *)
         let concretely_hit =
@@ -540,10 +571,8 @@ let test_random_island =
               cc.Concrete.locs.(0) = l && cc.Concrete.clocks.(1) >= c)
             walk
         in
-        if
-          concretely_hit
-          && verdict (Reach.reach ~slicing:Reach.CoiMerge net q) <> "reachable"
-        then ok := false
+        if concretely_hit && verdict (Reach.reach net q) <> "reachable" then
+          ok := false
       done;
       (* the island must actually be sliced away whenever the query
          does not observe it *)
