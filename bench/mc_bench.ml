@@ -105,7 +105,7 @@ type cell = {
   extralu : run;
   lusim : run;  (* a<|LU simulation subsumption, unextrapolated zones *)
   parallel : par_run option;
-      (* Extra+LU re-run on the parallel engine; only computed on
+      (* Extra+LU re-run at several domains; only computed on
          multi-core hosts and only for cells big enough to amortize
          the domain-spawn overhead, so the speedup column never
          reports noise *)
@@ -114,9 +114,10 @@ type cell = {
          only *)
 }
 
-(* every baseline column is pinned to the sequential engine so the
-   explored counts stay comparable across machines and TAMC_DOMAINS
-   settings; the parallel engine gets its own gated column *)
+(* every baseline column is pinned to one domain, the one schedule
+   whose counts are deterministic, so the explored counts stay
+   comparable across machines and TAMC_DOMAINS settings; the
+   multi-domain rerun gets its own gated column *)
 let bench_par_domains =
   (* BENCH_PAR_DOMAINS forces the worker count (>= 2) or disables the
      column (0 or 1); unset, multi-core hosts get min(4, cores) *)
@@ -130,7 +131,7 @@ let bench_par_domains =
       if cores >= 2 then Some (min 4 cores) else None
 
 let par_min_seq_elapsed = 0.5
-(* seconds of sequential Extra+LU work below which the parallel rerun
+(* seconds of one-domain Extra+LU work below which the parallel rerun
    is skipped: the ~10 s cv/ChangeVolume cells are the ones meant to
    scale with cores *)
 
@@ -527,7 +528,7 @@ let () =
   end;
   if par_mismatches <> [] then begin
     Printf.eprintf
-      "ERROR: %d cells disagree between the sequential and parallel engines\n"
+      "ERROR: %d cells disagree between one domain and several\n"
       (List.length par_mismatches);
     exit 1
   end;

@@ -78,7 +78,7 @@ let domains_arg =
         ~doc:
           "worker domains for the zone exploration (default: the \
            TAMC_DOMAINS environment variable, else the machine's core \
-           count); 1 selects the sequential engine")
+           count); 1 runs one worker on the calling domain")
 
 (* ------------------------------------------------------------------ *)
 (* wcrt                                                                *)

@@ -207,7 +207,7 @@ let check_cmd =
           ~doc:
             "worker domains for the exploration (default: the \
              TAMC_DOMAINS environment variable, else the machine's core \
-             count); 1 selects the sequential engine")
+             count); 1 runs one worker on the calling domain")
   in
   let abstraction =
     Arg.(

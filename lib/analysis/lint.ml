@@ -693,9 +693,7 @@ let merge_pass ~observed (net : Network.t) =
             if observed.(x) then
               out :=
                 mk
-                  ~fix:
-                    "pin the clock (bump its clock bound) or disable merging \
-                     (slicing mode coi or off)"
+                  ~fix:"pin the clock (bump its clock bound)"
                   D.Merged_query_clock D.Warning (D.Clock_site x)
                   (sprintf
                      "the query observes clock %s, but quasi-equal merging \

@@ -52,9 +52,12 @@
 open Ita_ta
 
 type mode = Off | Coi | CoiMerge
-    (** [Off] — identity (the differential-testing oracle).  [Coi] —
-        cone-of-influence slicing only.  [CoiMerge] (the default
-        everywhere) — slicing plus quasi-equal clock merging. *)
+    (** [Off] — the identity slice.  [Coi] — cone-of-influence
+        slicing only.  [CoiMerge] (the mode every query runs under) —
+        slicing plus quasi-equal clock merging.  The differential
+        oracle for slicing is test-side: an unsliced exploration of
+        the whole network ([Models.unsliced_reach] and
+        [Models.unsliced_sup] in the test suite). *)
 
 type goal = {
   g_comps : int list;  (** components the query observes *)

@@ -1,6 +1,5 @@
 open Ita_ta
 module Dbm = Ita_dbm.Dbm
-module Vec = Ita_util.Vec
 module Prng = Ita_util.Prng
 
 type order = Bfs | Dfs | Random_dfs of int
@@ -56,7 +55,8 @@ let parse_domains s =
   match int_of_string_opt (String.trim s) with
   | Some n when n >= 1 -> Ok n
   | Some _ | Option.None ->
-      Error "expected a positive integer (1 selects the sequential engine)"
+      Error
+        "expected a positive integer (1 runs one worker on the calling domain)"
 
 let parse_abstraction s =
   match String.lowercase_ascii (String.trim s) with
@@ -86,10 +86,9 @@ let env_knob var parse fallback_desc default =
           default ())
 
 (* The number of worker domains when the caller does not say: the
-   TAMC_DOMAINS environment variable (so CI can force both engines over
-   the whole test suite) or the machine's core count.  [1] selects the
-   sequential engine; an invalid value falls back exactly like an unset
-   one. *)
+   TAMC_DOMAINS environment variable (so CI can run the whole test suite
+   at one domain and at several) or the machine's core count.  An
+   invalid value falls back exactly like an unset one. *)
 let default_domains () =
   env_knob "TAMC_DOMAINS" parse_domains "the machine's core count" (fun () ->
       max 1 (Domain.recommended_domain_count ()))
@@ -182,17 +181,15 @@ let make_packer (net : Network.t) ranges =
     done;
     out
 
-(* One zone of the passed list.  [gen] is bumped whenever the antichain
-   prunes the slot, so a waiting-list entry can compare it against the
-   generation it recorded when pushed — an O(1) liveness probe instead
-   of the old [List.memq] scan of the whole antichain.  In the parallel
-   engine the pop-time probe reads [gen] without the shard lock: a stale
-   read can only let an already-pruned zone be expanded once more, which
-   costs redundant work but never soundness (its successors are subsumed
-   by the pruner's). *)
-type slot = { zone : Dbm.t; mutable gen : int }
+(* One zone of the passed list.  [pruned] is set when the antichain
+   drops the slot, so a waiting node can tell in O(1) whether its zone
+   is still stored.  The pop-time probe reads it without the shard
+   lock: a stale read can only let an already-pruned zone be expanded
+   once more, which costs redundant work but never soundness (its
+   successors are subsumed by the pruner's). *)
+type slot = { zone : Dbm.t; mutable pruned : bool }
 
-let dead_slot = { zone = Dbm.zero 0; gen = -1 }
+let dead_slot = { zone = Dbm.zero 0; pruned = true }
 
 (* The passed list stores, per discrete state, the antichain of maximal
    zones seen so far, in a growable array scanned without allocating.
@@ -240,7 +237,7 @@ let store_in e (z : Dbm.t) resident =
   for i = 0 to e.len - 1 do
     let s = e.slots.(i) in
     if zle e s.zone z then begin
-      s.gen <- s.gen + 1;
+      s.pruned <- true;
       decr resident
     end
     else begin
@@ -249,7 +246,7 @@ let store_in e (z : Dbm.t) resident =
     end
   done;
   e.len <- !keep;
-  let s = { zone = z; gen = 0 } in
+  let s = { zone = z; pruned = false } in
   if e.len = Array.length e.slots then begin
     let cap = max 4 (2 * e.len) in
     let slots = Array.make cap s in
@@ -268,9 +265,9 @@ let dump_table passed acc =
     passed acc
 
 (* Certificates and differential tests need the dumped passed list to
-   be byte-stable across engines, domain counts and hash-table layouts:
-   sort the entries by discrete state and each antichain by the stable
-   zone order. *)
+   be byte-stable across hash-table layouts and shard splits: sort the
+   entries by discrete state and each antichain by the stable zone
+   order. *)
 let sorted_dump l =
   List.map
     (fun ((st : Semantics.state), zs) -> (st, List.sort Dbm.compare zs))
@@ -280,443 +277,143 @@ let sorted_dump l =
            (a.Semantics.locs, a.Semantics.env)
            (b.Semantics.locs, b.Semantics.env))
 
+(* A worker's waiting nodes: a mutex-guarded circular buffer that can be
+   taken from at either end. *)
+module Deque = struct
+  type 'a t = {
+    lock : Mutex.t;
+    mutable buf : 'a option array;
+    mutable head : int;
+    mutable len : int;
+  }
+
+  let create () =
+    {
+      lock = Mutex.create ();
+      buf = Array.make 64 Option.None;
+      head = 0;
+      len = 0;
+    }
+
+  let push t x =
+    Mutex.lock t.lock;
+    let cap = Array.length t.buf in
+    if t.len = cap then begin
+      let buf = Array.make (2 * cap) Option.None in
+      for i = 0 to t.len - 1 do
+        buf.(i) <- t.buf.((t.head + i) mod cap)
+      done;
+      t.buf <- buf;
+      t.head <- 0
+    end;
+    t.buf.((t.head + t.len) mod Array.length t.buf) <- Some x;
+    t.len <- t.len + 1;
+    Mutex.unlock t.lock
+
+  let pop_newest t =
+    Mutex.lock t.lock;
+    let r =
+      if t.len = 0 then Option.None
+      else begin
+        let i = (t.head + t.len - 1) mod Array.length t.buf in
+        let x = t.buf.(i) in
+        t.buf.(i) <- Option.None;
+        t.len <- t.len - 1;
+        x
+      end
+    in
+    Mutex.unlock t.lock;
+    r
+
+  let pop_oldest t =
+    Mutex.lock t.lock;
+    let r =
+      if t.len = 0 then Option.None
+      else begin
+        let x = t.buf.(t.head) in
+        t.buf.(t.head) <- Option.None;
+        t.head <- (t.head + 1) mod Array.length t.buf;
+        t.len <- t.len - 1;
+        x
+      end
+    in
+    Mutex.unlock t.lock;
+    r
+end
+
+type shard = { s_lock : Mutex.t; s_table : entry H.t; s_resident : int ref }
+
+(* Waiting nodes carry parent pointers, so witness reconstruction needs
+   no synchronisation and a node stays alive only while it waits or a
+   live node descends from it. *)
 type node = {
   config : Semantics.config;
-  parent : int;  (* -1 for the root *)
+  parent : node option;
   via : Semantics.label option;
-  slot : slot;  (* the stored zone backing this waiting entry *)
-  stamp : int;  (* [slot]'s generation when the node was pushed *)
+  slot : slot;  (* the stored zone backing this waiting node *)
 }
 
-type waiting = { push : int -> unit; pop : unit -> int option }
+let path_to n =
+  let rec go n acc =
+    match n with
+    | Option.None -> acc
+    | Some n ->
+        go n.parent ({ via = n.via; state = n.config.Semantics.state } :: acc)
+  in
+  go (Some n) []
 
-let make_waiting order =
-  match order with
-  | Bfs ->
-      let q = Queue.create () in
-      { push = (fun i -> Queue.push i q); pop = (fun () -> Queue.take_opt q) }
-  | Dfs | Random_dfs _ ->
-      let stack = ref [] in
-      {
-        push = (fun i -> stack := i :: !stack);
-        pop =
-          (fun () ->
-            match !stack with
-            | [] -> None
-            | i :: rest ->
-                stack := rest;
-                Some i);
-      }
+type stop =
+  | Found of node * Dbm.t
+  | Over_budget
+  | Failed of exn * Printexc.raw_backtrace
 
-(* Both engines report through this; the witness is materialised before
-   returning so the engines can use different node representations. *)
+exception Halt
+
 type engine_result =
   | Goal_found of step list * Dbm.t * stats
   | Space_exhausted of stats
   | Out_of_budget of stats
 
-let witness_of nodes id =
-  let rec go id acc =
-    if id < 0 then acc
-    else
-      let n : node = Vec.get nodes id in
-      go n.parent ({ via = n.via; state = n.config.Semantics.state } :: acc)
-  in
-  go id []
+(* A key's shard comes from the top 6 bits of its 30-bit hash: each
+   shard's table picks buckets with the low bits, so taking the shard
+   from them too would file all of a shard's keys under one bucket in
+   64. *)
+let n_shards = 64
+let shard_of key = (Packed_key.hash key lsr 24) land (n_shards - 1)
 
-(* Sequential engine — the exact pre-parallel code path, selected by
-   [~domains:1]. *)
-let run_seq ~order ~budget ~abstraction ~lu_of net ~ranges ~goal ~on_store
-    : engine_result * (unit -> (Semantics.state * Dbm.t list) list) =
-  let t0 = Unix.gettimeofday () in
-  let pack = make_packer net ranges in
-  let nodes : node Vec.t = Vec.create () in
-  let passed = H.create 4096 in
-  let waiting = make_waiting order in
-  let rng =
-    match order with Random_dfs seed -> Some (Prng.create seed) | _ -> None
-  in
-  (* [resident] is the live passed-list population: incremented per
-     stored zone, decremented when the antichain prunes one, so the
-     final [stats.stored] reports zones actually resident at the end
-     rather than the historical store count. *)
-  let explored = ref 0 and transitions = ref 0 and resident = ref 0 in
-  let lusim = ref 0 in
-  let stats () =
-    {
-      explored = !explored;
-      stored = !resident;
-      transitions = !transitions;
-      elapsed = Unix.gettimeofday () -. t0;
-      domains = 1;
-      steals = 0;
-      subsumed_lusim = !lusim;
-    }
-  in
-  let over_budget () =
-    (match budget.max_states with Some m -> !explored >= m | None -> false)
-    || match budget.max_seconds with
-       | Some s -> Unix.gettimeofday () -. t0 > s
-       | None -> false
-  in
-  let dump () = sorted_dump (dump_table passed []) in
-  let exception Found of int * Dbm.t in
-  (* States enter the passed list when pushed (not when popped): later
-     duplicates are subsumed away before they ever occupy the waiting
-     list.  A pushed state whose zone got pruned by a larger newcomer
-     is skipped at pop time — the newcomer covers its successors. *)
-  let add via parent (c : Semantics.config) =
-    match goal c with
-    | Some gz ->
-        let id =
-          Vec.push nodes { config = c; parent; via; slot = dead_slot; stamp = 0 }
-        in
-        raise (Found (id, gz))
-    | None ->
-        let e =
-          entry_of lu_of passed (pack c.Semantics.state) c.Semantics.state
-        in
-        if subsumed_in e c.Semantics.zone then begin
-          if e.lu <> Option.None then incr lusim
-        end
-        else begin
-          (* intern the discrete state: revisits of this entry now share
-             it physically, so equality short-circuits on [==] *)
-          let c =
-            if c.Semantics.state == e.canon then c
-            else { c with Semantics.state = e.canon }
-          in
-          let s = store_in e c.Semantics.zone resident in
-          on_store c;
-          let id = Vec.push nodes { config = c; parent; via; slot = s; stamp = s.gen } in
-          waiting.push id
-        end
-  in
-  try
-    add Option.None (-1) (Semantics.initial ~abstraction net);
-    let continue = ref true in
-    while !continue do
-      match waiting.pop () with
-      | None -> continue := false
-      | Some id ->
-          let n = Vec.get nodes id in
-          if n.slot.gen = n.stamp then begin
-            incr explored;
-            if over_budget () then raise Exit;
-            let succs =
-              Array.of_list (Semantics.successors ~abstraction net n.config)
-            in
-            (match rng with Some g -> Prng.shuffle g succs | None -> ());
-            Array.iter
-              (fun (label, c') ->
-                incr transitions;
-                add (Some label) id c')
-              succs
-          end
-    done;
-    (Space_exhausted (stats ()), dump)
-  with
-  | Found (id, gz) -> (Goal_found (witness_of nodes id, gz, stats ()), dump)
-  | Exit -> (Out_of_budget (stats ()), dump)
-
-(* Parallel engine: the passed list is split into [n_shards] shards
-   keyed by the packed-state hash, each an independent mutex-protected
+(* The exploration engine.  The passed list is split into [n_shards]
+   shards keyed by the packed-state hash, each a mutex-protected
    antichain table with its own resident counter; the subsumption probe
    and the insert happen under one lock acquisition, so two domains
    racing on comparable zones can never both store (which would
-   double-count [stored] and leave a non-antichain passed list).  Each
-   domain owns a deque of waiting nodes — LIFO for the owner, FIFO for
-   thieves, so stolen work is old (near the root, likely large subtrees)
-   and local work is cache-hot.  Termination is a global count of
-   pushed-but-not-yet-expanded nodes: a domain only quits when every
-   deque it probed was empty and that count is zero.
+   double-count [stored] and leave a non-antichain passed list).
 
-   Determinism: successor computation is a pure function of the popped
-   configuration, and zone storage is monotone — a zone is dropped only
-   when a superset zone is (already or concurrently) stored.  The fully
-   explored passed list is therefore the set of maximal zones of the
-   closure of the initial configuration under successors, independent
-   of exploration order, so verdicts, WCRT suprema, final antichain
-   contents and the final [stored] count all match the sequential
-   engine exactly.  [explored]/[transitions] are genuinely
-   schedule-dependent (two domains may both expand a zone that one of
-   them later prunes) and are reported as observed. *)
-module Par = struct
-  module Deque = struct
-    type 'a t = {
-      lock : Mutex.t;
-      mutable buf : 'a option array;
-      mutable head : int;
-      mutable len : int;
-    }
+   Each of the [domains] workers owns a deque of waiting nodes and takes
+   from it in the caller's order: oldest first for [Bfs], newest first
+   for [Dfs] and [Random_dfs], where worker [w] shuffles each successor
+   list with a generator seeded [s + 31 * w].  A worker whose own deque
+   is empty steals the oldest node of another's (near the root, likely
+   a large subtree).  Termination is a global count of
+   pushed-but-not-yet-expanded nodes: a worker only quits when every
+   deque it probed was empty and that count is zero.  Worker 0 runs on
+   the calling domain, so [domains = 1] spawns no domain (fork-based
+   callers stay legal) and runs one deterministic schedule: a FIFO queue
+   for [Bfs], a stack otherwise.
 
-    let create () =
-      {
-        lock = Mutex.create ();
-        buf = Array.make 64 Option.None;
-        head = 0;
-        len = 0;
-      }
+   States enter the passed list when pushed (not when popped): later
+   duplicates are subsumed away before they ever occupy a deque.  A
+   pushed state whose zone got pruned by a larger newcomer is skipped
+   at pop time — the newcomer covers its successors.  Goal checking
+   happens at state creation, so counterexamples are found as early as
+   possible (UPPAAL does the same).
 
-    let push t x =
-      Mutex.lock t.lock;
-      let cap = Array.length t.buf in
-      if t.len = cap then begin
-        let buf = Array.make (2 * cap) Option.None in
-        for i = 0 to t.len - 1 do
-          buf.(i) <- t.buf.((t.head + i) mod cap)
-        done;
-        t.buf <- buf;
-        t.head <- 0
-      end;
-      t.buf.((t.head + t.len) mod Array.length t.buf) <- Some x;
-      t.len <- t.len + 1;
-      Mutex.unlock t.lock
-
-    (* owner end: newest first, keeps the working set cache-hot *)
-    let pop t =
-      Mutex.lock t.lock;
-      let r =
-        if t.len = 0 then Option.None
-        else begin
-          let i = (t.head + t.len - 1) mod Array.length t.buf in
-          let x = t.buf.(i) in
-          t.buf.(i) <- Option.None;
-          t.len <- t.len - 1;
-          x
-        end
-      in
-      Mutex.unlock t.lock;
-      r
-
-    (* thief end: oldest first *)
-    let steal t =
-      Mutex.lock t.lock;
-      let r =
-        if t.len = 0 then Option.None
-        else begin
-          let x = t.buf.(t.head) in
-          t.buf.(t.head) <- Option.None;
-          t.head <- (t.head + 1) mod Array.length t.buf;
-          t.len <- t.len - 1;
-          x
-        end
-      in
-      Mutex.unlock t.lock;
-      r
-  end
-
-  type shard = { s_lock : Mutex.t; s_table : entry H.t; s_resident : int ref }
-
-  (* Waiting nodes carry parent pointers instead of indices into a
-     shared vector: witness reconstruction needs no synchronisation. *)
-  type pnode = {
-    pconfig : Semantics.config;
-    pparent : pnode option;
-    pvia : Semantics.label option;
-    pslot : slot;
-    pstamp : int;
-  }
-
-  type pstop =
-    | Pfound of pnode * Dbm.t
-    | Pbudget
-    | Perror of exn * Printexc.raw_backtrace
-
-  exception Halt
-
-  let n_shards = 64
-
-  let pwitness n =
-    let rec go n acc =
-      match n with
-      | Option.None -> acc
-      | Some p ->
-          go p.pparent
-            ({ via = p.pvia; state = p.pconfig.Semantics.state } :: acc)
-    in
-    go (Some n) []
-
-  let run ~order ~budget ~abstraction ~lu_of ~domains net ~ranges
-      ~goal ~on_store =
-    let t0 = Unix.gettimeofday () in
-    let pack = make_packer net ranges in
-    let shards =
-      Array.init n_shards (fun _ ->
-          { s_lock = Mutex.create (); s_table = H.create 256; s_resident = ref 0 })
-    in
-    let deques = Array.init domains (fun _ -> Deque.create ()) in
-    let stop : pstop option Atomic.t = Atomic.make Option.None in
-    let pending = Atomic.make 0 in
-    let explored = Atomic.make 0 in
-    let transitions = Array.make domains 0 in
-    let steals = Array.make domains 0 in
-    let lusim = Array.make domains 0 in
-    (* serialises user callbacks: [on_store] consumers (sup tracking,
-       deadlock probes) stay race-free without changing their API *)
-    let cb_lock = Mutex.create () in
-    let halt r =
-      ignore (Atomic.compare_and_set stop Option.None (Some r));
-      raise Halt
-    in
-    let over_budget e =
-      (match budget.max_states with Some m -> e >= m | None -> false)
-      || match budget.max_seconds with
-         | Some s -> Unix.gettimeofday () -. t0 > s
-         | None -> false
-    in
-    let add w via parent (c : Semantics.config) =
-      match goal c with
-      | Some gz ->
-          halt
-            (Pfound
-               ( { pconfig = c; pparent = parent; pvia = via; pslot = dead_slot;
-                   pstamp = 0 },
-                 gz ))
-      | None ->
-          let key = pack c.Semantics.state in
-          let sh = shards.(Packed_key.hash key land (n_shards - 1)) in
-          Mutex.lock sh.s_lock;
-          let e = entry_of lu_of sh.s_table key c.Semantics.state in
-          if subsumed_in e c.Semantics.zone then begin
-            Mutex.unlock sh.s_lock;
-            if e.lu <> Option.None then lusim.(w) <- lusim.(w) + 1
-          end
-          else begin
-            let c =
-              if c.Semantics.state == e.canon then c
-              else { c with Semantics.state = e.canon }
-            in
-            let s = store_in e c.Semantics.zone sh.s_resident in
-            Mutex.unlock sh.s_lock;
-            Mutex.lock cb_lock;
-            (match on_store c with
-            | () -> Mutex.unlock cb_lock
-            | exception ex ->
-                Mutex.unlock cb_lock;
-                raise ex);
-            Atomic.incr pending;
-            (* a fresh slot always starts at generation 0; by the time
-               anyone dereferences [s.gen] it may already be pruned,
-               which the pop-time probe detects *)
-            Deque.push deques.(w)
-              { pconfig = c; pparent = parent; pvia = via; pslot = s; pstamp = 0 }
-          end
-    in
-    let process w rng (n : pnode) =
-      if n.pslot.gen = n.pstamp then begin
-        let e = 1 + Atomic.fetch_and_add explored 1 in
-        if over_budget e then halt Pbudget;
-        let succs =
-          Array.of_list (Semantics.successors ~abstraction net n.pconfig)
-        in
-        (match rng with Some g -> Prng.shuffle g succs | None -> ());
-        Array.iter
-          (fun (label, c') ->
-            transitions.(w) <- transitions.(w) + 1;
-            add w (Some label) (Some n) c')
-          succs
-      end
-    in
-    let worker w () =
-      let rng =
-        match order with
-        | Random_dfs seed -> Some (Prng.create (seed + (31 * w) + 1))
-        | Bfs | Dfs -> Option.None
-      in
-      try
-        let rec next () =
-          if Atomic.get stop <> Option.None then Option.None
-          else
-            match Deque.pop deques.(w) with
-            | Some _ as r -> r
-            | None -> (
-                let stolen = ref Option.None in
-                let i = ref 1 in
-                while !stolen = Option.None && !i < domains do
-                  (match Deque.steal deques.((w + !i) mod domains) with
-                  | Some _ as r ->
-                      steals.(w) <- steals.(w) + 1;
-                      stolen := r
-                  | None -> ());
-                  incr i
-                done;
-                match !stolen with
-                | Some _ as r -> r
-                | None ->
-                    if Atomic.get pending = 0 then Option.None
-                    else begin
-                      Domain.cpu_relax ();
-                      next ()
-                    end)
-        in
-        let rec loop () =
-          match next () with
-          | None -> ()
-          | Some n ->
-              process w rng n;
-              (* decremented only after the node's successors are all
-                 pushed (and counted), so [pending] can never dip to
-                 zero while reachable work exists *)
-              Atomic.decr pending;
-              loop ()
-        in
-        loop ()
-      with
-      | Halt -> ()
-      | ex ->
-          let bt = Printexc.get_raw_backtrace () in
-          ignore
-            (Atomic.compare_and_set stop Option.None (Some (Perror (ex, bt))))
-    in
-    (try add 0 Option.None Option.None (Semantics.initial ~abstraction net)
-     with Halt -> ());
-    if Atomic.get stop = Option.None then begin
-      let doms =
-        Array.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
-      in
-      worker 0 ();
-      Array.iter Domain.join doms
-    end;
-    let stats () =
-      {
-        explored = Atomic.get explored;
-        stored = Array.fold_left (fun a sh -> a + !(sh.s_resident)) 0 shards;
-        transitions = Array.fold_left ( + ) 0 transitions;
-        elapsed = Unix.gettimeofday () -. t0;
-        domains;
-        steals = Array.fold_left ( + ) 0 steals;
-        subsumed_lusim = Array.fold_left ( + ) 0 lusim;
-      }
-    in
-    let dump () =
-      sorted_dump
-        (Array.fold_left (fun acc sh -> dump_table sh.s_table acc) [] shards)
-    in
-    match Atomic.get stop with
-    | Some (Perror (e, bt)) -> Printexc.raise_with_backtrace e bt
-    | Some (Pfound (n, gz)) -> (Goal_found (pwitness n, gz, stats ()), dump)
-    | Some Pbudget -> (Out_of_budget (stats ()), dump)
-    | None -> (Space_exhausted (stats ()), dump)
-end
-
-(* Everything certificate emission needs from a completed exploration:
-   the slice that translates back to original index space, the network
-   the engine actually explored (sliced, flow-refined, query-bumped —
-   the per-state LU vectors must come from {e these} tables), and the
-   sorted passed-list dump. *)
-type snapshot = {
-  snap_slice : Slice.t;
-  snap_net : Network.t;
-  snap_passed : (Semantics.state * Dbm.t list) list;
-}
-
-(* Core loop shared by [reach] and [explore].  [goal] maps a fresh
-   configuration to its non-empty goal zone when it hits the target;
-   goal checking happens at state creation time so that
-   counterexamples are found as early as possible (UPPAAL does the
-   same).  Returns the result, the passed-list dump thunk and the
-   network as explored (after flow refinement). *)
+   What the schedule cannot change: successor computation is a pure
+   function of the popped configuration, and a stored zone is dropped
+   only when a zone that subsumes it is stored, so verdicts and WCRT
+   suprema are the same in any order at any domain count.  Which zones
+   get expanded before being pruned does depend on the order and the
+   schedule, and with it [explored], [transitions], [stored] and the
+   final antichain contents. *)
 let run ?(order = Bfs) ?(budget = no_budget) ?abstraction ?domains net ~goal
     ~on_store () =
   let abstraction =
@@ -743,14 +440,181 @@ let run ?(order = Bfs) ?(budget = no_budget) ?abstraction ?domains net ~goal
         fun (st : Semantics.state) -> Some (Semantics.lu_bounds net st)
     | ExtraM | ExtraLU -> fun _ -> Option.None
   in
-  let result, dump =
-    if domains = 1 then
-      run_seq ~order ~budget ~abstraction ~lu_of net ~ranges ~goal ~on_store
-    else
-      Par.run ~order ~budget ~abstraction ~lu_of ~domains net ~ranges ~goal
-        ~on_store
+  let t0 = Unix.gettimeofday () in
+  let pack = make_packer net ranges in
+  (* small shard tables: most queries are tiny (a DSE sweep runs
+     thousands of them), and together the shards start with 4096
+     buckets *)
+  let shards =
+    Array.init n_shards (fun _ ->
+        { s_lock = Mutex.create (); s_table = H.create 64; s_resident = ref 0 })
+  in
+  let deques = Array.init domains (fun _ -> Deque.create ()) in
+  let take =
+    match order with
+    | Bfs -> Deque.pop_oldest
+    | Dfs | Random_dfs _ -> Deque.pop_newest
+  in
+  let stop : stop option Atomic.t = Atomic.make Option.None in
+  let pending = Atomic.make 0 in
+  let explored = Atomic.make 0 in
+  let transitions = Array.make domains 0 in
+  let steals = Array.make domains 0 in
+  let lusim = Array.make domains 0 in
+  (* serialises user callbacks: [on_store] consumers (sup tracking,
+     deadlock probes) stay race-free without changing their API *)
+  let cb_lock = Mutex.create () in
+  let halt r =
+    ignore (Atomic.compare_and_set stop Option.None (Some r));
+    raise Halt
+  in
+  let over_budget e =
+    (match budget.max_states with Some m -> e >= m | None -> false)
+    || match budget.max_seconds with
+       | Some s -> Unix.gettimeofday () -. t0 > s
+       | None -> false
+  in
+  let add w via parent (c : Semantics.config) =
+    match goal c with
+    | Some gz ->
+        halt (Found ({ config = c; parent; via; slot = dead_slot }, gz))
+    | None ->
+        let key = pack c.Semantics.state in
+        let sh = shards.(shard_of key) in
+        Mutex.lock sh.s_lock;
+        let e = entry_of lu_of sh.s_table key c.Semantics.state in
+        if subsumed_in e c.Semantics.zone then begin
+          Mutex.unlock sh.s_lock;
+          if e.lu <> Option.None then lusim.(w) <- lusim.(w) + 1
+        end
+        else begin
+          (* intern the discrete state: revisits of this entry now share
+             it physically, so equality short-circuits on [==] *)
+          let c =
+            if c.Semantics.state == e.canon then c
+            else { c with Semantics.state = e.canon }
+          in
+          let s = store_in e c.Semantics.zone sh.s_resident in
+          Mutex.unlock sh.s_lock;
+          Mutex.lock cb_lock;
+          (match on_store c with
+          | () -> Mutex.unlock cb_lock
+          | exception ex ->
+              Mutex.unlock cb_lock;
+              raise ex);
+          Atomic.incr pending;
+          Deque.push deques.(w) { config = c; parent; via; slot = s }
+        end
+  in
+  let process w rng (n : node) =
+    if not n.slot.pruned then begin
+      let e = 1 + Atomic.fetch_and_add explored 1 in
+      if over_budget e then halt Over_budget;
+      let succs =
+        Array.of_list (Semantics.successors ~abstraction net n.config)
+      in
+      (match rng with Some g -> Prng.shuffle g succs | None -> ());
+      Array.iter
+        (fun (label, c') ->
+          transitions.(w) <- transitions.(w) + 1;
+          add w (Some label) (Some n) c')
+        succs
+    end
+  in
+  let worker w () =
+    let rng =
+      match order with
+      | Random_dfs seed -> Some (Prng.create (seed + (31 * w)))
+      | Bfs | Dfs -> Option.None
+    in
+    try
+      let rec next () =
+        if Atomic.get stop <> Option.None then Option.None
+        else
+          match take deques.(w) with
+          | Some _ as r -> r
+          | None -> (
+              let stolen = ref Option.None in
+              let i = ref 1 in
+              while !stolen = Option.None && !i < domains do
+                (match Deque.pop_oldest deques.((w + !i) mod domains) with
+                | Some _ as r ->
+                    steals.(w) <- steals.(w) + 1;
+                    stolen := r
+                | None -> ());
+                incr i
+              done;
+              match !stolen with
+              | Some _ as r -> r
+              | None ->
+                  if Atomic.get pending = 0 then Option.None
+                  else begin
+                    Domain.cpu_relax ();
+                    next ()
+                  end)
+      in
+      let rec loop () =
+        match next () with
+        | None -> ()
+        | Some n ->
+            process w rng n;
+            (* decremented only after the node's successors are all
+               pushed (and counted), so [pending] can never dip to
+               zero while reachable work exists *)
+            Atomic.decr pending;
+            loop ()
+      in
+      loop ()
+    with
+    | Halt -> ()
+    | ex ->
+        let bt = Printexc.get_raw_backtrace () in
+        ignore
+          (Atomic.compare_and_set stop Option.None (Some (Failed (ex, bt))))
+  in
+  (try add 0 Option.None Option.None (Semantics.initial ~abstraction net)
+   with Halt -> ());
+  if Atomic.get stop = Option.None then begin
+    let doms =
+      Array.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
+    in
+    worker 0 ();
+    Array.iter Domain.join doms
+  end;
+  let stats () =
+    {
+      explored = Atomic.get explored;
+      stored = Array.fold_left (fun a sh -> a + !(sh.s_resident)) 0 shards;
+      transitions = Array.fold_left ( + ) 0 transitions;
+      elapsed = Unix.gettimeofday () -. t0;
+      domains;
+      steals = Array.fold_left ( + ) 0 steals;
+      subsumed_lusim = Array.fold_left ( + ) 0 lusim;
+    }
+  in
+  let dump () =
+    sorted_dump
+      (Array.fold_left (fun acc sh -> dump_table sh.s_table acc) [] shards)
+  in
+  let result =
+    match Atomic.get stop with
+    | Some (Failed (e, bt)) -> Printexc.raise_with_backtrace e bt
+    | Some (Found (n, gz)) -> Goal_found (path_to n, gz, stats ())
+    | Some Over_budget -> Out_of_budget (stats ())
+    | None -> Space_exhausted (stats ())
   in
   (result, dump, net)
+
+(* Everything certificate emission needs from a completed exploration:
+   the slice that translates back to original index space, the network
+   the engine actually explored (sliced, flow-refined, query-bumped —
+   the per-state LU vectors must come from {e these} tables), and the
+   sorted passed-list dump. *)
+type snapshot = {
+  snap_slice : Slice.t;
+  snap_net : Network.t;
+  snap_passed : (Semantics.state * Dbm.t list) list;
+}
 
 (* The observation seed of a query's backward cone: its components, the
    clocks its guard tests, the variables it reads. *)

@@ -1,12 +1,12 @@
 (** Forward symbolic reachability: the model checker's engine.
 
     Explores the zone graph with a passed list keyed on the discrete
-    state (zone lists with inclusion subsumption) and a waiting list
-    whose discipline is the search order.  [Bfs] gives shortest
-    counterexamples; [Dfs] and [Random_dfs] are the paper's "structured
-    testing" modes ("df" / "rdf" in Table 1) for finding
-    counterexamples — hence WCRT lower bounds — in state spaces too
-    large to exhaust. *)
+    state (zone lists with inclusion subsumption) and one waiting deque
+    per worker domain, each taken from in the search order.  [Bfs]
+    gives shortest counterexamples at one domain; [Dfs] and
+    [Random_dfs] are the paper's "structured testing" modes ("df" /
+    "rdf" in Table 1) for finding counterexamples — hence WCRT lower
+    bounds — in state spaces too large to exhaust. *)
 
 open Ita_ta
 
@@ -45,9 +45,9 @@ type slicing = Ita_analysis.Slice.mode = Off | Coi | CoiMerge
 type budget = { max_states : int option; max_seconds : float option }
 
 val parse_domains : string -> (int, string) result
-(** Parse a [TAMC_DOMAINS]-style value: a positive integer, where [1]
-    selects the sequential engine.  The [Error] carries the valid-value
-    description the warning and the CLI converters print. *)
+(** Parse a [TAMC_DOMAINS]-style value: a positive integer.  The
+    [Error] carries the valid-value description the warning and the CLI
+    converters print. *)
 
 val parse_abstraction : string -> (abstraction, string) result
 (** Parse a [TAMC_ABSTRACTION]-style value ([extram] / [extralu] /
@@ -59,10 +59,9 @@ val abstraction_name : abstraction -> string
 val default_domains : unit -> int
 (** Worker-domain count used when a caller passes no [?domains]: the
     [TAMC_DOMAINS] environment variable if set to a positive integer,
-    else [Domain.recommended_domain_count ()].  [1] selects the
-    sequential engine.  An unrecognised value falls back exactly like
-    an unset one — to the machine's core count — after a one-line
-    stderr warning naming the valid values. *)
+    else [Domain.recommended_domain_count ()].  An unrecognised value
+    falls back exactly like an unset one — to the machine's core count
+    — after a one-line stderr warning naming the valid values. *)
 
 val default_abstraction : unit -> abstraction
 (** Abstraction used when a caller passes no [?abstraction]: the
@@ -103,27 +102,27 @@ val combine : budget -> budget -> budget
 
 type stats = {
   explored : int;
-      (** symbolic states popped and expanded.  Schedule-dependent under
-          parallel exploration: two domains may both expand a zone one
-          of them later prunes. *)
+      (** symbolic states popped and expanded.  Depends on the search
+          order, and on the schedule at several domains: two domains
+          may both expand a zone one of them later prunes. *)
   stored : int;
       (** zones resident in the passed list at the end — zones pruned
-          by antichain subsumption are not counted.  Under subset
-          subsumption ([ExtraM]/[ExtraLU]) deterministic at any domain
-          count for complete explorations: the subsumption probe and
-          insert are atomic per shard, so concurrent comparable inserts
-          can never double-count.  Under [LuSim] the simulation
-          quasi-order is not antisymmetric — two distinct zones can
-          simulate each other, and which representative survives (hence
-          the exact count) is schedule-dependent. *)
+          by antichain subsumption are not counted.  The subsumption
+          probe and insert are atomic per shard, so concurrent
+          comparable inserts can never double-count, and [stored]
+          always equals the number of zones in the dumped passed list.
+          Which zones survive depends on which were expanded before
+          being pruned, so like every count it is deterministic at one
+          domain for a given order, but may differ across orders and
+          domain counts. *)
   transitions : int;  (** symbolic successors computed *)
   elapsed : float;  (** wall-clock seconds *)
-  domains : int;  (** worker domains used (1 = sequential engine) *)
-  steals : int;  (** frontier nodes stolen across domains (0 when sequential) *)
+  domains : int;  (** worker domains used *)
+  steals : int;  (** frontier nodes stolen across domains (0 at one domain) *)
   subsumed_lusim : int;
       (** successor configurations discharged by the a◁LU simulation
           test — [0] unless the abstraction is [LuSim].  Like
-          [explored], schedule-dependent under parallel exploration. *)
+          [explored], order- and schedule-dependent. *)
 }
 
 type step = {
@@ -148,8 +147,8 @@ type snapshot = {
           the tables per-state LU vectors must be resolved against *)
   snap_passed : (Semantics.state * Semantics.Dbm.t list) list;
       (** the final passed list, sorted by discrete state with each
-          antichain sorted by {!Ita_dbm.Dbm.compare} — byte-stable
-          across engines and domain counts *)
+          antichain sorted by {!Ita_dbm.Dbm.compare} — byte-stable at
+          one domain for a given order (see {!explore}) *)
 }
 (** Everything certificate emission ({!Cert_emit}) needs from a
     completed exploration. *)
@@ -181,15 +180,17 @@ val reach :
     verdict the passed list is an inductive invariant for — with the
     {!snapshot} certificate emission consumes.
 
-    [?domains] (default {!default_domains}) picks the engine:
-    [1] is the exact sequential code path; [d > 1] explores with [d]
-    worker domains over a sharded passed list.  Verdicts are identical;
-    witnesses of a parallel [Reachable] are valid runs but not
-    necessarily shortest, and [explored]/[transitions] counts are
-    schedule-dependent.  Budgeted parallel runs are best-effort: near
-    the budget boundary a run may report [Budget_exhausted] where the
-    sequential engine completed, but never the converse flip of a
-    definite verdict. *)
+    [?domains] (default {!default_domains}) is the number of worker
+    domains exploring over one sharded passed list; each worker takes
+    its own waiting nodes in [?order].  One worker runs on the calling
+    domain, spawns no domain and follows one deterministic schedule:
+    the same witness and counts on every run.  Verdicts do not depend on
+    the order or the domain count; witnesses of a [Reachable] at
+    several domains are valid runs but not necessarily shortest, and
+    the counts are schedule-dependent.  Budgeted runs at several
+    domains are best-effort: near the budget boundary a run may report
+    [Budget_exhausted] where a one-domain run completed, but never the
+    converse flip of a definite verdict. *)
 
 val explore :
   ?order:order ->
@@ -205,18 +206,22 @@ val explore :
     state; used by sup-style queries and state-space measurements.
     It takes no query and never slices, so the tests use it as the
     unsliced oracle for {!reach} and {!Wcrt.sup}.
-    With [domains > 1] the [on_store] calls are serialised under a
-    dedicated mutex, so existing single-threaded consumers (sup
-    tracking, deadlock probes) need no changes.
+    The [on_store] calls are serialised under a dedicated mutex, so
+    single-threaded consumers (sup tracking, deadlock probes) need no
+    changes; at one domain they all run on the calling domain.
 
     [?snap] fires on [`Complete] with the explored (flow-refined,
     bumped) network and the final passed list: per interned discrete
-    state, the antichain of maximal zones stored for it, sorted as in
-    {!snapshot.snap_passed}.  Under subset subsumption
-    ([ExtraM]/[ExtraLU]) it is byte-identical at any domain count;
-    under [LuSim] it is only canonical up to mutual a◁LU simulation
-    (see {!stats.stored}).  Callers that slice themselves
-    ({!Wcrt.sup}) assemble the full {!snapshot} from it. *)
+    state, the antichain of zones still stored for it, sorted as in
+    {!snapshot.snap_passed}.  Whatever the order or domain count,
+    every zone the exploration generated is covered by one of them
+    (included in it, or a◁LU-simulated by it under [LuSim]).
+    The list itself is deterministic at one domain for a given order;
+    across orders or domain counts its contents may differ (see
+    {!stats.stored}), which is why {!Cert_emit} prunes each antichain
+    to its a◁LU-maximal subset before writing a certificate.  Callers
+    that slice themselves ({!Wcrt.sup}) assemble the full {!snapshot}
+    from it. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 val pp_witness : Network.t -> Format.formatter -> step list -> unit

@@ -201,7 +201,7 @@ module Bound = Ita_dbm.Bound
 
 (* The unsliced oracles for [Reach.reach] and [Wcrt.sup], which always
    slice.  [Reach.explore] takes no query and never slices: explore the
-   whole network under Extra+LU on the sequential engine, with the
+   whole network under Extra+LU at one domain, with the
    query's clock constants (and, for a sup, the measured clock at
    [max_ceiling]) as extra bounds, and test every stored configuration
    against the goal.  Under subset subsumption every generated zone

@@ -270,8 +270,26 @@ let test_merged_query_clock () =
     (Network.Builder.build b, y)
   in
   let net, y = quasi ~split:false in
+  let findings = Lint.run ~observed_clocks:[ y ] net in
   check_pass ~severity:D.Warning "merged observed clock" D.Merged_query_clock
-    (Lint.run ~observed_clocks:[ y ] net);
+    findings;
+  (* merging is always on: the fix may only offer the pin, never a
+     slicing mode no surface accepts *)
+  List.iter
+    (fun (d : D.t) ->
+      let fix = Option.value d.D.fix ~default:"" in
+      let words =
+        String.lowercase_ascii fix
+        |> String.map (fun c -> if c >= 'a' && c <= 'z' then c else ' ')
+        |> String.split_on_char ' '
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "fix %S names no slicing mode" fix)
+        []
+        (List.filter
+           (fun w -> List.mem w [ "slicing"; "coi"; "coimerge"; "off" ])
+           words))
+    (D.by_pass D.Merged_query_clock findings);
   (* without a query clock there is nothing to warn about *)
   check_no_pass "no observation" D.Merged_query_clock (Lint.run net);
   (* a pinned clock is never merged *)
@@ -385,8 +403,8 @@ let sup_fingerprint ?(initial_ceiling = 64) ?(max_ceiling = 256) net ~at
   | Wcrt.Sup_budget_exhausted _ -> "budget"
   | Wcrt.Sup_unbounded _ -> "unbounded"
 
-(* explored symbolic states of the whole zone graph, sequential engine
-   (parallel counts are schedule-dependent) *)
+(* explored symbolic states of the whole zone graph at one domain
+   (counts at several domains are schedule-dependent) *)
 let explored net =
   match
     Reach.explore ~budget:(Reach.states 200_000) ~domains:1 net

@@ -44,12 +44,12 @@ let mini_space () =
   Space.make ~name:"mini" ~base:(mini ())
     ~axes:[ Space.mips_axis ~resource:"CPU" [ 1.0; 2.0 ] ]
 
-(* The in-process job tests pin the exploration to the sequential
-   engine: OCaml's runtime forbids Unix.fork in a process that has
-   ever spawned a domain, so letting TAMC_DOMAINS parallelise these
+(* The in-process job tests pin the exploration to one domain, which
+   spawns none: OCaml's runtime forbids Unix.fork in a process that
+   has ever spawned a domain, so letting TAMC_DOMAINS parallelise these
    would poison the fork-pool tests that run later.  The domain-pool
    suites at the end of this file (which run after every fork) cover
-   the parallel paths. *)
+   the multicore paths. *)
 let mini_spec ?(technique = Job.Mc) ?(mips = 1.0) () =
   {
     Job.sys = mini ~mips ();

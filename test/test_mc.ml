@@ -7,6 +7,14 @@ module Bound = Ita_dbm.Bound
 
 let guard_y_ge y c = Guard.clock_ge y c
 
+let model_path name =
+  let candidates =
+    [ "../examples/models/" ^ name; "examples/models/" ^ name ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.failf "%s not found" name
+
 (* ------------------------------------------------------------------ *)
 (* Reachability on the two-phase model: at L2, y in [5, 6]             *)
 (* ------------------------------------------------------------------ *)
@@ -237,6 +245,78 @@ let test_orders_agree () =
       | Reach.Unreachable _ -> ()
       | _ -> Alcotest.fail "unreachable verdict must not depend on order")
     orders
+
+(* ------------------------------------------------------------------ *)
+(* Search order at one domain: [reach P1.cs] on fischer.ta must report
+   the witness and counts [tamc check --order ... --trace] prints.  A
+   breadth-first run that pops the newest node would report the
+   depth-first figures, and a shifted random-dfs seed other ones.
+   Extra+LU is pinned so the TAMC_ABSTRACTION=lusim leg cannot move
+   the counts.                                                         *)
+
+let test_order_pinned () =
+  let module E = Ita_tafmt.Elaborate in
+  let { E.net; queries; _ } = E.load_file (model_path "fischer.ta") in
+  let q =
+    match List.nth queries 1 with
+    | E.Reach_q q -> q
+    | _ -> Alcotest.fail "fischer.ta query 1 is reach P1.cs"
+  in
+  let bfs_witness =
+    [
+      "(initial) P1.idle | P2.idle  {id=0}";
+      "[P1: idle -> req] P1.req | P2.idle  {id=0}";
+      "[P1: req -> wait] P1.wait | P2.idle  {id=1}";
+      "[P1: wait -> cs] P1.cs | P2.idle  {id=1}";
+    ]
+  and dfs_witness =
+    [
+      "(initial) P1.idle | P2.idle  {id=0}";
+      "[P2: idle -> req] P1.idle | P2.req  {id=0}";
+      "[P1: idle -> req] P1.req | P2.req  {id=0}";
+      "[P2: req -> wait] P1.req | P2.wait  {id=2}";
+      "[P1: req -> wait] P1.wait | P2.wait  {id=1}";
+      "[P1: wait -> cs] P1.cs | P2.wait  {id=1}";
+    ]
+  in
+  List.iter
+    (fun (name, order, witness, counts) ->
+      match Reach.reach ~order ~abstraction:Reach.ExtraLU ~domains:1 net q with
+      | Reach.Reachable { witness = w; stats; _ } ->
+          let lines =
+            Format.asprintf "%a" (Reach.pp_witness net) w
+            |> String.split_on_char '\n'
+            |> List.filter (( <> ) "")
+            (* drop the "  0. " step numbers *)
+            |> List.map (fun l -> String.sub l 5 (String.length l - 5))
+          in
+          Alcotest.(check (list string)) (name ^ ": witness") witness lines;
+          Alcotest.(check (list int))
+            (name ^ ": explored, stored, transitions")
+            counts
+            Reach.[ stats.explored; stats.stored; stats.transitions ]
+      | _ -> Alcotest.failf "%s: P1.cs must be reachable" name)
+    [
+      ("bfs", Reach.Bfs, bfs_witness, [ 4; 7; 7 ]);
+      ("dfs", Reach.Dfs, dfs_witness, [ 7; 9; 10 ]);
+      ("rdfs 1", Reach.Random_dfs 1, dfs_witness, [ 13; 14; 18 ]);
+    ]
+
+let test_one_domain_on_caller () =
+  (* one worker runs on the calling domain: no domain is spawned, so
+     fork-based callers stay legal *)
+  let net, _, _ = Models.two_phase () in
+  let self = (Domain.self () :> int) in
+  let calls = ref 0 and elsewhere = ref 0 in
+  (match
+     Reach.explore ~domains:1 net ~on_store:(fun _ ->
+         incr calls;
+         if (Domain.self () :> int) <> self then incr elsewhere)
+   with
+  | `Complete _ -> ()
+  | `Budget_exhausted _ -> Alcotest.fail "exploration should complete");
+  Alcotest.(check bool) "on_store ran" true (!calls > 0);
+  Alcotest.(check int) "on_store calls on another domain" 0 !elsewhere
 
 (* ------------------------------------------------------------------ *)
 (* Urgency and committed end-to-end                                    *)
@@ -480,14 +560,6 @@ let test_verdicts_agree_on_examples () =
   (* run every query shipped with the example models under both
      abstractions *)
   let module E = Ita_tafmt.Elaborate in
-  let model_path name =
-    let candidates =
-      [ "../examples/models/" ^ name; "examples/models/" ^ name ]
-    in
-    match List.find_opt Sys.file_exists candidates with
-    | Some p -> p
-    | None -> Alcotest.failf "%s not found" name
-  in
   List.iter
     (fun file ->
       let { E.net; queries; _ } = E.load_file (model_path file) in
@@ -708,6 +780,10 @@ let () =
           Alcotest.test_case "goal zone (extralu)" `Quick test_goal_zone_lu;
           Alcotest.test_case "budget" `Quick test_budget;
           Alcotest.test_case "orders agree" `Quick test_orders_agree;
+          Alcotest.test_case "order pinned at one domain" `Quick
+            test_order_pinned;
+          Alcotest.test_case "one domain runs on the caller" `Quick
+            test_one_domain_on_caller;
           Alcotest.test_case "witness structure" `Quick test_witness_structure;
         ] );
       ( "wcrt",

@@ -1,11 +1,10 @@
-(* Differential tests for the parallel exploration engine: every
-   verdict, WCRT and final antichain produced with worker domains must
-   be identical to the sequential engine's (domains = 1), on the model
-   zoo, on random automata and on the radionav case study.  Stats that
-   the sharded passed list promises to keep deterministic (stored,
-   i.e. resident zones) are stress-tested for nondeterminism; stats
-   documented as schedule-dependent (explored, transitions) are never
-   compared here. *)
+(* Differential tests for multicore exploration: every verdict and WCRT
+   produced with several worker domains must be identical to the
+   one-domain run's, on the model zoo, on random automata and on the
+   radionav case study.  On these small models the final antichain and
+   [stored] (resident zones) also match the one-domain run and are
+   stress-tested for nondeterminism; [explored] and [transitions],
+   which depend on the schedule, are never compared here. *)
 
 open Ita_ta
 open Ita_mc
@@ -57,12 +56,12 @@ let zoo () =
   ]
 
 let check_antichains name net =
-  (* the canonical-antichain promise (identical stored contents across
-     engines and schedules) is specific to subset subsumption, whose
-     order is antisymmetric; under LuSim two distinct zones can
-     simulate each other and the surviving representative is
-     schedule-dependent, so these checks pin Extra+LU regardless of
-     TAMC_ABSTRACTION (LuSim coverage: check_lusim_differential) *)
+  (* identical stored contents across domain counts rely on subset
+     subsumption, whose order is antisymmetric; under LuSim two
+     distinct zones can simulate each other and the surviving
+     representative is schedule-dependent, so these checks pin Extra+LU
+     regardless of TAMC_ABSTRACTION (LuSim coverage:
+     check_lusim_differential) *)
   let passed_list_exn ?budget ~domains net =
     passed_list_exn ?budget ~abstraction:Reach.ExtraLU ~domains net
   in
@@ -115,7 +114,7 @@ let sup_fp ?(initial_ceiling = 64) ?(max_ceiling = 256) ?abstraction ~domains
 let check_net_verdicts_and_wcrts name net =
   (* every location of every component: reachability of two guard
      thresholds and the sup of every clock must agree with the
-     sequential engine at 2 and 4 domains *)
+     one-domain run at 2 and 4 domains *)
   let n_clocks = Array.length net.Network.clock_names in
   Array.iter
     (fun (a : Automaton.t) ->
@@ -155,7 +154,7 @@ let test_zoo_verdicts_and_wcrts () =
   List.iter (fun (name, net) -> check_net_verdicts_and_wcrts name net) (zoo ())
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: LuSim vs Extra+LU, sequential and parallel               *)
+(* Satellite: LuSim vs Extra+LU, at one domain and at several          *)
 (* ------------------------------------------------------------------ *)
 
 (* [covers_lusim rnet passed passed']: every stored zone of [passed]
@@ -183,7 +182,7 @@ let covers_lusim rnet passed passed' =
     passed
 
 let check_lusim_differential name net =
-  (* the LuSim parallel engine must reproduce the LuSim sequential
+  (* LuSim runs at 2 and 4 domains must reproduce the one-domain LuSim
      passed list up to mutual simulation, and every verdict/WCRT under
      LuSim must equal Extra+LU's at 1 and 4 domains *)
   let rnet = Ita_analysis.Flow.(refine_lu (analyze net) net) in
@@ -283,8 +282,8 @@ let test_radionav_antichains () =
   check_antichains "radionav al/po" gen.Ita_core.Gen.net
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: random automata — parallel vs sequential vs the concrete
-   oracle (generator mirrors test_mc's random diagonal-free nets)      *)
+(* Satellite: random automata — 4 domains vs one vs the concrete oracle
+   (generator mirrors test_mc's random diagonal-free nets)             *)
 (* ------------------------------------------------------------------ *)
 
 let gen_random_net =
@@ -448,8 +447,8 @@ let test_random_nets_par_agree =
         if seq <> par || seq <> lus then ok := false
       done;
       (* stored differential on the full zone graph (pinned to
-         Extra+LU: cross-engine stored equality is the
-         subset-subsumption promise) *)
+         Extra+LU: cross-domain-count stored equality needs subset
+         subsumption) *)
       let _, seq_stats =
         passed_list_exn ~abstraction:Reach.ExtraLU ~domains:1 net
       in
@@ -474,8 +473,8 @@ let test_random_nets_par_agree =
 (* ------------------------------------------------------------------ *)
 
 let test_stress_deterministic_stats () =
-  (* pinned to Extra+LU: the bit-for-bit antichain determinism under
-     test is the subset-subsumption promise (see check_antichains) *)
+  (* pinned to Extra+LU: bit-for-bit antichain determinism across
+     schedules needs subset subsumption (see check_antichains) *)
   let passed_list_exn ~domains net =
     passed_list_exn ~abstraction:Reach.ExtraLU ~domains net
   in
@@ -507,13 +506,13 @@ let test_stored_is_resident () =
   (* the per-shard subsume-check+insert is atomic, so concurrent
      comparable inserts must never double-count: stored must equal the
      zones actually resident in the dumped passed list, and match the
-     sequential count *)
+     one-domain count *)
   let net = Models.wide_frontier () in
   let passed, stats = passed_list_exn ~domains:4 net in
   Alcotest.(check int) "stored = resident zones" (resident_zones passed)
     stats.Reach.stored;
-  (* the cross-engine stored equality is again the subset-subsumption
-     promise, so pin Extra+LU for it *)
+  (* stored equality across domain counts again needs subset
+     subsumption, so pin Extra+LU for it *)
   let passed_lu, stats_lu =
     passed_list_exn ~abstraction:Reach.ExtraLU ~domains:4 net
   in
@@ -524,7 +523,7 @@ let test_stored_is_resident () =
     seq_stats.Reach.stored stats_lu.Reach.stored
 
 (* ------------------------------------------------------------------ *)
-(* Parallel engine plumbing: budgets, witnesses, defaults              *)
+(* Multicore plumbing: budgets, witnesses, defaults                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_parallel_budget () =

@@ -45,7 +45,7 @@ let unsliced_sup_fp ?(max_ceiling = 256) net ~at ~clock =
   fp_of_sup (Models.unsliced_sup ~max_ceiling net ~at ~clock)
 
 (* the engine settings every differential compares against the
-   unsliced oracle: each abstraction, sequential and on 4 domains *)
+   unsliced oracle: each abstraction, on one domain and on 4 *)
 let configs =
   List.concat_map
     (fun d ->
