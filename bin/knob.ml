@@ -1,19 +1,18 @@
 (* Command-line converters for the engine knobs, shared by ranav and
-   tamc.  Abstraction and domain count parse and print through the
-   same functions as their TAMC_* environment variables, so the flag
-   and the variable accept exactly the same spellings. *)
+   tamc.  The domain count parses and prints through the same function
+   as the TAMC_DOMAINS environment variable, so the flag and the
+   variable accept exactly the same spellings. *)
 
 open Cmdliner
 module Reach = Ita_mc.Reach
 
-let of_parser parse name =
+let domains =
   let parse s =
-    Result.map_error (fun m -> `Msg (Printf.sprintf "%S: %s" s m)) (parse s)
+    Result.map_error
+      (fun m -> `Msg (Printf.sprintf "%S: %s" s m))
+      (Reach.parse_domains s)
   in
-  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (name v))
-
-let abstraction = of_parser Reach.parse_abstraction Reach.abstraction_name
-let domains = of_parser Reach.parse_domains string_of_int
+  Arg.conv (parse, Format.pp_print_int)
 
 let order =
   let parse = function

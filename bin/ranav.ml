@@ -36,16 +36,6 @@ let column_conv =
   let print ppf c = Format.pp_print_string ppf (R.column_name c) in
   Arg.conv (parse, print)
 
-let abstraction_arg =
-  Arg.(
-    value
-    & opt Knob.abstraction (Reach.default_abstraction ())
-    & info [ "abstraction" ]
-        ~doc:
-          "zone abstraction: extralu (default), lusim (store \
-           unextrapolated zones, subsume with the a<|LU simulation — \
-           coarsest) or extram (oracle)")
-
 (* the parser above cannot know the seed yet; thread it in here *)
 let seeded_order order seed =
   match order with Reach.Random_dfs _ -> Reach.Random_dfs seed | o -> o
@@ -85,7 +75,7 @@ let domains_arg =
 (* ------------------------------------------------------------------ *)
 
 let run_wcrt combo column scenario requirement order seed budget probe_start_ms
-    abstraction domains certify cert_out =
+    domains certify cert_out =
   let order = seeded_order order seed in
   let sys = R.system combo column in
   let method_ =
@@ -101,8 +91,8 @@ let run_wcrt combo column scenario requirement order seed budget probe_start_ms
           }
   in
   let r =
-    Analyze.wcrt ~method_ ~order ~abstraction ?domains ~certify ?cert_out sys
-      ~scenario ~requirement
+    Analyze.wcrt ~method_ ~order ?domains ~certify ?cert_out sys ~scenario
+      ~requirement
   in
   Format.printf "%s %s/%s [%s]: uncontended %a ms, wcrt %a ms (%d states, %.2fs)@."
     (match combo with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
@@ -162,8 +152,8 @@ let wcrt_cmd =
   Cmd.v (Cmd.info "wcrt" ~doc:"model-check one requirement")
     Term.(
       const run_wcrt $ combo_arg $ column_arg $ scenario $ requirement
-      $ order_arg $ seed_arg $ budget_arg $ probe_start $ abstraction_arg
-      $ domains_arg $ certify $ cert_out)
+      $ order_arg $ seed_arg $ budget_arg $ probe_start $ domains_arg
+      $ certify $ cert_out)
 
 (* ------------------------------------------------------------------ *)
 (* table1                                                              *)
@@ -457,8 +447,8 @@ let technique_conv =
 
 let run_explore combo column scenario requirement techniques mmi_mips rad_mips
     nav_mips bus_kbps decode_on jobs timeout_s cache_dir no_cache mc_states
-    mc_seconds mc_abstraction mc_domains mc_certify sim_runs sim_horizon_s
-    inject_crash isolation =
+    mc_seconds mc_domains mc_certify sim_runs sim_horizon_s inject_crash
+    isolation =
   let open Ita_dse in
   let space =
     Spaces.radionav ~combo ~column ~mmi_mips ~rad_mips ~nav_mips ~bus_kbps
@@ -469,7 +459,6 @@ let run_explore combo column scenario requirement techniques mmi_mips rad_mips
     {
       Job.mc_states;
       mc_seconds;
-      mc_abstraction;
       mc_domains;
       mc_certify;
       sim_runs;
@@ -622,9 +611,8 @@ let explore_cmd =
     Term.(
       const run_explore $ combo $ column $ scenario $ requirement
       $ techniques $ mmi $ rad $ nav $ bus $ decode_on $ jobs $ timeout
-      $ cache_dir $ no_cache $ mc_states $ mc_seconds $ abstraction_arg
-      $ mc_domains $ mc_certify $ sim_runs $ sim_horizon
-      $ inject_crash $ isolation)
+      $ cache_dir $ no_cache $ mc_states $ mc_seconds $ mc_domains
+      $ mc_certify $ sim_runs $ sim_horizon $ inject_crash $ isolation)
 
 (* ------------------------------------------------------------------ *)
 (* lint: static analysis of the generated networks                     *)

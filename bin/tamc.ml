@@ -23,7 +23,7 @@ let load ?validate path =
   | Ita_ta.Network.Invalid_model m ->
       Error (Printf.sprintf "%s: invalid model: %s" path m)
 
-let run_check path order budget trace domains abstraction cert_out =
+let run_check path order budget trace domains cert_out =
   match load path with
   | Error m ->
       prerr_endline m;
@@ -75,7 +75,7 @@ let run_check path order budget trace domains abstraction cert_out =
                 Format.printf "query %d: deadlock ... @?" i;
                 let dead = ref None in
                 let result =
-                  Reach.explore ~order ~budget ~abstraction ?domains net
+                  Reach.explore ~order ~budget ?domains net
                     ~on_store:(fun cfg ->
                       if
                         !dead = None
@@ -102,9 +102,7 @@ let run_check path order budget trace domains abstraction cert_out =
                   if want_cert then Some (fun s -> last_snap := Some s)
                   else None
                 in
-                match
-                  Reach.reach ~order ~budget ~abstraction ?domains ?snap net q
-                with
+                match Reach.reach ~order ~budget ?domains ?snap net q with
                 | Reach.Reachable { witness; stats; _ } ->
                     Format.printf "REACHABLE (%a)@." Reach.pp_stats stats;
                     if trace then
@@ -139,9 +137,7 @@ let run_check path order budget trace domains abstraction cert_out =
                   if want_cert then Some (fun s -> last_snap := Some s)
                   else None
                 in
-                match
-                  Wcrt.sup ~order ~abstraction ?domains ?snap net ~at ~clock
-                with
+                match Wcrt.sup ~order ?domains ?snap net ~at ~clock with
                 | Wcrt.Sup { value; kind; stats } -> (
                     Format.printf "%d%s (%a)@." value
                       (match kind with
@@ -150,11 +146,6 @@ let run_check path order budget trace domains abstraction cert_out =
                       Reach.pp_stats stats;
                     match !last_snap with
                     | Some s ->
-                        let kind =
-                          match kind with
-                          | Wcrt.Attained -> Cert.Attained
-                          | Wcrt.Approached -> Cert.Approached
-                        in
                         certify
                           ~goal:(Cert_emit.goal_of_query at)
                           (Cert_emit.of_snapshot ~index:i
@@ -209,17 +200,6 @@ let check_cmd =
              TAMC_DOMAINS environment variable, else the machine's core \
              count); 1 runs one worker on the calling domain")
   in
-  let abstraction =
-    Arg.(
-      value
-      & opt Knob.abstraction (Reach.default_abstraction ())
-      & info [ "abstraction" ]
-          ~doc:
-            "zone abstraction: extralu, lusim (store unextrapolated \
-             zones, subsume with the a<|LU simulation — coarsest) or \
-             extram (oracle); default: the TAMC_ABSTRACTION environment \
-             variable, else extralu")
-  in
   let cert_out =
     Arg.(
       value
@@ -234,8 +214,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc:"run the queries of a .ta file")
     Term.(
-      const run_check $ file_arg $ order $ budget $ trace $ domains
-      $ abstraction $ cert_out)
+      const run_check $ file_arg $ order $ budget $ trace $ domains $ cert_out)
 
 (* certify: re-elaborate the model from source and verify a previously
    emitted certificate with the independent checker ([Ita_cert]).

@@ -9,8 +9,8 @@
    obligation with the naive {!Reference} semantics — plain DBM
    successor computation, [Dbm.le_lu] as the only shared primitive —
    so a bug anywhere in the optimizing pipeline (flow refinement,
-   slicing, interning, packed keys, sharded exploration, LuSim
-   subsumption) cannot survive certification unless the independent
+   slicing, interning, packed keys, sharded exploration, Extra+LU
+   extrapolation) cannot survive certification unless the independent
    replay reproduces it.
 
    Soundness is self-contained: [check] accepts only certificates that

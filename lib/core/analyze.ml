@@ -23,8 +23,8 @@ type result = {
   certified : (Ita_cert.Cert.stats, Ita_cert.Cert.failure) Stdlib.result option;
 }
 
-let wcrt ?(method_ = Exhaustive) ?order ?abstraction ?domains
-    ?(certify = false) ?cert_out sys ~scenario ~requirement =
+let wcrt ?(method_ = Exhaustive) ?order ?domains ?(certify = false) ?cert_out
+    sys ~scenario ~requirement =
   let s = Sysmodel.scenario sys scenario in
   let req = Scenario.requirement s requirement in
   let gen = Gen.generate ~measure:(scenario, req) sys in
@@ -49,18 +49,13 @@ let wcrt ?(method_ = Exhaustive) ?order ?abstraction ?domains
     match method_ with
     | Exhaustive -> (
         match
-          Wcrt.sup ?order ?abstraction ?domains ?snap
+          Wcrt.sup ?order ?domains ?snap
             ~initial_ceiling:(max 4 (4 * uncontended_us))
             gen.Gen.net ~at ~clock
         with
         | Wcrt.Sup { value; kind; stats } ->
             (match !snap_ref with
             | Some snapshot ->
-                let kind =
-                  match kind with
-                  | Wcrt.Attained -> Ita_cert.Cert.Attained
-                  | Wcrt.Approached -> Ita_cert.Cert.Approached
-                in
                 qcert :=
                   Some
                     (Cert_emit.of_snapshot ~index:0
@@ -81,8 +76,7 @@ let wcrt ?(method_ = Exhaustive) ?order ?abstraction ?domains
         )
     | Binary { hi } -> (
         let r =
-          Wcrt.binary_search ?order ?abstraction ?domains ~hi gen.Gen.net
-            ~at ~clock
+          Wcrt.binary_search ?order ?domains ~hi gen.Gen.net ~at ~clock
         in
         match (r.Wcrt.lower, r.Wcrt.upper) with
         | Some l, Some u when u = l + 1 ->
@@ -94,7 +88,7 @@ let wcrt ?(method_ = Exhaustive) ?order ?abstraction ?domains
         )
     | Structured_testing { order; budget; start; step } -> (
         let r =
-          Wcrt.probe_lower ~order ?abstraction ?domains gen.Gen.net ~at
+          Wcrt.probe_lower ~order ?domains gen.Gen.net ~at
             ~clock ~budget ~start ~step
         in
         match r.Wcrt.lower with
@@ -133,7 +127,7 @@ type budget_report = {
   verdict : verdict;
 }
 
-let check_budgets ?method_ ?order ?abstraction ?domains (sys : Sysmodel.t) =
+let check_budgets ?method_ ?order ?domains (sys : Sysmodel.t) =
   List.concat_map
     (fun (s : Scenario.t) ->
       List.filter_map
@@ -142,7 +136,7 @@ let check_budgets ?method_ ?order ?abstraction ?domains (sys : Sysmodel.t) =
           | None -> None
           | Some budget ->
               let r =
-                wcrt ?method_ ?order ?abstraction ?domains sys
+                wcrt ?method_ ?order ?domains sys
                   ~scenario:s.Scenario.name
                   ~requirement:req.Scenario.req_name
               in

@@ -41,7 +41,6 @@ type result = {
 val wcrt :
   ?method_:method_ ->
   ?order:Reach.order ->
-  ?abstraction:Reach.abstraction ->
   ?domains:int ->
   ?certify:bool ->
   ?cert_out:string ->
@@ -78,7 +77,6 @@ type budget_report = {
 val check_budgets :
   ?method_:method_ ->
   ?order:Ita_mc.Reach.order ->
-  ?abstraction:Reach.abstraction ->
   ?domains:int ->
   Sysmodel.t ->
   budget_report list

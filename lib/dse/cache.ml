@@ -15,7 +15,7 @@ let dir t = t.dir
 
 (* bump when Job.result or the key fields change shape: old entries
    become misses *)
-let version = "ita-dse-v9"
+let version = "ita-dse-v10"
 
 let job_key (spec : Job.spec) =
   let b = spec.Job.budget in
@@ -31,7 +31,6 @@ let job_key (spec : Job.spec) =
             spec.Job.requirement;
             opt string_of_int b.Job.mc_states;
             opt string_of_float b.Job.mc_seconds;
-            Ita_mc.Reach.abstraction_name b.Job.mc_abstraction;
             opt string_of_int b.Job.mc_domains;
             string_of_bool b.Job.mc_certify;
             string_of_int b.Job.sim_runs;

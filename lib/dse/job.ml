@@ -22,7 +22,6 @@ let technique_of_string = function
 type budget = {
   mc_states : int option;
   mc_seconds : float option;
-  mc_abstraction : Reach.abstraction;
   mc_domains : int option;
   mc_certify : bool;
   sim_runs : int;
@@ -33,7 +32,6 @@ let default_budget =
   {
     mc_states = None;
     mc_seconds = None;
-    mc_abstraction = Reach.ExtraLU;
     mc_domains = None;
     mc_certify = false;
     sim_runs = 5;
@@ -80,9 +78,8 @@ let run_mc spec =
     else None
   in
   match
-    Wcrt.sup ~budget ~abstraction:spec.budget.mc_abstraction
-      ?domains:spec.budget.mc_domains ?snap gen.Gen.net ~at:obs.Gen.seen
-      ~clock:obs.Gen.obs_clock
+    Wcrt.sup ~budget ?domains:spec.budget.mc_domains ?snap gen.Gen.net
+      ~at:obs.Gen.seen ~clock:obs.Gen.obs_clock
   with
   | Wcrt.Sup { value; kind; stats } -> (
       (* a certified mc cell: re-validate the exact verdict with the
@@ -94,11 +91,6 @@ let run_mc spec =
           { measure = Exact value; elapsed = stats.Reach.elapsed; explored = stats.Reach.explored }
       | Some snapshot -> (
           let module Cert = Ita_cert.Cert in
-          let kind =
-            match kind with
-            | Wcrt.Attained -> Cert.Attained
-            | Wcrt.Approached -> Cert.Approached
-          in
           let qc =
             Ita_mc.Cert_emit.of_snapshot ~index:0
               ~verdict:(Cert.Sup { clock = obs.Gen.obs_clock; value; kind })

@@ -19,8 +19,6 @@ val technique_of_string : string -> (technique, string) result
 type budget = {
   mc_states : int option;  (** state cap for the zone exploration *)
   mc_seconds : float option;  (** wall-clock cap for the exploration *)
-  mc_abstraction : Ita_mc.Reach.abstraction;
-      (** zone abstraction for the exploration *)
   mc_domains : int option;
       (** worker domains inside one exploration ([None]: the engine
           default, {!Ita_mc.Reach.default_domains}).  Sweeps running

@@ -54,8 +54,7 @@ let unmap_lu sl snet st =
   done;
   (l, u)
 
-(* The passed list prunes with the abstraction's own relation (zone
-   inclusion under the extrapolating abstractions), which is weaker
+(* The passed list always prunes by zone inclusion, which is weaker
    than a◁LU — so a parallel schedule can store extra zones that an
    earlier-arriving sibling ◁LU-dominates, and the raw antichain
    content varies across domain counts.  The ◁LU-maximal subset is

@@ -21,8 +21,6 @@ let combine a b =
     max_seconds = tighter min a.max_seconds b.max_seconds;
   }
 
-type abstraction = Semantics.abstraction = ExtraM | ExtraLU | LuSim
-
 module Slice = Ita_analysis.Slice
 
 type slicing = Slice.mode = Off | Coi | CoiMerge
@@ -34,7 +32,6 @@ type stats = {
   elapsed : float;
   domains : int;
   steals : int;
-  subsumed_lusim : int;
 }
 
 type step = { via : Semantics.label option; state : Semantics.state }
@@ -44,13 +41,8 @@ type outcome =
   | Unreachable of stats
   | Budget_exhausted of stats
 
-(* The environment knobs (TAMC_DOMAINS / TAMC_ABSTRACTION) are
-   operator knobs, not an API: unrecognised values fall back to the
-   default rather than fail — but loudly, on stderr, naming the valid
-   values, so a typo like [extra+lu] can no longer silently invalidate
-   a whole CI leg.  The pure parsers are exposed for the command-line
+(* The pure parser of TAMC_DOMAINS, exposed for the command-line
    converters and the unit tests. *)
-
 let parse_domains s =
   match int_of_string_opt (String.trim s) with
   | Some n when n >= 1 -> Ok n
@@ -58,46 +50,27 @@ let parse_domains s =
       Error
         "expected a positive integer (1 runs one worker on the calling domain)"
 
-let parse_abstraction s =
-  match String.lowercase_ascii (String.trim s) with
-  | "extram" -> Ok ExtraM
-  | "extralu" -> Ok ExtraLU
-  | "lusim" -> Ok LuSim
-  | _ -> Error "valid values: extram, extralu, lusim"
-
-let abstraction_name = function
-  | ExtraM -> "extram"
-  | ExtraLU -> "extralu"
-  | LuSim -> "lusim"
-
-let warn_env var value err fallback =
-  Printf.eprintf "tamc: warning: %s=%S ignored (%s); using %s\n%!" var value
-    err fallback
-
-let env_knob var parse fallback_desc default =
-  match Sys.getenv_opt var with
-  | Option.None -> default ()
-  | Some s when String.trim s = "" -> default ()
-  | Some s -> (
-      match parse s with
-      | Ok v -> v
-      | Error err ->
-          warn_env var s err fallback_desc;
-          default ())
-
 (* The number of worker domains when the caller does not say: the
    TAMC_DOMAINS environment variable (so CI can run the whole test suite
-   at one domain and at several) or the machine's core count.  An
-   invalid value falls back exactly like an unset one. *)
+   at one domain and at several) or the machine's core count.  It is an
+   operator knob, not an API: an invalid value falls back exactly like
+   an unset one rather than fail — but loudly, on stderr, naming the
+   valid values, so a typo can never silently invalidate a whole CI
+   leg. *)
 let default_domains () =
-  env_knob "TAMC_DOMAINS" parse_domains "the machine's core count" (fun () ->
-      max 1 (Domain.recommended_domain_count ()))
-
-(* The abstraction when the caller does not say: the TAMC_ABSTRACTION
-   environment variable (so CI can force the whole test suite through
-   any abstraction) or Extra+LU. *)
-let default_abstraction () =
-  env_knob "TAMC_ABSTRACTION" parse_abstraction "extralu" (fun () -> ExtraLU)
+  let cores = max 1 (Domain.recommended_domain_count ()) in
+  match Sys.getenv_opt "TAMC_DOMAINS" with
+  | Some s when String.trim s <> "" -> (
+      match parse_domains s with
+      | Ok n -> n
+      | Error err ->
+          Printf.eprintf
+            "tamc: warning: TAMC_DOMAINS=%S ignored (%s); using the \
+             machine's core count\n\
+             %!"
+            s err;
+          cores)
+  | Some _ | Option.None -> cores
 
 (* The model reduction every query runs under: cone-of-influence
    slicing plus quasi-equal clock merging.  Exposed so replays of the
@@ -192,40 +165,29 @@ type slot = { zone : Dbm.t; mutable pruned : bool }
 let dead_slot = { zone = Dbm.zero 0; pruned = true }
 
 (* The passed list stores, per discrete state, the antichain of maximal
-   zones seen so far, in a growable array scanned without allocating.
-   [canon] is the interned discrete state: every later configuration
-   with an equal state is rewritten to share it physically, so one hash
-   lookup per successor replaces the former find-per-probe pattern.
-   [lu] is the per-state L/U bound pair when the antichain order is the
-   a◁LU simulation ([LuSim]) — every zone filed under this entry shares
-   the discrete state, hence the L/U vectors, so they are resolved once
-   at entry creation and [Option.None] means plain DBM inclusion. *)
+   zones seen so far under DBM inclusion, in a growable array scanned
+   without allocating.  [canon] is the interned discrete state: every
+   later configuration with an equal state is rewritten to share it
+   physically, so one hash lookup per successor replaces the former
+   find-per-probe pattern. *)
 type entry = {
   canon : Semantics.state;
   mutable slots : slot array;
   mutable len : int;
-  lu : (int array * int array) option;
 }
 
-let entry_of lu_of passed key (st : Semantics.state) =
+let entry_of passed key (st : Semantics.state) =
   match H.find_opt passed key with
   | Some e -> e
   | None ->
-      let e = { canon = st; slots = [||]; len = 0; lu = lu_of st } in
+      let e = { canon = st; slots = [||]; len = 0 } in
       H.add passed key e;
       e
-
-(* The antichain order: plain canonical-DBM inclusion, or a◁LU
-   simulation subsumption on the unextrapolated zones. *)
-let zle e (z : Dbm.t) (z' : Dbm.t) =
-  match e.lu with
-  | Option.None -> Dbm.subset z z'
-  | Some (l, u) -> Dbm.le_lu l u z z'
 
 let subsumed_in e (z : Dbm.t) =
   let i = ref 0 and hit = ref false in
   while (not !hit) && !i < e.len do
-    if zle e z e.slots.(!i).zone then hit := true;
+    if Dbm.subset z e.slots.(!i).zone then hit := true;
     incr i
   done;
   !hit
@@ -236,7 +198,7 @@ let store_in e (z : Dbm.t) resident =
   let keep = ref 0 in
   for i = 0 to e.len - 1 do
     let s = e.slots.(i) in
-    if zle e s.zone z then begin
+    if Dbm.subset s.zone z then begin
       s.pruned <- true;
       decr resident
     end
@@ -414,32 +376,18 @@ let shard_of key = (Packed_key.hash key lsr 24) land (n_shards - 1)
    get expanded before being pruned does depend on the order and the
    schedule, and with it [explored], [transitions], [stored] and the
    final antichain contents. *)
-let run ?(order = Bfs) ?(budget = no_budget) ?abstraction ?domains net ~goal
-    ~on_store () =
-  let abstraction =
-    match abstraction with Some a -> a | None -> default_abstraction ()
-  in
+let run ?(order = Bfs) ?(budget = no_budget) ?domains net ~goal ~on_store () =
   let domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
   (* the dataflow analysis tightens the per-location L/U clock bounds
-     (read by [Semantics.extrapolate]) and shrinks the variable ranges
+     the Extra+LU extrapolation reads and shrinks the variable ranges
      the packed state key allots bits to.  It rewrites only [lloc] and
-     [uloc], never [k], so [ExtraM] explores the builder's bounds and
-     serves as the tests' oracle for the refinement *)
+     [uloc], never the classical constants [k], which the tests'
+     ExtraM reference explorer reads to check the refinement *)
   let fa = Ita_analysis.Flow.analyze net in
   let net = Ita_analysis.Flow.refine_lu fa net in
   let ranges = Ita_analysis.Flow.global_ranges fa in
-  (* Under [LuSim] the antichains order zones by a◁LU simulation over
-     the per-state L/U constants — resolved against the flow-refined
-     [net] above, so the subsumption test and the [ExtraLU]
-     extrapolation always read the same bounds *)
-  let lu_of =
-    match abstraction with
-    | LuSim ->
-        fun (st : Semantics.state) -> Some (Semantics.lu_bounds net st)
-    | ExtraM | ExtraLU -> fun _ -> Option.None
-  in
   let t0 = Unix.gettimeofday () in
   let pack = make_packer net ranges in
   (* small shard tables: most queries are tiny (a DSE sweep runs
@@ -460,7 +408,6 @@ let run ?(order = Bfs) ?(budget = no_budget) ?abstraction ?domains net ~goal
   let explored = Atomic.make 0 in
   let transitions = Array.make domains 0 in
   let steals = Array.make domains 0 in
-  let lusim = Array.make domains 0 in
   (* serialises user callbacks: [on_store] consumers (sup tracking,
      deadlock probes) stay race-free without changing their API *)
   let cb_lock = Mutex.create () in
@@ -482,11 +429,8 @@ let run ?(order = Bfs) ?(budget = no_budget) ?abstraction ?domains net ~goal
         let key = pack c.Semantics.state in
         let sh = shards.(shard_of key) in
         Mutex.lock sh.s_lock;
-        let e = entry_of lu_of sh.s_table key c.Semantics.state in
-        if subsumed_in e c.Semantics.zone then begin
-          Mutex.unlock sh.s_lock;
-          if e.lu <> Option.None then lusim.(w) <- lusim.(w) + 1
-        end
+        let e = entry_of sh.s_table key c.Semantics.state in
+        if subsumed_in e c.Semantics.zone then Mutex.unlock sh.s_lock
         else begin
           (* intern the discrete state: revisits of this entry now share
              it physically, so equality short-circuits on [==] *)
@@ -510,9 +454,7 @@ let run ?(order = Bfs) ?(budget = no_budget) ?abstraction ?domains net ~goal
     if not n.slot.pruned then begin
       let e = 1 + Atomic.fetch_and_add explored 1 in
       if over_budget e then halt Over_budget;
-      let succs =
-        Array.of_list (Semantics.successors ~abstraction net n.config)
-      in
+      let succs = Array.of_list (Semantics.successors net n.config) in
       (match rng with Some g -> Prng.shuffle g succs | None -> ());
       Array.iter
         (fun (label, c') ->
@@ -572,8 +514,7 @@ let run ?(order = Bfs) ?(budget = no_budget) ?abstraction ?domains net ~goal
         ignore
           (Atomic.compare_and_set stop Option.None (Some (Failed (ex, bt))))
   in
-  (try add 0 Option.None Option.None (Semantics.initial ~abstraction net)
-   with Halt -> ());
+  (try add 0 Option.None Option.None (Semantics.initial net) with Halt -> ());
   if Atomic.get stop = Option.None then begin
     let doms =
       Array.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
@@ -589,7 +530,6 @@ let run ?(order = Bfs) ?(budget = no_budget) ?abstraction ?domains net ~goal
       elapsed = Unix.gettimeofday () -. t0;
       domains;
       steals = Array.fold_left ( + ) 0 steals;
-      subsumed_lusim = Array.fold_left ( + ) 0 lusim;
     }
   in
   let dump () =
@@ -651,7 +591,7 @@ let slice_query mode ?(extra_clocks = []) net (q : Query.t) =
   in
   (sl, sl.Slice.net, q')
 
-let reach ?order ?budget ?abstraction ?domains ?snap net (q : Query.t) =
+let reach ?order ?budget ?domains ?snap net (q : Query.t) =
   let sl, net, q = slice_query (default_slicing ()) net q in
   let net =
     List.fold_left
@@ -663,9 +603,7 @@ let reach ?order ?budget ?abstraction ?domains ?snap net (q : Query.t) =
     Semantics.zone_of_goal net c q.Query.guard ~comp_locs:q.Query.comp_locs
   in
   match
-    run ?order ?budget ?abstraction ?domains net ~goal
-      ~on_store:(fun _ -> ())
-      ()
+    run ?order ?budget ?domains net ~goal ~on_store:(fun _ -> ()) ()
   with
   | Goal_found (witness, gz, stats), _, _ ->
       let witness =
@@ -688,17 +626,14 @@ let reach ?order ?budget ?abstraction ?domains ?snap net (q : Query.t) =
       Unreachable stats
   | Out_of_budget stats, _, _ -> Budget_exhausted stats
 
-let explore ?order ?budget ?abstraction ?domains ?(extra_bounds = []) ?snap
-    net ~on_store =
+let explore ?order ?budget ?domains ?(extra_bounds = []) ?snap net ~on_store =
   let net =
     List.fold_left
       (fun net (x, c) -> Network.bump_clock_bound net x c)
       net extra_bounds
   in
   match
-    run ?order ?budget ?abstraction ?domains net
-      ~goal:(fun _ -> Option.None)
-      ~on_store ()
+    run ?order ?budget ?domains net ~goal:(fun _ -> Option.None) ~on_store ()
   with
   | Goal_found _, _, _ -> assert false
   | Space_exhausted stats, dump, xnet ->
@@ -711,8 +646,6 @@ let explore ?order ?budget ?abstraction ?domains ?(extra_bounds = []) ?snap
 let pp_stats ppf s =
   Format.fprintf ppf "explored %d, stored %d, transitions %d, %.3fs"
     s.explored s.stored s.transitions s.elapsed;
-  if s.subsumed_lusim > 0 then
-    Format.fprintf ppf " (lusim-subsumed %d)" s.subsumed_lusim;
   if s.domains > 1 then
     Format.fprintf ppf " (%d domains, %d steals)" s.domains s.steals
 

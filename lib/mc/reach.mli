@@ -1,36 +1,26 @@
 (** Forward symbolic reachability: the model checker's engine.
 
-    Explores the zone graph with a passed list keyed on the discrete
-    state (zone lists with inclusion subsumption) and one waiting deque
-    per worker domain, each taken from in the search order.  [Bfs]
-    gives shortest counterexamples at one domain; [Dfs] and
-    [Random_dfs] are the paper's "structured testing" modes ("df" /
-    "rdf" in Table 1) for finding counterexamples — hence WCRT lower
-    bounds — in state spaces too large to exhaust. *)
+    Explores the Extra+LU zone graph ({!Semantics}) with a passed list
+    keyed on the discrete state (zone lists with inclusion subsumption)
+    and one waiting deque per worker domain, each taken from in the
+    search order.  [Bfs] gives shortest counterexamples at one domain;
+    [Dfs] and [Random_dfs] are the paper's "structured testing" modes
+    ("df" / "rdf" in Table 1) for finding counterexamples — hence WCRT
+    lower bounds — in state spaces too large to exhaust.
+
+    Every exploration first runs the abstract-interpretation dataflow
+    analysis ({!Ita_analysis.Flow}): the per-location L/U clock bounds
+    the extrapolation reads are recomputed over the live control flow
+    with guard constants evaluated under the inferred intervals (never
+    looser than the builder's), and each variable is packed into
+    exactly its inferred range.  The refinement rewrites only the L/U
+    tables, never the classical constants [Network.k]; the test suite's
+    independent ExtraM reference explorer reads those to check both the
+    abstraction and the refinement. *)
 
 open Ita_ta
 
 type order = Bfs | Dfs | Random_dfs of int  (** seed *)
-
-type abstraction = Semantics.abstraction = ExtraM | ExtraLU | LuSim
-    (** Finite abstraction applied to zones (see {!Semantics.abstraction}).
-        The default everywhere is {!default_abstraction} (normally
-        [ExtraLU]); [ExtraM] is kept as a differential-testing oracle
-        and for exact goal-zone bounds.  Under [LuSim] zones are stored
-        unextrapolated and the passed-list antichains subsume with the
-        a◁LU simulation test ({!Ita_dbm.Dbm.le_lu}) over the same
-        flow-refined per-state L/U constants the [ExtraLU]
-        extrapolation reads — strictly coarser pruning, identical
-        verdicts and WCRTs, exact goal zones and witness traces.
-
-        Every exploration first runs the abstract-interpretation
-        dataflow analysis ({!Ita_analysis.Flow}): the per-location L/U
-        clock bounds are recomputed over the live control flow with
-        guard constants evaluated under the inferred intervals (never
-        looser than the builder's), and each variable is packed into
-        exactly its inferred range.  The refinement rewrites only the
-        L/U tables, never the classical constants, so [ExtraM] is also
-        the tests' oracle for it. *)
 
 type slicing = Ita_analysis.Slice.mode = Off | Coi | CoiMerge
     (** Query-directed model reduction modes (see
@@ -49,26 +39,12 @@ val parse_domains : string -> (int, string) result
     [Error] carries the valid-value description the warning and the CLI
     converters print. *)
 
-val parse_abstraction : string -> (abstraction, string) result
-(** Parse a [TAMC_ABSTRACTION]-style value ([extram] / [extralu] /
-    [lusim], case-insensitive). *)
-
-val abstraction_name : abstraction -> string
-(** The lower-case name {!parse_abstraction} reads back. *)
-
 val default_domains : unit -> int
 (** Worker-domain count used when a caller passes no [?domains]: the
     [TAMC_DOMAINS] environment variable if set to a positive integer,
     else [Domain.recommended_domain_count ()].  An unrecognised value
     falls back exactly like an unset one — to the machine's core count
     — after a one-line stderr warning naming the valid values. *)
-
-val default_abstraction : unit -> abstraction
-(** Abstraction used when a caller passes no [?abstraction]: the
-    [TAMC_ABSTRACTION] environment variable ([extram] / [extralu] /
-    [lusim], so CI can force the whole suite through any abstraction),
-    else [ExtraLU].  Unrecognised values fall back to [ExtraLU] after
-    a one-line stderr warning naming the valid values. *)
 
 val default_slicing : unit -> slicing
 (** The slicing mode {!reach} and {!Wcrt.sup} always use: the constant
@@ -119,10 +95,6 @@ type stats = {
   elapsed : float;  (** wall-clock seconds *)
   domains : int;  (** worker domains used *)
   steals : int;  (** frontier nodes stolen across domains (0 at one domain) *)
-  subsumed_lusim : int;
-      (** successor configurations discharged by the a◁LU simulation
-          test — [0] unless the abstraction is [LuSim].  Like
-          [explored], order- and schedule-dependent. *)
 }
 
 type step = {
@@ -156,17 +128,16 @@ type snapshot = {
 val reach :
   ?order:order ->
   ?budget:budget ->
-  ?abstraction:abstraction ->
   ?domains:int ->
   ?snap:(snapshot -> unit) ->
   Network.t ->
   Query.t ->
   outcome
 (** The extrapolation constants are bumped with the query's clock
-    constants, so checking [y >= C] is sound for any [C].  Under the
-    default [ExtraLU] the returned goal zone may be coarser than the
-    exact reachable valuations (verdicts are unaffected); pass
-    [~abstraction:ExtraM] when tight goal-zone bounds matter.
+    constants, so checking [y >= C] is sound for any [C].  The returned
+    goal zone is Extra+LU-extrapolated: it contains every exact goal
+    valuation but may be coarser above the L/U constants (verdicts are
+    unaffected).
 
     The network is first reduced to the query's cone of influence
     with {!default_slicing}; the verdict is unaffected.  Witnesses,
@@ -195,7 +166,6 @@ val reach :
 val explore :
   ?order:order ->
   ?budget:budget ->
-  ?abstraction:abstraction ->
   ?domains:int ->
   ?extra_bounds:(Guard.clock * int) list ->
   ?snap:(Network.t * (Semantics.state * Semantics.Dbm.t list) list -> unit) ->
@@ -214,8 +184,7 @@ val explore :
     bumped) network and the final passed list: per interned discrete
     state, the antichain of zones still stored for it, sorted as in
     {!snapshot.snap_passed}.  Whatever the order or domain count,
-    every zone the exploration generated is covered by one of them
-    (included in it, or a◁LU-simulated by it under [LuSim]).
+    every zone the exploration generated is included in one of them.
     The list itself is deterministic at one domain for a given order;
     across orders or domain counts its contents may differ (see
     {!stats.stored}), which is why {!Cert_emit} prunes each antichain

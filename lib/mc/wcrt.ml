@@ -2,7 +2,7 @@ open Ita_ta
 module Dbm = Ita_dbm.Dbm
 module Bound = Ita_dbm.Bound
 
-type bound_kind = Attained | Approached
+type bound_kind = Ita_cert.Cert.sup_kind = Attained | Approached
 
 type sup_result =
   | Sup of { value : int; kind : bound_kind; stats : Reach.stats }
@@ -17,8 +17,8 @@ let goal_sup net (q : Query.t) clock (c : Semantics.config) =
   | None -> None
   | Some z -> Some (Dbm.sup z clock)
 
-let sup ?order ?budget ?abstraction ?domains ?snap
-    ?(initial_ceiling = 1_000_000) ?(max_ceiling = 1 lsl 40) net ~at ~clock =
+let sup ?order ?budget ?domains ?snap ?(initial_ceiling = 1_000_000)
+    ?(max_ceiling = 1 lsl 40) net ~at ~clock =
   (* slice once, before the ceiling loop: the cone is seeded with the
      goal plus the measured clock, so the sup is taken over exactly the
      same runs — the exploration below runs on the reduced network and
@@ -52,8 +52,8 @@ let sup ?order ?budget ?abstraction ?domains ?snap
       | Some _ -> Some (fun s -> last_snap := Some s)
     in
     let result =
-      Reach.explore ?order ?budget ?abstraction ?domains ~extra_bounds
-        ?snap:explore_snap net ~on_store
+      Reach.explore ?order ?budget ?domains ~extra_bounds ?snap:explore_snap
+        net ~on_store
     in
     let observed () =
       match !best with
@@ -101,12 +101,11 @@ type search_result = {
   total_elapsed : float;
 }
 
-let check ?order ?budget ?abstraction ?domains net (at : Query.t) clock c =
+let check ?order ?budget ?domains net (at : Query.t) clock c =
   let q = Query.with_guard at (Guard.clock_ge clock c) in
-  Reach.reach ?order ?budget ?abstraction ?domains net q
+  Reach.reach ?order ?budget ?domains net q
 
-let binary_search ?order ?budget ?abstraction ?domains ?(hi = 1_000_000) net
-    ~at ~clock =
+let binary_search ?order ?budget ?domains ?(hi = 1_000_000) net ~at ~clock =
   let runs = ref 0 and explored = ref 0 and elapsed = ref 0.0 in
   let note (s : Reach.stats) =
     incr runs;
@@ -124,7 +123,7 @@ let binary_search ?order ?budget ?abstraction ?domains ?(hi = 1_000_000) net
   in
   let exception Stop of search_result in
   let test c =
-    match check ?order ?budget ?abstraction ?domains net at clock c with
+    match check ?order ?budget ?domains net at clock c with
     | Reach.Reachable { stats; _ } ->
         note stats;
         `Reachable
@@ -169,8 +168,7 @@ let binary_search ?order ?budget ?abstraction ?domains ?(hi = 1_000_000) net
     result (Some !lo) (Some !up)
   with Stop r -> r
 
-let probe_lower ?order ?abstraction ?domains net ~at ~clock ~budget ~start
-    ~step =
+let probe_lower ?order ?domains net ~at ~clock ~budget ~start ~step =
   let runs = ref 0 and explored = ref 0 and elapsed = ref 0.0 in
   let note (s : Reach.stats) =
     incr runs;
@@ -181,7 +179,7 @@ let probe_lower ?order ?abstraction ?domains net ~at ~clock ~budget ~start
   let c = ref start in
   let continue = ref true in
   while !continue do
-    match check ?order ?abstraction ?domains ~budget net at clock !c with
+    match check ?order ?domains ~budget net at clock !c with
     | Reach.Reachable { stats; _ } ->
         note stats;
         lower := Some !c;

@@ -19,9 +19,11 @@
 
 open Ita_ta
 
-type bound_kind = Attained | Approached
+type bound_kind = Ita_cert.Cert.sup_kind = Attained | Approached
 (** [Attained]: the sup is a reachable value ([y <= c] weakly).
-    [Approached]: the sup is a limit ([y < c] strictly). *)
+    [Approached]: the sup is a limit ([y < c] strictly).  The
+    certificate's own sup kind, so a [Sup] verdict goes into
+    {!Cert_emit.of_snapshot} as is. *)
 
 type sup_result =
   | Sup of { value : int; kind : bound_kind; stats : Reach.stats }
@@ -35,7 +37,6 @@ type sup_result =
 val sup :
   ?order:Reach.order ->
   ?budget:Reach.budget ->
-  ?abstraction:Reach.abstraction ->
   ?domains:int ->
   ?snap:(Reach.snapshot -> unit) ->
   ?initial_ceiling:int ->
@@ -69,7 +70,6 @@ type search_result = {
 val binary_search :
   ?order:Reach.order ->
   ?budget:Reach.budget ->
-  ?abstraction:Reach.abstraction ->
   ?domains:int ->
   ?hi:int ->
   Network.t ->
@@ -82,7 +82,6 @@ val binary_search :
 
 val probe_lower :
   ?order:Reach.order ->
-  ?abstraction:Reach.abstraction ->
   ?domains:int ->
   Network.t ->
   at:Query.t ->

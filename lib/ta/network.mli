@@ -23,7 +23,10 @@ type t = {
   var_ranges : (int * int) array;
   var_init : int array;
   channels : Channel.t array;
-  k : int array;  (** classical (ExtraM) extrapolation constants, [k.(0) = 0] *)
+  k : int array;
+      (** classical maximal constants (ExtraM), [k.(0) = 0]: the
+          engine extrapolates with the L/U tables below; [k] feeds the
+          test suite's independent ExtraM reference explorer *)
   lbase : int array;
       (** per-clock global floor of the lower-bound constants L; query
           constants registered with {!bump_clock_bound} land here *)

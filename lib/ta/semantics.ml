@@ -2,7 +2,6 @@ module Dbm = Ita_dbm.Dbm
 
 type state = { locs : int array; env : int array }
 type config = { state : state; zone : Dbm.t }
-type abstraction = ExtraM | ExtraLU | LuSim
 
 type label =
   | Internal of { comp : int; edge : int }
@@ -102,8 +101,8 @@ let normalize_inactive (net : Network.t) st z =
 (* Resolve the per-state Extra+LU constants: the bound for a clock is
    the max over components of the location-indexed static analysis,
    floored by the network-wide base (where query constants live).
-   Shared by the Extra+LU extrapolation and the a◁LU subsumption test
-   (which consumes the same vectors but never rewrites the zone). *)
+   Read by the Extra+LU extrapolation below and, over the same tables,
+   by certificate emission and checking. *)
 let lu_bounds (net : Network.t) st =
   let n = Array.length net.Network.clock_names in
   let l = Array.copy net.Network.lbase in
@@ -118,41 +117,31 @@ let lu_bounds (net : Network.t) st =
     st.locs;
   (l, u)
 
-(* Extrapolate [z] with the abstraction in force.  Under [LuSim] the
-   stored zones stay unextrapolated — finiteness comes from the passed
-   list subsuming with {!Dbm.le_lu} instead. *)
-let extrapolate (net : Network.t) abstraction st z =
-  match abstraction with
-  | ExtraM -> Dbm.extrapolate z net.Network.k
-  | ExtraLU ->
-      let l, u = lu_bounds net st in
-      Dbm.extrapolate_lu z l u
-  | LuSim -> ()
-
 (* Delay-close [z] in discrete state [st]: up, then invariants, then
-   extrapolation, then active-clock reduction.  [z] must already
-   satisfy the invariants. *)
-let delay_close net abstraction st z =
+   Extra+LU extrapolation, then active-clock reduction.  [z] must
+   already satisfy the invariants. *)
+let delay_close net st z =
   if delay_allowed net st then begin
     Dbm.up z;
     apply_invariants net st z
   end;
-  extrapolate net abstraction st z;
+  let l, u = lu_bounds net st in
+  Dbm.extrapolate_lu z l u;
   normalize_inactive net st z
 
-let initial ?(abstraction = ExtraLU) (net : Network.t) =
+let initial (net : Network.t) =
   let locs = Array.map (fun (a : Automaton.t) -> a.initial) net.automata in
   let env = Array.copy net.var_init in
   let st = { locs; env } in
   let z = Dbm.zero (Network.n_clocks net) in
   apply_invariants net st z;
-  delay_close net abstraction st z;
+  delay_close net st z;
   { state = st; zone = z }
 
 (* One discrete step: [parts] is the ordered list of participating
    (component, edge) pairs, the sender first.  Returns [None] when the
    step is disabled by clock guards or the target invariants. *)
-let fire (net : Network.t) abstraction c parts =
+let fire (net : Network.t) c parts =
   let z = Dbm.copy c.zone in
   (* clock guards are evaluated under the pre-update environment *)
   List.iter
@@ -174,12 +163,12 @@ let fire (net : Network.t) abstraction c parts =
     apply_invariants net st z;
     if Dbm.is_empty z then Option.None
     else begin
-      delay_close net abstraction st z;
+      delay_close net st z;
       if Dbm.is_empty z then Option.None else Some { state = st; zone = z }
     end
   end
 
-let successors ?(abstraction = ExtraLU) (net : Network.t) c =
+let successors (net : Network.t) c =
   let st = c.state in
   let n = Array.length net.automata in
   let committed = any_committed net st in
@@ -198,7 +187,7 @@ let successors ?(abstraction = ExtraLU) (net : Network.t) c =
   let acc = ref [] in
   let emit label parts =
     if committed_ok parts then
-      match fire net abstraction c parts with
+      match fire net c parts with
       | Some c' -> acc := (label, c') :: !acc
       | None -> ()
   in

@@ -11,7 +11,11 @@
       leaving a committed location may fire;
     - after each discrete step the zone is delay-closed (unless delay
       is forbidden), re-constrained by invariants and extrapolated with
-      the network's maximal constants;
+      Extra+LU over the per-location lower/upper bounds
+      ([Network.lloc]/[uloc] with the [lbase]/[ubase] floors, see
+      {!lu_bounds}) — coarser than classical maximal-constant
+      extrapolation ([Network.k]), with identical reachability verdicts
+      on the diagonal-free automata this library builds;
     - active-clock reduction (Daws–Yovine) is always on: delay-closure
       pins every clock that is inactive in the current location vector
       ([Network.active], minus [Network.pinned]) to [0], so zones
@@ -31,23 +35,6 @@ type state = { locs : int array; env : int array }
 
 type config = { state : state; zone : Dbm.t }
 
-type abstraction = ExtraM | ExtraLU | LuSim
-    (** Which finite abstraction the exploration applies to zones.
-        [ExtraM] is classical maximal-constant extrapolation with one
-        bound per clock ([Network.k]); [ExtraLU] is Extra+LU over the
-        static lower/upper bounds analysis ([Network.lloc]/[uloc] with
-        the [lbase]/[ubase] floors) — coarser, hence fewer symbolic
-        states, with identical reachability verdicts on the
-        diagonal-free automata this library builds.  [LuSim] stores
-        zones {e unextrapolated} (delay-closure rewrites nothing) and
-        relies on the passed list subsuming with the a◁LU simulation
-        test ({!Dbm.le_lu}) over the same L/U constants — strictly
-        coarser than Extra+LU inclusion, again with identical verdicts.
-        Exact zones also make witness traces exact.  Finiteness of the
-        exploration is then a property of the passed list, not of the
-        zone set: an exploration that stores [LuSim] zones must subsume
-        with [Dbm.le_lu], as [Ita_mc.Reach] does. *)
-
 type label =
   | Internal of { comp : int; edge : int }
   | Sync of {
@@ -63,22 +50,16 @@ val lu_bounds : Network.t -> state -> int array * int array
 (** [lu_bounds net st] resolves the per-clock Extra+LU constants in
     discrete state [st]: per-location maxima over the components
     ([Network.lloc]/[uloc]), floored by [lbase]/[ubase].  Freshly
-    allocated; index [0] is [0].  These are the vectors the [ExtraLU]
-    abstraction extrapolates with and the [LuSim] passed list feeds to
-    {!Dbm.le_lu}. *)
+    allocated; index [0] is [0].  These are the vectors the Extra+LU
+    extrapolation reads, and the ones certificates record per state
+    for the {!Dbm.le_lu} coverage test. *)
 
-val initial : ?abstraction:abstraction -> Network.t -> config
-(** Default: [ExtraLU] abstraction.  An
-    exploration must use the same abstraction for every configuration
-    it builds. *)
+val initial : Network.t -> config
+(** The initial configuration, delay-closed and extrapolated. *)
 
 val delay_allowed : Network.t -> state -> bool
 
-val successors :
-  ?abstraction:abstraction ->
-  Network.t ->
-  config ->
-  (label * config) list
+val successors : Network.t -> config -> (label * config) list
 (** All symbolic successors, in deterministic order.  Configurations
     with empty zones are filtered out.
 

@@ -198,22 +198,19 @@ module Reach = Ita_mc.Reach
 module Query = Ita_mc.Query
 module Wcrt = Ita_mc.Wcrt
 module Bound = Ita_dbm.Bound
+module Dbm = Ita_dbm.Dbm
 
 (* The unsliced oracles for [Reach.reach] and [Wcrt.sup], which always
    slice.  [Reach.explore] takes no query and never slices: explore the
-   whole network under Extra+LU at one domain, with the
-   query's clock constants (and, for a sup, the measured clock at
-   [max_ceiling]) as extra bounds, and test every stored configuration
-   against the goal.  Under subset subsumption every generated zone
-   lies inside a stored one, so the stored configurations meet the
-   goal exactly when a generated one does.  A sup is read off one
-   exploration at [max_ceiling]: [Wcrt.sup] reaches the same value
-   through smaller ceilings first. *)
+   whole network at one domain, with the query's clock constants (and,
+   for a sup, the measured clock at [max_ceiling]) as extra bounds, and
+   test every stored configuration against the goal.  Under subset
+   subsumption every generated zone lies inside a stored one, so the
+   stored configurations meet the goal exactly when a generated one
+   does.  A sup is read off one exploration at [max_ceiling]:
+   [Wcrt.sup] reaches the same value through smaller ceilings first. *)
 let unsliced_explore net extra_bounds on_store =
-  match
-    Reach.explore ~abstraction:Reach.ExtraLU ~domains:1 ~extra_bounds net
-      ~on_store
-  with
+  match Reach.explore ~domains:1 ~extra_bounds net ~on_store with
   | `Complete stats -> stats
   | `Budget_exhausted _ -> assert false (* no budget *)
 
@@ -237,7 +234,7 @@ let unsliced_sup ?(max_ceiling = 1 lsl 40) net ~at ~clock =
         match goal_zone net at c with
         | None -> ()
         | Some z -> (
-            let b = Ita_dbm.Dbm.sup z clock in
+            let b = Dbm.sup z clock in
             match !best with
             | Some b' when not (Bound.lt_bound b' b) -> ()
             | _ -> best := Some b))
@@ -253,3 +250,119 @@ let unsliced_sup ?(max_ceiling = 1 lsl 40) net ~at ~clock =
           kind = (if Bound.is_strict b then Wcrt.Approached else Wcrt.Attained);
           stats;
         }
+
+(* The ExtraM reference explorer: the oracle for the engine's Extra+LU
+   abstraction and for its flow-refined L/U bounds.  Breadth-first over
+   the certificate checker's naive successor relation ([Reference]: no
+   extrapolation, no active-clock reduction); each zone is delay-closed
+   and then extrapolated with classical maximal constants, the
+   builder's [Network.k] (which flow refinement never rewrites) raised
+   to [extra_bounds], under one [Dbm.subset] antichain per discrete
+   state.  It uses nothing from [Semantics], [Reach], [Wcrt], [Flow] or
+   [Slice]: no slicing, key packing or sharding.  Returns the final
+   passed list; every generated zone lies inside one of its zones.
+   With [~lu:true] it extrapolates with Extra+LU instead, over the
+   network's per-state L/U tables (max over the components' [lloc] /
+   [uloc] rows, floored by [lbase] / [ubase] raised to [extra_bounds]):
+   run on [Flow.refine_network net], that checks the flow-refined
+   tables alone against ExtraM on the builder's constants. *)
+let reference_passed ?(lu = false) (net : Network.t) extra_bounds =
+  let k = Array.copy net.Network.k in
+  let lbase = Array.copy net.Network.lbase in
+  let ubase = Array.copy net.Network.ubase in
+  List.iter
+    (fun (x, c) ->
+      k.(x) <- max k.(x) c;
+      lbase.(x) <- max lbase.(x) c;
+      ubase.(x) <- max ubase.(x) c)
+    extra_bounds;
+  let extrapolate (st : Reference.state) z =
+    if lu then begin
+      let l = Array.copy lbase and u = Array.copy ubase in
+      Array.iteri
+        (fun i li ->
+          for x = 1 to Array.length l - 1 do
+            l.(x) <- max l.(x) net.Network.lloc.(i).(li).(x);
+            u.(x) <- max u.(x) net.Network.uloc.(i).(li).(x)
+          done)
+        st.Reference.locs;
+      Dbm.extrapolate_lu z l u
+    end
+    else Dbm.extrapolate z k
+  in
+  let mask = Reference.no_mask net in
+  let passed = Hashtbl.create 64 and waiting = Queue.create () in
+  let add (st : Reference.state) z =
+    let z =
+      if Reference.delay_allowed net mask st then Reference.delay net mask st z
+      else z
+    in
+    if not (Dbm.is_empty z) then begin
+      extrapolate st z;
+      let key = (st.Reference.locs, st.Reference.env) in
+      let zs = Option.value ~default:[] (Hashtbl.find_opt passed key) in
+      if not (List.exists (Dbm.subset z) zs) then begin
+        Hashtbl.replace passed key
+          (z :: List.filter (fun z' -> not (Dbm.subset z' z)) zs);
+        Queue.push (st, z) waiting
+      end
+    end
+  in
+  let st0, z0 = Reference.initial net mask in
+  add st0 z0;
+  while not (Queue.is_empty waiting) do
+    let st, z = Queue.pop waiting in
+    List.iter
+      (fun (j : Reference.joint) ->
+        match Reference.fire net mask st z j.Reference.parts with
+        | Some (st', z') -> add st' z'
+        | None -> ())
+      (Reference.joint_transitions net mask st)
+  done;
+  Hashtbl.fold
+    (fun (locs, env) zs acc -> ({ Reference.locs; env }, zs) :: acc)
+    passed []
+
+(* the non-empty intersections of the passed zones with the goal of [q] *)
+let reference_goal_zones (q : Query.t) passed =
+  List.concat_map
+    (fun ((st : Reference.state), zs) ->
+      if
+        List.for_all (fun (i, l) -> st.Reference.locs.(i) = l) q.Query.comp_locs
+        && Guard.data_holds st.Reference.env q.Query.guard
+      then
+        List.filter_map
+          (fun z ->
+            let z = Dbm.copy z in
+            Guard.apply st.Reference.env q.Query.guard z;
+            if Dbm.is_empty z then None else Some z)
+          zs
+      else [])
+    passed
+
+(* [true] iff the goal of [q] is reachable *)
+let reference_reach ?lu net q =
+  reference_goal_zones q
+    (reference_passed ?lu net (Query.clock_constants net q))
+  <> []
+
+(* The supremum of [clock] over the goal of [at], read off one
+   exploration with the measured clock's constant at [ceiling]: exact
+   below it, [`Unbounded] at or above it. *)
+let reference_sup ?lu ~ceiling net ~at ~clock =
+  let zones =
+    reference_goal_zones at
+      (reference_passed ?lu net
+         ((clock, ceiling) :: Query.clock_constants net at))
+  in
+  let max_bound b b' = if Bound.lt_bound b b' then b' else b in
+  match List.map (fun z -> Dbm.sup z clock) zones with
+  | [] -> `Unreachable
+  | b :: bs ->
+      let b = List.fold_left max_bound b bs in
+      if Bound.is_infinity b || Bound.value b >= ceiling then `Unbounded
+      else
+        `Sup
+          ( Bound.value b,
+            if Bound.is_strict b then Ita_cert.Cert.Approached
+            else Ita_cert.Cert.Attained )

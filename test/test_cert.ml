@@ -1,7 +1,7 @@
 (* Certificate tests: every verdict the engine emits must come with a
-   certificate the independent checker accepts — across the full
-   abstraction x domain-count matrix, on the model zoo, the shipped
-   example files and the radionav case study.  Invariant
+   certificate the independent checker accepts — at one domain and at
+   four, on the model zoo, the shipped example files and the radionav
+   case study.  Invariant
    certificates must additionally be byte-identical across domain
    counts, and programmatically corrupted certificates must be
    rejected with the right obligation named. *)
@@ -31,12 +31,9 @@ let zoo () =
 (* Emission helpers (mirroring what tamc check --cert does)            *)
 (* ------------------------------------------------------------------ *)
 
-let reach_cert ?(abstraction = Reach.ExtraLU) ?(domains = 1) net
-    (q : Query.t) =
+let reach_cert ?(domains = 1) net (q : Query.t) =
   let snap = ref None in
-  match
-    Reach.reach ~abstraction ~domains ~snap:(fun s -> snap := Some s) net q
-  with
+  match Reach.reach ~domains ~snap:(fun s -> snap := Some s) net q with
   | Reach.Unreachable _ -> (
       match !snap with
       | Some s ->
@@ -48,20 +45,15 @@ let reach_cert ?(abstraction = Reach.ExtraLU) ?(domains = 1) net
            (List.filter_map (fun (s : Reach.step) -> s.Reach.via) witness))
   | Reach.Budget_exhausted _ -> None
 
-let sup_cert ?(abstraction = Reach.ExtraLU) ?(domains = 1)
-    ?(initial_ceiling = 64) ?(max_ceiling = 256) net ~at ~clock =
+let sup_cert ?(domains = 1) ?(initial_ceiling = 64) ?(max_ceiling = 256) net
+    ~at ~clock =
   let snap = ref None in
   match
-    Wcrt.sup ~abstraction ~domains ~initial_ceiling ~max_ceiling
+    Wcrt.sup ~domains ~initial_ceiling ~max_ceiling
       ~snap:(fun s -> snap := Some s)
       net ~at ~clock
   with
   | Wcrt.Sup { value; kind; _ } -> (
-      let kind =
-        match kind with
-        | Wcrt.Attained -> Cert.Attained
-        | Wcrt.Approached -> Cert.Approached
-      in
       match !snap with
       | Some s ->
           Some
@@ -96,7 +88,7 @@ let roundtrip_check name net ~goal qc =
                 f.Cert.message)
       | l -> Alcotest.failf "%s: %d queries after roundtrip" name (List.length l))
 
-let check_net_matrix cfg ~abstraction ~domains (name, net) =
+let check_net_matrix cfg ~domains (name, net) =
   let n_clocks = Array.length net.Network.clock_names in
   Array.iter
     (fun (a : Automaton.t) ->
@@ -109,7 +101,7 @@ let check_net_matrix cfg ~abstraction ~domains (name, net) =
             List.iter
               (fun c ->
                 let q = Query.with_guard at (Guard.clock_ge x c) in
-                match reach_cert ~abstraction ~domains net q with
+                match reach_cert ~domains net q with
                 | None -> ()
                 | Some qc ->
                     roundtrip_check
@@ -120,7 +112,7 @@ let check_net_matrix cfg ~abstraction ~domains (name, net) =
                       ~goal:(Cert_emit.goal_of_query q)
                       qc)
               [ 1; 7 ];
-            match sup_cert ~abstraction ~domains net ~at ~clock:x with
+            match sup_cert ~domains net ~at ~clock:x with
             | None -> ()
             | Some qc ->
                 roundtrip_check
@@ -136,17 +128,12 @@ let check_net_matrix cfg ~abstraction ~domains (name, net) =
 
 let matrix f =
   List.iter
-    (fun (aname, abstraction) ->
-      List.iter
-        (fun domains ->
-          f (Printf.sprintf "[%s/d=%d]" aname domains) ~abstraction ~domains)
-        [ 1; 4 ])
-    [ ("extram", Reach.ExtraM); ("extralu", Reach.ExtraLU);
-      ("lusim", Reach.LuSim) ]
+    (fun domains -> f (Printf.sprintf "[d=%d]" domains) ~domains)
+    [ 1; 4 ]
 
 let test_zoo_matrix () =
-  matrix (fun cfg ~abstraction ~domains ->
-      List.iter (check_net_matrix cfg ~abstraction ~domains) (zoo ()))
+  matrix (fun cfg ~domains ->
+      List.iter (check_net_matrix cfg ~domains) (zoo ()))
 
 (* ------------------------------------------------------------------ *)
 (* The shipped example files, through the same pipeline                *)
@@ -164,13 +151,13 @@ let test_examples_matrix () =
   List.iter
     (fun file ->
       let { E.net; queries; _ } = E.load_file (model_path file) in
-      matrix (fun cfg ~abstraction ~domains ->
+      matrix (fun cfg ~domains ->
           List.iteri
             (fun i q ->
               match q with
               | E.Deadlock_q -> ()
               | E.Reach_q q -> (
-                  match reach_cert ~abstraction ~domains net q with
+                  match reach_cert ~domains net q with
                   | None -> ()
                   | Some qc ->
                       roundtrip_check
@@ -180,8 +167,8 @@ let test_examples_matrix () =
                         qc)
               | E.Sup_q { clock; at } -> (
                   match
-                    sup_cert ~abstraction ~domains ~initial_ceiling:1024
-                      ~max_ceiling:65536 net ~at ~clock
+                    sup_cert ~domains ~initial_ceiling:1024 ~max_ceiling:65536
+                      net ~at ~clock
                   with
                   | None -> ()
                   | Some qc ->
@@ -194,7 +181,7 @@ let test_examples_matrix () =
     [ "two_phase.ta"; "train_gate.ta"; "fischer.ta"; "island_demo.ta" ]
 
 (* ------------------------------------------------------------------ *)
-(* Radionav: certify the case study's WCRT across the matrix           *)
+(* Radionav: certify the case study's WCRT at both domain counts       *)
 (* ------------------------------------------------------------------ *)
 
 let test_radionav_certificates () =
@@ -205,10 +192,10 @@ let test_radionav_certificates () =
   let net = gen.Ita_core.Gen.net in
   let obs = Option.get gen.Ita_core.Gen.observer in
   let at = obs.Ita_core.Gen.seen and clock = obs.Ita_core.Gen.obs_clock in
-  matrix (fun cfg ~abstraction ~domains ->
+  matrix (fun cfg ~domains ->
       match
-        sup_cert ~abstraction ~domains ~initial_ceiling:1_000_000
-          ~max_ceiling:16_000_000 net ~at ~clock
+        sup_cert ~domains ~initial_ceiling:1_000_000 ~max_ceiling:16_000_000
+          net ~at ~clock
       with
       | None -> Alcotest.failf "%s radionav: no sup verdict" cfg
       | Some qc ->

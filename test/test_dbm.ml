@@ -6,7 +6,6 @@
 
 module Bound = Ita_dbm.Bound
 module Dbm = Ita_dbm.Dbm
-module Federation = Ita_dbm.Federation
 
 (* ------------------------------------------------------------------ *)
 (* Bound encoding                                                      *)
@@ -531,34 +530,6 @@ let prop_equal_hash =
     QCheck2.Gen.(tup2 gen_zone gen_zone)
     (fun (z1, z2) -> (not (Dbm.equal z1 z2)) || Dbm.hash z1 = Dbm.hash z2)
 
-(* ------------------------------------------------------------------ *)
-(* Federation                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let box lo hi =
-  let z = Dbm.zero 2 in
-  Dbm.up z;
-  Dbm.constrain z 1 0 (Bound.le hi);
-  Dbm.constrain z 0 1 (Bound.le (-lo));
-  z
-
-let test_federation_add () =
-  let f = Federation.empty 2 in
-  let f = Federation.add f (box 0 5) in
-  let f = Federation.add f (box 2 3) in
-  Alcotest.(check int) "subsumed zone dropped" 1 (Federation.size f);
-  let f = Federation.add f (box 0 10) in
-  Alcotest.(check int) "wider zone replaces" 1 (Federation.size f);
-  Alcotest.(check bool) "member" true (Federation.mem f (v 7 7));
-  Alcotest.(check bool) "non-member" false (Federation.mem f (v 11 11))
-
-let test_federation_subsumes () =
-  let f = Federation.add (Federation.empty 2) (box 0 5) in
-  Alcotest.(check bool) "inner box subsumed" true
-    (Federation.subsumes f (box 1 4));
-  Alcotest.(check bool) "outer box not" false
-    (Federation.subsumes f (box 1 9))
-
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -610,11 +581,6 @@ let () =
           Alcotest.test_case "le_lu empty zones" `Quick test_le_lu_empty;
           Alcotest.test_case "extrapolate idempotent" `Quick
             test_extrapolate_idempotent;
-        ] );
-      ( "federation",
-        [
-          Alcotest.test_case "add with subsumption" `Quick test_federation_add;
-          Alcotest.test_case "subsumes" `Quick test_federation_subsumes;
         ] );
       ("properties", qsuite);
     ]

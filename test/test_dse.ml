@@ -280,14 +280,6 @@ let test_cache_key_discriminates () =
     (k
     <> Cache.job_key
          { spec with Job.budget = { spec.Job.budget with Job.mc_domains = Some 4 } });
-  Alcotest.(check bool) "abstraction changes the key" true
-    (k
-    <> Cache.job_key
-         {
-           spec with
-           Job.budget =
-             { spec.Job.budget with Job.mc_abstraction = Ita_mc.Reach.LuSim };
-         });
   Alcotest.(check bool) "certification changes the key" true
     (k
     <> Cache.job_key

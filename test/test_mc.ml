@@ -35,23 +35,9 @@ let test_unreachable order () =
   | Reach.Unreachable _ -> ()
   | _ -> Alcotest.fail "y >= 7 should be unreachable at L2"
 
-let test_goal_zone () =
-  (* goal-zone exactness is an ExtraM property: Extra+LU may blur the
-     upper bound of a clock above its (query-bumped) L constant, which
-     is sound for verdicts but coarsens the returned zone *)
-  let net, _x, y = Models.two_phase () in
-  let q = Query.at net ~comp:"P" ~loc:"L2" in
-  let q = Query.with_guard q (guard_y_ge y 5) in
-  match Reach.reach ~abstraction:Reach.ExtraM net q with
-  | Reach.Reachable { goal_zone; _ } ->
-      Alcotest.(check bool) "goal zone bounded by 6" true
-        (Bound.compare (Ita_dbm.Dbm.sup goal_zone y) (Bound.le 6) <= 0)
-  | _ -> Alcotest.fail "should be reachable"
-
 let test_goal_zone_lu () =
-  (* under the default Extra+LU the verdict is identical and the goal
-     zone still contains every exact goal valuation ([y] up to 6),
-     though possibly more *)
+  (* the Extra+LU goal zone contains every exact goal valuation ([y] up
+     to 6), though possibly more above the L/U constants *)
   let net, _x, y = Models.two_phase () in
   let q = Query.at net ~comp:"P" ~loc:"L2" in
   let q = Query.with_guard q (guard_y_ge y 5) in
@@ -250,9 +236,7 @@ let test_orders_agree () =
 (* Search order at one domain: [reach P1.cs] on fischer.ta must report
    the witness and counts [tamc check --order ... --trace] prints.  A
    breadth-first run that pops the newest node would report the
-   depth-first figures, and a shifted random-dfs seed other ones.
-   Extra+LU is pinned so the TAMC_ABSTRACTION=lusim leg cannot move
-   the counts.                                                         *)
+   depth-first figures, and a shifted random-dfs seed other ones.      *)
 
 let test_order_pinned () =
   let module E = Ita_tafmt.Elaborate in
@@ -281,7 +265,7 @@ let test_order_pinned () =
   in
   List.iter
     (fun (name, order, witness, counts) ->
-      match Reach.reach ~order ~abstraction:Reach.ExtraLU ~domains:1 net q with
+      match Reach.reach ~order ~domains:1 net q with
       | Reach.Reachable { witness = w; stats; _ } ->
           let lines =
             Format.asprintf "%a" (Reach.pp_witness net) w
@@ -384,15 +368,6 @@ let test_witness_structure () =
    extrapolation and active-clock reduction.                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A concrete valuation as a one-point zone, for simulation-aware
-   coverage checks. *)
-let point_zone v =
-  let z = Ita_dbm.Dbm.zero (Array.length v - 1) in
-  for i = 1 to Array.length v - 1 do
-    Ita_dbm.Dbm.reset z i v.(i)
-  done;
-  z
-
 let symbolic_cover net =
   let store = Hashtbl.create 256 in
   (match
@@ -403,18 +378,8 @@ let symbolic_cover net =
    with
   | `Complete _ -> ()
   | `Budget_exhausted _ -> Alcotest.fail "exploration should complete");
-  (* Under [LuSim] (e.g. the TAMC_ABSTRACTION=lusim CI leg) stored
-     zones are exact and pruned up to a◁LU simulation, so a concrete
-     state need only be covered up to a◁LU of some stored zone — the
-     point-zone le_lu test, over the same flow-refined bounds the
-     engine subsumed with.  Under the extrapolations, stored zones are
-     supersets of the exact ones and plain membership must hold. *)
-  let lusim_net =
-    match Reach.default_abstraction () with
-    | Reach.LuSim ->
-        Some (Ita_analysis.Flow.(refine_lu (analyze net) net))
-    | Reach.ExtraM | Reach.ExtraLU -> None
-  in
+  (* stored zones are extrapolated supersets of the exact ones, so
+     plain membership must hold *)
   fun (c : Concrete.t) ->
     (* the engine pins dead clocks at 0; normalize the concrete
        valuation the same way before testing membership *)
@@ -432,18 +397,7 @@ let symbolic_cover net =
     done;
     match Hashtbl.find_opt store (c.Concrete.locs, c.Concrete.env) with
     | None -> false
-    | Some zones -> (
-        List.exists (fun z -> Ita_dbm.Dbm.satisfies z clocks) zones
-        ||
-        match lusim_net with
-        | None -> false
-        | Some rnet ->
-            let st =
-              { Semantics.locs = c.Concrete.locs; env = c.Concrete.env }
-            in
-            let l, u = Semantics.lu_bounds rnet st in
-            let pt = point_zone clocks in
-            List.exists (fun z -> Ita_dbm.Dbm.le_lu l u pt z) zones)
+    | Some zones -> List.exists (fun z -> Ita_dbm.Dbm.satisfies z clocks) zones
 
 let walk_covered net seed =
   let covered = symbolic_cover net in
@@ -493,9 +447,11 @@ let coverage_suite =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* ExtraM vs Extra+LU differential testing: the coarser abstraction
-   must never change a reachability verdict or a WCRT value — ExtraM
-   is the oracle ExtraLU is checked against.                           *)
+(* The engine against the ExtraM reference explorer
+   ([Models.reference_reach] / [Models.reference_sup]), which shares
+   none of the engine's exploration code: Extra+LU over the
+   flow-refined bounds, slicing and active-clock reduction must never
+   change a reachability verdict or a WCRT value.                      *)
 (* ------------------------------------------------------------------ *)
 
 let verdict = function
@@ -503,43 +459,48 @@ let verdict = function
   | Reach.Unreachable _ -> "unreachable"
   | Reach.Budget_exhausted _ -> "budget"
 
-let sup_fingerprint ?(initial_ceiling = 64) ?(max_ceiling = 256) net ~at ~clock
-    abstraction =
-  (* tiny ceilings: an unbounded clock would otherwise enumerate one
-     zone per time unit up to the ceiling before extrapolation merges
-     them, and the fingerprint only has to be identical across
-     abstractions — model constants here are all well below 64 *)
-  match Wcrt.sup ~abstraction ~initial_ceiling ~max_ceiling net ~at ~clock with
-  | Wcrt.Sup { value; kind; _ } ->
-      Printf.sprintf "sup %d %s" value
-        (match kind with Wcrt.Attained -> "attained" | Wcrt.Approached -> "approached")
-  | Wcrt.Goal_unreachable _ -> "unreachable"
-  | Wcrt.Sup_budget_exhausted _ -> "budget"
-  | Wcrt.Sup_unbounded _ -> "unbounded"
+let reference_verdict net q =
+  if Models.reference_reach net q then "reachable" else "unreachable"
 
-(* Every location of every component, every clock: all three
-   abstractions must report the same sup outcome. *)
+let sup_name = function
+  | `Sup (v, Wcrt.Attained) -> Printf.sprintf "sup %d" v
+  | `Sup (v, Wcrt.Approached) -> Printf.sprintf "sup %d (approached)" v
+  | `Unreachable -> "unreachable"
+  | `Unbounded -> "unbounded"
+  | `Budget -> "budget"
+
+(* Small ceilings by default: an unbounded clock would otherwise
+   enumerate one zone per time unit up to the ceiling before
+   extrapolation merges them, and the zoo's and the examples' model
+   constants are all well below 64.  The engine reaches [max_ceiling]
+   through smaller ceilings; the reference takes it at once. *)
+let engine_sup ?(initial_ceiling = 64) ?(max_ceiling = 256) ?domains net ~at
+    ~clock =
+  sup_name
+    (match Wcrt.sup ?domains ~initial_ceiling ~max_ceiling net ~at ~clock with
+    | Wcrt.Sup { value; kind; _ } -> `Sup (value, kind)
+    | Wcrt.Goal_unreachable _ -> `Unreachable
+    | Wcrt.Sup_unbounded _ -> `Unbounded
+    | Wcrt.Sup_budget_exhausted _ -> `Budget)
+
+let reference_sup ?(ceiling = 256) net ~at ~clock =
+  sup_name (Models.reference_sup ~ceiling net ~at ~clock)
+
+(* Every location of every component, every clock. *)
 let check_net_wcrt_agrees name net =
   let n_clocks = Array.length net.Network.clock_names in
-  Array.iteri
-    (fun _ (a : Automaton.t) ->
+  Array.iter
+    (fun (a : Automaton.t) ->
       Array.iter
         (fun (l : Automaton.location) ->
           let at = Query.at net ~comp:a.Automaton.name ~loc:l.Automaton.loc_name in
           for x = 1 to n_clocks - 1 do
-            let m = sup_fingerprint net ~at ~clock:x Reach.ExtraM in
-            let lu = sup_fingerprint net ~at ~clock:x Reach.ExtraLU in
-            let ls = sup_fingerprint net ~at ~clock:x Reach.LuSim in
             Alcotest.(check string)
               (Printf.sprintf "%s: sup %s at %s.%s" name
                  net.Network.clock_names.(x) a.Automaton.name
                  l.Automaton.loc_name)
-              m lu;
-            Alcotest.(check string)
-              (Printf.sprintf "%s: lusim sup %s at %s.%s" name
-                 net.Network.clock_names.(x) a.Automaton.name
-                 l.Automaton.loc_name)
-              lu ls
+              (reference_sup net ~at ~clock:x)
+              (engine_sup net ~at ~clock:x)
           done)
         a.Automaton.locations)
     net.Network.automata
@@ -557,8 +518,6 @@ let test_wcrt_agrees_on_models () =
   List.iter (fun (name, net) -> check_net_wcrt_agrees name net) nets
 
 let test_verdicts_agree_on_examples () =
-  (* run every query shipped with the example models under both
-     abstractions *)
   let module E = Ita_tafmt.Elaborate in
   List.iter
     (fun file ->
@@ -567,28 +526,41 @@ let test_verdicts_agree_on_examples () =
         (fun i q ->
           match q with
           | E.Reach_q q ->
-              let m = verdict (Reach.reach ~abstraction:Reach.ExtraM net q) in
-              let lu = verdict (Reach.reach ~abstraction:Reach.ExtraLU net q) in
-              let ls = verdict (Reach.reach ~abstraction:Reach.LuSim net q) in
               Alcotest.(check string)
                 (Printf.sprintf "%s query %d" file i)
-                m lu;
-              Alcotest.(check string)
-                (Printf.sprintf "%s query %d (lusim)" file i)
-                lu ls
+                (reference_verdict net q)
+                (verdict (Reach.reach net q))
           | E.Sup_q { clock; at } ->
-              let m = sup_fingerprint net ~at ~clock Reach.ExtraM in
-              let lu = sup_fingerprint net ~at ~clock Reach.ExtraLU in
-              let ls = sup_fingerprint net ~at ~clock Reach.LuSim in
               Alcotest.(check string)
                 (Printf.sprintf "%s sup query %d" file i)
-                m lu;
-              Alcotest.(check string)
-                (Printf.sprintf "%s sup query %d (lusim)" file i)
-                lu ls
+                (reference_sup net ~at ~clock)
+                (engine_sup net ~at ~clock)
           | E.Deadlock_q -> ())
         queries)
-    [ "fischer.ta"; "train_gate.ta"; "two_phase.ta" ]
+    [ "fischer.ta"; "island_demo.ta"; "train_gate.ta"; "two_phase.ta" ]
+
+(* The paper's case study: the cheap HandleTMC cells, at the engine's
+   default ceiling. *)
+let test_radionav_agrees () =
+  let module R = Ita_casestudy.Radionav in
+  let module Core = Ita_core in
+  List.iter
+    (fun (combo, column, name) ->
+      let sys = R.system combo column in
+      let s = Core.Sysmodel.scenario sys "HandleTMC" in
+      let req = Core.Scenario.requirement s "TMC" in
+      let gen = Core.Gen.generate ~measure:("HandleTMC", req) sys in
+      let obs = Option.get gen.Core.Gen.observer in
+      let at = obs.Core.Gen.seen and clock = obs.Core.Gen.obs_clock in
+      Alcotest.(check string) name
+        (reference_sup ~ceiling:1_000_000 gen.Core.Gen.net ~at ~clock)
+        (engine_sup ~initial_ceiling:1_000_000 ~max_ceiling:(1 lsl 40)
+           gen.Core.Gen.net ~at ~clock))
+    [
+      (R.Al_tmc, R.Po, "al/HandleTMC/TMC [po]");
+      (R.Al_tmc, R.Pno, "al/HandleTMC/TMC [pno]");
+      (R.Cv_tmc, R.Po, "cv/HandleTMC/TMC [po]");
+    ]
 
 (* Random diagonal-free automata: two clocks, a handful of locations,
    random guards / invariants / resets.  Upper-bound invariants only,
@@ -642,32 +614,36 @@ let gen_random_net =
     (Automaton.make ~name:"P" ~locations ~edges ~initial:0);
   return (Network.Builder.build b, nl)
 
+(* Reachability of every location with y >= c, plus the sup of both
+   clocks at every location.  Pinned to one domain and a fixed seed:
+   this is the case that catches a flow refinement lowering a guard
+   constant by one, which none of the hand-written models exposes. *)
+let random_nets_seed = 11
+let random_nets_count = 1000
+
 let test_random_nets_agree =
-  QCheck2.Test.make ~count:60
-    ~name:"ExtraM, Extra+LU and LuSim verdicts agree on random automata"
+  QCheck2.Test.make ~count:random_nets_count
+    ~name:"ExtraM reference agrees with the engine on random automata"
     QCheck2.Gen.(pair gen_random_net (int_range 0 10))
     (fun ((net, nl), c) ->
-      (* reachability of every location with y >= c, plus the sup of
-         both clocks at every location, must be abstraction-invariant *)
       let ok = ref true in
       for l = 0 to nl - 1 do
         let at = Query.at net ~comp:"P" ~loc:(Printf.sprintf "L%d" l) in
         let q = Query.with_guard at (Guard.clock_ge 2 c) in
-        let m = verdict (Reach.reach ~abstraction:Reach.ExtraM net q) in
-        let lu = verdict (Reach.reach ~abstraction:Reach.ExtraLU net q) in
-        let ls = verdict (Reach.reach ~abstraction:Reach.LuSim net q) in
-        if m <> lu || lu <> ls then ok := false;
+        if verdict (Reach.reach ~domains:1 net q) <> reference_verdict net q
+        then ok := false;
         for x = 1 to 2 do
-          let fp = sup_fingerprint net ~at ~clock:x in
-          let lu = fp Reach.ExtraLU in
-          if fp Reach.ExtraM <> lu || fp Reach.LuSim <> lu then ok := false
+          if
+            engine_sup ~domains:1 net ~at ~clock:x
+            <> reference_sup net ~at ~clock:x
+          then ok := false
         done
       done;
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: the operator knobs — pure parsers, and the TAMC_*
-   environment fallbacks.  Unset, blank and invalid values must all
+(* The operator knob: the pure parser, and the TAMC_DOMAINS
+   environment fallback.  Unset, blank and invalid values must all
    resolve to the same built-in default (invalid ones additionally
    warn on stderr; the fallback itself is what these tests pin).       *)
 
@@ -702,32 +678,6 @@ let test_parse_domains () =
   err "two";
   err ""
 
-let test_parse_abstraction () =
-  let ok input expected =
-    Alcotest.(check bool)
-      (Printf.sprintf "parse_abstraction %S" input)
-      true
-      (Reach.parse_abstraction input = Ok expected)
-  and err input =
-    Alcotest.(check bool)
-      (Printf.sprintf "parse_abstraction %S rejected" input)
-      true
-      (match Reach.parse_abstraction input with
-      | Error _ -> true
-      | Ok _ -> false)
-  in
-  ok "extram" Reach.ExtraM;
-  ok "ExtraLU" Reach.ExtraLU;
-  ok " lusim " Reach.LuSim;
-  ok "LuSim" Reach.LuSim;
-  (* the printer the CLIs and the DSE cache key use reads back *)
-  List.iter
-    (fun a -> ok (Reach.abstraction_name a) a)
-    [ Reach.ExtraM; Reach.ExtraLU; Reach.LuSim ];
-  err "extra+lu";
-  err "m";
-  err ""
-
 let test_default_domains_env () =
   let fallback = max 1 (Domain.recommended_domain_count ()) in
   with_env "TAMC_DOMAINS" "3" (fun () ->
@@ -741,30 +691,14 @@ let test_default_domains_env () =
             (Reach.default_domains ())))
     [ ""; "  "; "0"; "-2"; "bogus" ]
 
-let test_default_abstraction_env () =
-  with_env "TAMC_ABSTRACTION" "lusim" (fun () ->
-      Alcotest.(check bool) "honored" true
-        (Reach.default_abstraction () = Reach.LuSim));
-  List.iter
-    (fun bad ->
-      with_env "TAMC_ABSTRACTION" bad (fun () ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%S falls back to extralu" bad)
-            true
-            (Reach.default_abstraction () = Reach.ExtraLU)))
-    [ ""; "extra+lu"; "none" ]
-
 let () =
   Alcotest.run "mc"
     [
       ( "knobs",
         [
           Alcotest.test_case "parse domains" `Quick test_parse_domains;
-          Alcotest.test_case "parse abstraction" `Quick test_parse_abstraction;
           Alcotest.test_case "TAMC_DOMAINS fallback" `Quick
             test_default_domains_env;
-          Alcotest.test_case "TAMC_ABSTRACTION fallback" `Quick
-            test_default_abstraction_env;
         ] );
       ( "reach",
         [
@@ -776,7 +710,6 @@ let () =
             (test_unreachable Reach.Bfs);
           Alcotest.test_case "unreachable (dfs)" `Quick
             (test_unreachable Reach.Dfs);
-          Alcotest.test_case "goal zone" `Quick test_goal_zone;
           Alcotest.test_case "goal zone (extralu)" `Quick test_goal_zone_lu;
           Alcotest.test_case "budget" `Quick test_budget;
           Alcotest.test_case "orders agree" `Quick test_orders_agree;
@@ -815,6 +748,10 @@ let () =
             test_wcrt_agrees_on_models;
           Alcotest.test_case "verdicts agree on example files" `Quick
             test_verdicts_agree_on_examples;
-          QCheck_alcotest.to_alcotest test_random_nets_agree;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| random_nets_seed |])
+            test_random_nets_agree;
+          Alcotest.test_case "radionav HandleTMC cells" `Quick
+            test_radionav_agrees;
         ] );
     ]

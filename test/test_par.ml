@@ -30,10 +30,10 @@ let resident_zones passed =
 
 (* the final passed list and stats of a complete exploration, read
    off the [?snap] hook *)
-let passed_list_exn ?budget ?abstraction ~domains net =
+let passed_list_exn ?budget ~domains net =
   let passed = ref [] in
   match
-    Reach.explore ?budget ?abstraction ~domains
+    Reach.explore ?budget ~domains
       ~snap:(fun (_, p) -> passed := p)
       net
       ~on_store:(fun _ -> ())
@@ -57,14 +57,7 @@ let zoo () =
 
 let check_antichains name net =
   (* identical stored contents across domain counts rely on subset
-     subsumption, whose order is antisymmetric; under LuSim two
-     distinct zones can simulate each other and the surviving
-     representative is schedule-dependent, so these checks pin Extra+LU
-     regardless of TAMC_ABSTRACTION (LuSim coverage:
-     check_lusim_differential) *)
-  let passed_list_exn ?budget ~domains net =
-    passed_list_exn ?budget ~abstraction:Reach.ExtraLU ~domains net
-  in
+     subsumption, whose order is antisymmetric *)
   let seq_passed, seq_stats = passed_list_exn ~domains:1 net in
   let seq_fp = antichain_fp net seq_passed in
   Alcotest.(check int)
@@ -95,13 +88,11 @@ let verdict = function
   | Reach.Unreachable _ -> "unreachable"
   | Reach.Budget_exhausted _ -> "budget"
 
-let sup_fp ?(initial_ceiling = 64) ?(max_ceiling = 256) ?abstraction ~domains
-    net ~at ~clock () =
+let sup_fp ?(initial_ceiling = 64) ?(max_ceiling = 256) ~domains net ~at
+    ~clock () =
   (* tiny ceilings, as in test_mc: model constants are all well below
-     64, and the fingerprint only has to agree across engines *)
-  match
-    Wcrt.sup ?abstraction ~domains ~initial_ceiling ~max_ceiling net ~at ~clock
-  with
+     64, and the fingerprint only has to agree across domain counts *)
+  match Wcrt.sup ~domains ~initial_ceiling ~max_ceiling net ~at ~clock with
   | Wcrt.Sup { value; kind; _ } ->
       Printf.sprintf "sup %d %s" value
         (match kind with
@@ -154,109 +145,19 @@ let test_zoo_verdicts_and_wcrts () =
   List.iter (fun (name, net) -> check_net_verdicts_and_wcrts name net) (zoo ())
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: LuSim vs Extra+LU, at one domain and at several          *)
-(* ------------------------------------------------------------------ *)
-
-(* [covers_lusim rnet passed passed']: every stored zone of [passed]
-   is a<|LU-simulated by a stored zone of [passed'] at the same
-   discrete state, with the flow-refined per-state bounds the engine
-   itself uses.  Mutual coverage is the right equivalence between LuSim
-   passed lists: le_lu is not antisymmetric, so the surviving
-   representative of two mutually-simulating zones is
-   schedule-dependent and syntactic antichain equality would be
-   flaky. *)
-let covers_lusim rnet passed passed' =
-  List.for_all
-    (fun ((st : Semantics.state), zones) ->
-      let l, u = Semantics.lu_bounds rnet st in
-      let zones' =
-        match
-          List.find_opt (fun ((st' : Semantics.state), _) -> st' = st) passed'
-        with
-        | Some (_, zs) -> zs
-        | Option.None -> []
-      in
-      List.for_all
-        (fun z -> List.exists (fun z' -> Dbm.le_lu l u z z') zones')
-        zones)
-    passed
-
-let check_lusim_differential name net =
-  (* LuSim runs at 2 and 4 domains must reproduce the one-domain LuSim
-     passed list up to mutual simulation, and every verdict/WCRT under
-     LuSim must equal Extra+LU's at 1 and 4 domains *)
-  let rnet = Ita_analysis.Flow.(refine_lu (analyze net) net) in
-  let seq_passed, _ = passed_list_exn ~abstraction:Reach.LuSim ~domains:1 net in
-  List.iter
-    (fun d ->
-      let passed, stats =
-        passed_list_exn ~abstraction:Reach.LuSim ~domains:d net
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "%s: lusim stored = resident zones (d=%d)" name d)
-        (resident_zones passed) stats.Reach.stored;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: parallel lusim covers sequential (d=%d)" name d)
-        true
-        (covers_lusim rnet seq_passed passed);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: sequential lusim covers parallel (d=%d)" name d)
-        true
-        (covers_lusim rnet passed seq_passed))
-    [ 2; 4 ];
-  let n_clocks = Array.length net.Network.clock_names in
-  Array.iter
-    (fun (a : Automaton.t) ->
-      Array.iter
-        (fun (l : Automaton.location) ->
-          let at = Query.at net ~comp:a.Automaton.name ~loc:l.Automaton.loc_name in
-          for x = 1 to n_clocks - 1 do
-            let q = Query.with_guard at (Guard.clock_ge x 3) in
-            let lu =
-              verdict (Reach.reach ~abstraction:Reach.ExtraLU ~domains:1 net q)
-            in
-            let lu_sup =
-              sup_fp ~abstraction:Reach.ExtraLU ~domains:1 net ~at ~clock:x ()
-            in
-            List.iter
-              (fun d ->
-                Alcotest.(check string)
-                  (Printf.sprintf "%s: lusim verdict %s >= 3 at %s.%s (d=%d)"
-                     name net.Network.clock_names.(x) a.Automaton.name
-                     l.Automaton.loc_name d)
-                  lu
-                  (verdict
-                     (Reach.reach ~abstraction:Reach.LuSim ~domains:d net q));
-                Alcotest.(check string)
-                  (Printf.sprintf "%s: lusim sup %s at %s.%s (d=%d)" name
-                     net.Network.clock_names.(x) a.Automaton.name
-                     l.Automaton.loc_name d)
-                  lu_sup
-                  (sup_fp ~abstraction:Reach.LuSim ~domains:d net ~at ~clock:x
-                     ()))
-              [ 1; 4 ]
-          done)
-        a.Automaton.locations)
-    net.Network.automata
-
-let test_zoo_lusim () =
-  List.iter (fun (name, net) -> check_lusim_differential name net) (zoo ())
-
-(* ------------------------------------------------------------------ *)
 (* Satellite: the radionav case study, differentially                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_radionav_wcrt () =
   (* the cheap validated cells (see test_casestudy); values pinned so a
-     wrong-but-consistent pair of engines (or abstractions) cannot
-     pass *)
+     wrong-but-consistent pair of domain counts cannot pass *)
   List.iter
     (fun (scen, req, expected) ->
       let sys = R.system R.Al_tmc R.Po in
       List.iter
-        (fun (abstraction, d) ->
+        (fun d ->
           match
-            (Ita_core.Analyze.wcrt ~abstraction ~domains:d sys ~scenario:scen
+            (Ita_core.Analyze.wcrt ~domains:d sys ~scenario:scen
                ~requirement:req)
               .Ita_core.Analyze.outcome
           with
@@ -265,13 +166,7 @@ let test_radionav_wcrt () =
                 (Printf.sprintf "%s/%s (d=%d)" scen req d)
                 expected v
           | _ -> Alcotest.failf "%s/%s (d=%d): expected exact WCRT" scen req d)
-        [
-          (Reach.ExtraLU, 1);
-          (Reach.ExtraLU, 2);
-          (Reach.ExtraLU, 4);
-          (Reach.LuSim, 1);
-          (Reach.LuSim, 4);
-        ])
+        [ 1; 2; 4 ])
     [ ("AddressLookup", "E2E", 79_075); ("HandleTMC", "TMC", 172_106) ]
 
 let test_radionav_antichains () =
@@ -335,27 +230,11 @@ let gen_random_net =
     (Automaton.make ~name:"P" ~locations ~edges ~initial:0);
   return (Network.Builder.build b, nl)
 
-let point_zone v =
-  let z = Dbm.zero (Array.length v - 1) in
-  for i = 1 to Array.length v - 1 do
-    Dbm.reset z i v.(i)
-  done;
-  z
-
-let symbolic_cover ?abstraction ~domains net =
-  (* as in test_mc, but the cover is built by the engine under test.
-     Under LuSim the passed list keeps unextrapolated zones and prunes
-     up to the a<|LU simulation, so a concrete valuation is covered
-     when its point zone is le_lu-below a stored zone (flow-refined
-     per-state bounds, as the engine uses). *)
-  let abstraction =
-    match abstraction with
-    | Some a -> a
-    | Option.None -> Reach.default_abstraction ()
-  in
+let symbolic_cover ~domains net =
+  (* as in test_mc, but the cover is built by the engine under test *)
   let store = Hashtbl.create 256 in
   (match
-     Reach.explore ~abstraction ~domains net
+     Reach.explore ~domains net
        ~on_store:(fun (cfg : Semantics.config) ->
          let key =
            (cfg.Semantics.state.Semantics.locs, cfg.Semantics.state.Semantics.env)
@@ -365,12 +244,6 @@ let symbolic_cover ?abstraction ~domains net =
    with
   | `Complete _ -> ()
   | `Budget_exhausted _ -> Alcotest.fail "exploration should complete");
-  let lusim_net =
-    match abstraction with
-    | Reach.LuSim ->
-        Some Ita_analysis.Flow.(refine_lu (analyze net) net)
-    | Reach.ExtraM | Reach.ExtraLU -> Option.None
-  in
   fun (c : Concrete.t) ->
     let n = Array.length net.Network.clock_names in
     let n_comp = Array.length net.Network.automata in
@@ -386,18 +259,7 @@ let symbolic_cover ?abstraction ~domains net =
     done;
     match Hashtbl.find_opt store (c.Concrete.locs, c.Concrete.env) with
     | Option.None -> false
-    | Some zones -> (
-        List.exists (fun z -> Dbm.satisfies z clocks) zones
-        ||
-        match lusim_net with
-        | Some rnet ->
-            let st =
-              { Semantics.locs = c.Concrete.locs; env = c.Concrete.env }
-            in
-            let l, u = Semantics.lu_bounds rnet st in
-            let pt = point_zone clocks in
-            List.exists (fun z -> Dbm.le_lu l u pt z) zones
-        | Option.None -> false)
+    | Some zones -> List.exists (fun z -> Dbm.satisfies z clocks) zones
 
 let safe_walk net ~seed ~steps ~max_step_delay =
   (* like Concrete.random_walk, but skipping enabled transitions whose
@@ -437,34 +299,23 @@ let test_random_nets_par_agree =
     QCheck2.Gen.(triple gen_random_net (int_range 0 10) (int_range 1 10_000))
     (fun ((net, nl), c, seed) ->
       let ok = ref true in
-      (* verdict differential on every location, incl. LuSim *)
+      (* verdict differential on every location *)
       for l = 0 to nl - 1 do
         let at = Query.at net ~comp:"P" ~loc:(Printf.sprintf "L%d" l) in
         let q = Query.with_guard at (Guard.clock_ge 2 c) in
         let seq = verdict (Reach.reach ~domains:1 net q) in
         let par = verdict (Reach.reach ~domains:4 net q) in
-        let lus = verdict (Reach.reach ~abstraction:Reach.LuSim ~domains:4 net q) in
-        if seq <> par || seq <> lus then ok := false
+        if seq <> par then ok := false
       done;
-      (* stored differential on the full zone graph (pinned to
-         Extra+LU: cross-domain-count stored equality needs subset
-         subsumption) *)
-      let _, seq_stats =
-        passed_list_exn ~abstraction:Reach.ExtraLU ~domains:1 net
-      in
-      let _, par_stats =
-        passed_list_exn ~abstraction:Reach.ExtraLU ~domains:4 net
-      in
+      (* stored differential on the full zone graph *)
+      let _, seq_stats = passed_list_exn ~domains:1 net in
+      let _, par_stats = passed_list_exn ~domains:4 net in
       if seq_stats.Reach.stored <> par_stats.Reach.stored then ok := false;
       (* concrete oracle: a random walk is covered by the parallel
-         cover under the default abstraction and under LuSim *)
+         cover *)
       let covered = symbolic_cover ~domains:4 net in
-      let covered_lusim =
-        symbolic_cover ~abstraction:Reach.LuSim ~domains:4 net
-      in
       let walk = safe_walk net ~seed ~steps:40 ~max_step_delay:7 in
       if not (List.for_all covered walk) then ok := false;
-      if not (List.for_all covered_lusim walk) then ok := false;
       !ok)
 
 (* ------------------------------------------------------------------ *)
@@ -473,16 +324,11 @@ let test_random_nets_par_agree =
 (* ------------------------------------------------------------------ *)
 
 let test_stress_deterministic_stats () =
-  (* pinned to Extra+LU: bit-for-bit antichain determinism across
-     schedules needs subset subsumption (see check_antichains) *)
-  let passed_list_exn ~domains net =
-    passed_list_exn ~abstraction:Reach.ExtraLU ~domains net
-  in
   let net = Models.wide_frontier () in
   let at = Query.at net ~comp:"P0" ~loc:"B" in
   let base_passed, base_stats = passed_list_exn ~domains:4 net in
   let base_fp = antichain_fp net base_passed in
-  let base_sup = sup_fp ~abstraction:Reach.ExtraLU ~domains:4 net ~at ~clock:1 () in
+  let base_sup = sup_fp ~domains:4 net ~at ~clock:1 () in
   Alcotest.(check string) "sup value" "sup 5 attained" base_sup;
   for run = 1 to 50 do
     let passed, stats = passed_list_exn ~domains:4 net in
@@ -495,7 +341,7 @@ let test_stress_deterministic_stats () =
     Alcotest.(check string)
       (Printf.sprintf "run %d: WCRT deterministic" run)
       base_sup
-      (sup_fp ~abstraction:Reach.ExtraLU ~domains:4 net ~at ~clock:1 ())
+      (sup_fp ~domains:4 net ~at ~clock:1 ())
   done
 
 (* ------------------------------------------------------------------ *)
@@ -511,16 +357,9 @@ let test_stored_is_resident () =
   let passed, stats = passed_list_exn ~domains:4 net in
   Alcotest.(check int) "stored = resident zones" (resident_zones passed)
     stats.Reach.stored;
-  (* stored equality across domain counts again needs subset
-     subsumption, so pin Extra+LU for it *)
-  let passed_lu, stats_lu =
-    passed_list_exn ~abstraction:Reach.ExtraLU ~domains:4 net
-  in
-  Alcotest.(check int) "stored = resident zones (extralu)"
-    (resident_zones passed_lu) stats_lu.Reach.stored;
-  let _, seq_stats = passed_list_exn ~abstraction:Reach.ExtraLU ~domains:1 net in
+  let _, seq_stats = passed_list_exn ~domains:1 net in
   Alcotest.(check int) "parallel stored = sequential stored"
-    seq_stats.Reach.stored stats_lu.Reach.stored
+    seq_stats.Reach.stored stats.Reach.stored
 
 (* ------------------------------------------------------------------ *)
 (* Multicore plumbing: budgets, witnesses, defaults                    *)
@@ -562,7 +401,6 @@ let () =
           Alcotest.test_case "zoo antichains" `Quick test_zoo_antichains;
           Alcotest.test_case "zoo verdicts and WCRTs" `Quick
             test_zoo_verdicts_and_wcrts;
-          Alcotest.test_case "zoo LuSim vs Extra+LU" `Quick test_zoo_lusim;
           Alcotest.test_case "radionav WCRT cells" `Slow test_radionav_wcrt;
           Alcotest.test_case "radionav antichains" `Slow
             test_radionav_antichains;

@@ -3,9 +3,8 @@
    suites showing that the engine's always-on slicing changes no
    verdict and no WCRT — on the model zoo, on the shipped example
    models, on the radionav case study and on random automata checked
-   against a concrete-walk oracle — across all three abstractions and
-   1/4 worker domains.  The unsliced oracles are Models.unsliced_reach
-   and Models.unsliced_sup. *)
+   against a concrete-walk oracle — at 1 and 4 worker domains.  The
+   unsliced oracles are Models.unsliced_reach and Models.unsliced_sup. *)
 
 open Ita_ta
 open Ita_mc
@@ -35,24 +34,17 @@ let fp_of_sup = function
   | Wcrt.Sup_budget_exhausted _ -> "budget"
   | Wcrt.Sup_unbounded _ -> "unbounded"
 
-let sup_fp ?(initial_ceiling = 64) ?(max_ceiling = 256) ?abstraction ?domains
-    net ~at ~clock () =
-  fp_of_sup
-    (Wcrt.sup ?abstraction ?domains ~initial_ceiling ~max_ceiling net ~at
-       ~clock)
+let sup_fp ?(initial_ceiling = 64) ?(max_ceiling = 256) ?domains net ~at ~clock
+    () =
+  fp_of_sup (Wcrt.sup ?domains ~initial_ceiling ~max_ceiling net ~at ~clock)
 
 let unsliced_sup_fp ?(max_ceiling = 256) net ~at ~clock =
   fp_of_sup (Models.unsliced_sup ~max_ceiling net ~at ~clock)
 
-(* the engine settings every differential compares against the
-   unsliced oracle: each abstraction, on one domain and on 4 *)
-let configs =
-  List.concat_map
-    (fun d ->
-      List.map (fun a -> (a, d)) [ Reach.ExtraM; Reach.ExtraLU; Reach.LuSim ])
-    [ 1; 4 ]
-
-let config_name (a, d) = Printf.sprintf "%s/d=%d" (Reach.abstraction_name a) d
+(* the domain counts every differential compares against the unsliced
+   oracle *)
+let configs = [ 1; 4 ]
+let config_name d = Printf.sprintf "d=%d" d
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built networks                                                 *)
@@ -249,7 +241,7 @@ let test_station_strict_win () =
   in
   let v_on, n_on =
     value_explored
-      (Wcrt.sup ~abstraction:Reach.ExtraLU ~domains:1 net ~at ~clock)
+      (Wcrt.sup ~domains:1 net ~at ~clock)
   in
   Alcotest.(check int) "same WCRT" v_off v_on;
   Alcotest.(check bool)
@@ -287,8 +279,8 @@ let test_identity () =
     "byte-identical exploration"
     (counts (Models.unsliced_sup ~max_ceiling:64 net ~at ~clock:z))
     (counts
-       (Wcrt.sup ~abstraction:Reach.ExtraLU ~domains:1 ~initial_ceiling:64
-          ~max_ceiling:64 net ~at ~clock:z))
+       (Wcrt.sup ~domains:1 ~initial_ceiling:64 ~max_ceiling:64 net ~at
+          ~clock:z))
 
 (* pp_report smoke: the report must mention the removals and carry the
    resolver's provenance prefix *)
@@ -318,7 +310,7 @@ let test_report () =
     [ "model.ta:2:1"; "Q"; "z"; "v" ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential: the model zoo, all abstractions x domains             *)
+(* Differential: the model zoo, at 1 and 4 domains                     *)
 (* ------------------------------------------------------------------ *)
 
 let zoo () =
@@ -347,24 +339,25 @@ let check_net_differential name net =
                 let q = Query.with_guard at (Guard.clock_ge x c) in
                 let base = unsliced_verdict net q in
                 List.iter
-                  (fun ((abstraction, domains) as cfg) ->
+                  (fun domains ->
                     Alcotest.(check string)
                       (Printf.sprintf "%s [%s]: verdict %s >= %d at %s.%s"
-                         name (config_name cfg) net.Network.clock_names.(x) c
-                         a.Automaton.name l.Automaton.loc_name)
+                         name (config_name domains)
+                         net.Network.clock_names.(x) c a.Automaton.name
+                         l.Automaton.loc_name)
                       base
-                      (verdict (Reach.reach ~abstraction ~domains net q)))
+                      (verdict (Reach.reach ~domains net q)))
                   configs)
               [ 1; 7 ];
             let base = unsliced_sup_fp net ~at ~clock:x in
             List.iter
-              (fun ((abstraction, domains) as cfg) ->
+              (fun domains ->
                 Alcotest.(check string)
                   (Printf.sprintf "%s [%s]: sup %s at %s.%s" name
-                     (config_name cfg) net.Network.clock_names.(x)
+                     (config_name domains) net.Network.clock_names.(x)
                      a.Automaton.name l.Automaton.loc_name)
                   base
-                  (sup_fp ~abstraction ~domains net ~at ~clock:x ()))
+                  (sup_fp ~domains net ~at ~clock:x ()))
               configs
           done)
         a.Automaton.locations)
@@ -398,24 +391,25 @@ let test_examples_differential () =
           | E.Reach_q q ->
               let base = unsliced_verdict net q in
               List.iter
-                (fun ((abstraction, domains) as cfg) ->
+                (fun domains ->
                   Alcotest.(check string)
-                    (Printf.sprintf "%s query %d [%s]" file i (config_name cfg))
+                    (Printf.sprintf "%s query %d [%s]" file i
+                       (config_name domains))
                     base
-                    (verdict (Reach.reach ~abstraction ~domains net q)))
+                    (verdict (Reach.reach ~domains net q)))
                 configs
           | E.Sup_q { clock; at } ->
               let base =
                 unsliced_sup_fp ~max_ceiling:(1 lsl 40) net ~at ~clock
               in
               List.iter
-                (fun ((abstraction, domains) as cfg) ->
+                (fun domains ->
                   Alcotest.(check string)
                     (Printf.sprintf "%s sup query %d [%s]" file i
-                       (config_name cfg))
+                       (config_name domains))
                     base
                     (sup_fp ~initial_ceiling:1_000_000 ~max_ceiling:(1 lsl 40)
-                       ~abstraction ~domains net ~at ~clock ()))
+                       ~domains net ~at ~clock ()))
                 configs
           | E.Deadlock_q -> ())
         queries)
@@ -451,15 +445,14 @@ let test_radionav_differential () =
             expected value
       | _ -> Alcotest.failf "%s/%s: oracle expected a finite sup" scen req);
       List.iter
-        (fun ((abstraction, domains) as cfg) ->
+        (fun domains ->
           match
-            (Core.Analyze.wcrt ~abstraction ~domains sys ~scenario:scen
-               ~requirement:req)
+            (Core.Analyze.wcrt ~domains sys ~scenario:scen ~requirement:req)
               .Core.Analyze.outcome
           with
           | Core.Analyze.Exact_wcrt v ->
               Alcotest.(check int)
-                (Printf.sprintf "%s/%s [%s]" scen req (config_name cfg))
+                (Printf.sprintf "%s/%s [%s]" scen req (config_name domains))
                 expected v
           | _ -> Alcotest.failf "%s/%s: expected exact WCRT" scen req)
         configs)
@@ -559,8 +552,8 @@ let test_random_island =
         let q = Query.with_guard at (Guard.clock_ge 1 c) in
         let base = unsliced_verdict net q in
         List.iter
-          (fun (abstraction, domains) ->
-            if verdict (Reach.reach ~abstraction ~domains net q) <> base then
+          (fun domains ->
+            if verdict (Reach.reach ~domains net q) <> base then
               ok := false)
           configs;
         (* the oracle: a concrete state of the ORIGINAL network hitting
