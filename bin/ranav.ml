@@ -58,7 +58,14 @@ let budget_arg =
   Arg.(
     value
     & opt (some int) None
-    & info [ "budget-states" ] ~doc:"state budget for structured testing")
+    & info [ "budget-states" ]
+        ~doc:
+          (Printf.sprintf
+             "state budget of the exhaustive run; when it runs out, the \
+              same query runs depth-first under it too and the larger \
+              response the two runs observed is reported as a lower bound \
+              (table1 and table2 default to %d)"
+             R.table_budget))
 
 let domains_arg =
   Arg.(
@@ -70,35 +77,40 @@ let domains_arg =
            TAMC_DOMAINS environment variable, else the machine's core \
            count); 1 runs one worker on the calling domain")
 
+(* What a cut-off cell means, printed under the tables and [wcrt]. *)
+let print_cut_legend states outcomes =
+  let has p = List.exists p outcomes in
+  if has (function Analyze.Wcrt_lower_bound _ -> true | _ -> false) then
+    Format.printf
+      ">= v: the %d-state budget ran out; v is the largest response \
+       observed before it did, in the exhaustive run or its depth-first \
+       rerun@."
+      states;
+  if has (function Analyze.Unobserved _ -> true | _ -> false) then
+    Format.printf
+      "?: the %d-state budget ran out before either run observed a \
+       response@."
+      states
+
 (* ------------------------------------------------------------------ *)
 (* wcrt                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_wcrt combo column scenario requirement order seed budget probe_start_ms
-    domains certify cert_out =
+let run_wcrt combo column scenario requirement order seed budget domains
+    certify cert_out =
   let order = seeded_order order seed in
   let sys = R.system combo column in
-  let method_ =
-    match budget with
-    | None -> Analyze.Exhaustive
-    | Some states ->
-        Analyze.Structured_testing
-          {
-            order = (match order with Reach.Bfs -> Reach.Dfs | o -> o);
-            budget = Reach.states states;
-            start = Units.us_of_ms probe_start_ms;
-            step = Units.us_of_ms 10.0;
-          }
-  in
   let r =
-    Analyze.wcrt ~method_ ~order ?domains ~certify ?cert_out sys ~scenario
-      ~requirement
+    Analyze.wcrt ~order
+      ?budget:(Option.map Reach.states budget)
+      ?domains ~certify ?cert_out sys ~scenario ~requirement
   in
   Format.printf "%s %s/%s [%s]: uncontended %a ms, wcrt %a ms (%d states, %.2fs)@."
     (match combo with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
     scenario requirement (R.column_name column) Units.pp_ms
     r.Analyze.uncontended_us Analyze.pp_outcome r.Analyze.outcome
     r.Analyze.explored r.Analyze.elapsed;
+  Option.iter (fun n -> print_cut_legend n [ r.Analyze.outcome ]) budget;
   (match cert_out with
   | Some path when r.Analyze.certified <> None || not certify ->
       Format.printf "wrote certificate to %s@." path
@@ -124,11 +136,6 @@ let wcrt_cmd =
   let requirement =
     Arg.(value & opt string "TMC" & info [ "requirement" ] ~doc:"requirement name")
   in
-  let probe_start =
-    Arg.(
-      value & opt float 100.0
-      & info [ "probe-start-ms" ] ~doc:"first probed bound (ms)")
-  in
   let certify =
     Arg.(
       value & flag
@@ -152,51 +159,29 @@ let wcrt_cmd =
   Cmd.v (Cmd.info "wcrt" ~doc:"model-check one requirement")
     Term.(
       const run_wcrt $ combo_arg $ column_arg $ scenario $ requirement
-      $ order_arg $ seed_arg $ budget_arg $ probe_start $ domains_arg
+      $ order_arg $ seed_arg $ budget_arg $ domains_arg
       $ certify $ cert_out)
 
 (* ------------------------------------------------------------------ *)
 (* table1                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The ChangeVolume-combination pno/sp cells and all pj/bur cells have
-   state spaces that defeated UPPAAL too; like the paper we fall back
-   to budgeted depth-first lower-bound probing for them unless the
-   caller forces exhaustiveness. *)
-let analyze_cell ?(force_exhaustive = false) (row : R.row) column ~budget =
-  let sys = R.system row.R.combo column in
-  let expensive =
-    (row.R.combo = R.Cv_tmc && column <> R.Po)
-    || ((column = R.Pj || column = R.Bur) && row.R.requirement = "TMC")
-  in
-  let probe states =
-    let start =
-      match (row.R.combo, row.R.requirement) with
-      | R.Cv_tmc, "TMC" -> 350_000
-      | _, "TMC" -> 172_106
-      | _, _ -> 14_080
-    in
-    Analyze.Structured_testing
-      {
-        order = Reach.Dfs;
-        budget = Reach.states states;
-        start;
-        step = 25_000;
-      }
-  in
-  let method_ =
-    match (budget, expensive && not force_exhaustive) with
-    | Some states, _ -> probe states
-    | None, true -> probe 60_000
-    | None, false -> Analyze.Exhaustive
-  in
-  Analyze.wcrt ~method_ sys ~scenario:row.R.scenario
+(* Every table cell gets the one policy of [Analyze.wcrt] under the
+   table budget ([None]: no budget). *)
+let analyze_cell (row : R.row) column ~budget =
+  Analyze.wcrt
+    ?budget:(Option.map Reach.states budget)
+    (R.system row.R.combo column) ~scenario:row.R.scenario
     ~requirement:row.R.requirement
 
 let run_table1 columns budget rows_filter full =
   let columns =
     if columns = [] then [ R.Po; R.Pno; R.Sp; R.Pj; R.Bur ] else columns
   in
+  let budget =
+    if full then None else Some (Option.value budget ~default:R.table_budget)
+  in
+  let outcomes = ref [] in
   Format.printf
     "Table 1: worst-case response times (ms), per environment model@.";
   Format.printf "%-32s" "Requirement";
@@ -208,13 +193,15 @@ let run_table1 columns budget rows_filter full =
         Format.printf "%-32s" row.R.label;
         List.iter
           (fun c ->
-            let r = analyze_cell ~force_exhaustive:full row c ~budget in
+            let r = analyze_cell row c ~budget in
+            outcomes := r.Analyze.outcome :: !outcomes;
             Format.printf " %12s"
               (Format.asprintf "%a" Analyze.pp_outcome r.Analyze.outcome))
           columns;
         Format.printf "@."
       end)
-    R.table1_rows
+    R.table1_rows;
+  Option.iter (fun n -> print_cut_legend n !outcomes) budget
 
 let table1_cmd =
   let columns =
@@ -232,7 +219,9 @@ let table1_cmd =
     Arg.(
       value & flag
       & info [ "full" ]
-          ~doc:"exhaustive search even on the huge cells (hours)")
+          ~doc:
+            "no state budget: every cell explores exhaustively (the \
+             largest take minutes and gigabytes)")
   in
   Cmd.v
     (Cmd.info "table1"
@@ -245,6 +234,8 @@ let table1_cmd =
 
 let run_table2 budget runs horizon_s =
   let horizon_us = int_of_float (horizon_s *. 1e6) in
+  let states = Option.value budget ~default:R.table_budget in
+  let outcomes = ref [] in
   Format.printf
     "Table 2: WCRT (ms) - model checking vs simulation vs analytic bounds@.";
   Format.printf "%-32s %10s %10s %10s %10s %10s@." "Requirement" "mc(po)"
@@ -252,7 +243,8 @@ let run_table2 budget runs horizon_s =
   List.iter
     (fun (row : R.row) ->
       let cell col =
-        let r = analyze_cell row col ~budget in
+        let r = analyze_cell row col ~budget:(Some states) in
+        outcomes := r.Analyze.outcome :: !outcomes;
         Format.asprintf "%a" Analyze.pp_outcome r.Analyze.outcome
       in
       let mc_po = cell R.Po in
@@ -277,7 +269,8 @@ let run_table2 budget runs horizon_s =
       let mpa = analytic (fun sys -> Ita_rtc.Gpc.wcrt_bound sys) in
       Format.printf "%-32s %10s %10s %10s %10s %10s@." row.R.label mc_po
         mc_pno sim symta mpa)
-    R.table1_rows
+    R.table1_rows;
+  print_cut_legend states !outcomes
 
 let table2_cmd =
   let runs =
@@ -381,20 +374,10 @@ let run_sweep combo column kbps_list budget =
       in
       let sys = { base with Sysmodel.resources } in
       let mc =
-        let method_ =
-          match budget with
-          | None -> Analyze.Exhaustive
-          | Some states ->
-              Analyze.Structured_testing
-                {
-                  order = Reach.Dfs;
-                  budget = Reach.states states;
-                  start = 100_000;
-                  step = 25_000;
-                }
-        in
         let r =
-          Analyze.wcrt ~method_ sys ~scenario:"HandleTMC" ~requirement:"TMC"
+          Analyze.wcrt
+            ?budget:(Option.map Reach.states budget)
+            sys ~scenario:"HandleTMC" ~requirement:"TMC"
         in
         Format.asprintf "%a" Analyze.pp_outcome r.Analyze.outcome
       in

@@ -137,7 +137,7 @@ let run_check path order budget trace domains cert_out =
                   if want_cert then Some (fun s -> last_snap := Some s)
                   else None
                 in
-                match Wcrt.sup ~order ?domains ?snap net ~at ~clock with
+                match Wcrt.sup ~order ~budget ?domains ?snap net ~at ~clock with
                 | Wcrt.Sup { value; kind; stats } -> (
                     Format.printf "%d%s (%a)@." value
                       (match kind with

@@ -22,8 +22,7 @@ let () =
     let r = Analyze.wcrt sys ~scenario ~requirement in
     match r.Analyze.outcome with
     | Analyze.Exact_wcrt v -> v
-    | Analyze.Wcrt_lower_bound v -> v
-    | Analyze.No_response -> 0
+    | _ -> 0
   in
 
   (* 2. simulation: max over sampled schedules *)

@@ -33,8 +33,7 @@ let () =
           let met =
             match r.Analyze.outcome with
             | Analyze.Exact_wcrt v -> v < budget
-            | Analyze.Wcrt_lower_bound v -> v < budget
-            | Analyze.No_response -> false
+            | _ -> false
           in
           Printf.sprintf " [budget %.0f ms: %s]"
             (Units.ms_of_us budget)

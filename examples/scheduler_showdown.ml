@@ -68,7 +68,7 @@ let () =
       let verdict =
         match r.Analyze.outcome with
         | Analyze.Exact_wcrt v -> if v < us 10.0 then "deadline met" else "DEADLINE MISSED"
-        | Analyze.Wcrt_lower_bound _ | Analyze.No_response -> "unknown"
+        | _ -> "unknown"
       in
       Format.printf "%-28s control loop worst case: %a ms -> %s@." label
         Analyze.pp_outcome r.Analyze.outcome verdict)

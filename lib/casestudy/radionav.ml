@@ -245,3 +245,5 @@ let table1_rows =
       paper_pno = Some 79.075;
     };
   ]
+
+let table_budget = 150_000

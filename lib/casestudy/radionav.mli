@@ -101,3 +101,12 @@ type row = {
 }
 
 val table1_rows : row list
+
+val table_budget : int
+(** 150_000: the state budget of each Table 1 and Table 2 cell, for
+    each of [Analyze.wcrt]'s runs.  At one domain it leaves at least
+    30 % headroom over the largest cells that finish exhaustively
+    (AddressLookup bur at 102 335 explored states, HandleTMC+ChangeVolume
+    pno at 114 840); several domains may explore more.  The cells
+    beyond it print the larger response their breadth-first and
+    depth-first runs observed, a lower bound. *)

@@ -1,19 +1,13 @@
 open Ita_mc
 
-type method_ =
-  | Exhaustive
-  | Binary of { hi : int }
-  | Structured_testing of {
-      order : Reach.order;
-      budget : Reach.budget;
-      start : int;
-      step : int;
-    }
+type dimension = States | Seconds
 
 type outcome =
   | Exact_wcrt of int
-  | Wcrt_lower_bound of int
+  | Wcrt_lower_bound of { value : int; exhausted : dimension }
+  | Unobserved of dimension
   | No_response
+  | Unbounded
 
 type result = {
   outcome : outcome;
@@ -23,8 +17,8 @@ type result = {
   certified : (Ita_cert.Cert.stats, Ita_cert.Cert.failure) Stdlib.result option;
 }
 
-let wcrt ?(method_ = Exhaustive) ?order ?domains ?(certify = false) ?cert_out
-    sys ~scenario ~requirement =
+let wcrt ?(order = Reach.Bfs) ?(budget = Reach.no_budget) ?domains
+    ?(certify = false) ?cert_out sys ~scenario ~requirement =
   let s = Sysmodel.scenario sys scenario in
   let req = Scenario.requirement s requirement in
   let gen = Gen.generate ~measure:(scenario, req) sys in
@@ -36,69 +30,74 @@ let wcrt ?(method_ = Exhaustive) ?order ?domains ?(certify = false) ?cert_out
     Sysmodel.uncontended_us sys s ~from_step:req.Scenario.from_step
       ~to_step:req.Scenario.to_step
   in
-  (* Certification only applies to the exhaustive sup-query: that is
-     the one method whose verdict is an invariant rather than a bound
-     from an incomplete search. *)
   let want_cert = certify || cert_out <> None in
   let snap_ref = ref None in
   let snap =
     if want_cert then Some (fun s -> snap_ref := Some s) else None
   in
-  let qcert = ref None in
-  let outcome, explored, elapsed =
-    match method_ with
-    | Exhaustive -> (
-        match
-          Wcrt.sup ?order ?domains ?snap
-            ~initial_ceiling:(max 4 (4 * uncontended_us))
-            gen.Gen.net ~at ~clock
-        with
-        | Wcrt.Sup { value; kind; stats } ->
-            (match !snap_ref with
-            | Some snapshot ->
-                qcert :=
-                  Some
-                    (Cert_emit.of_snapshot ~index:0
-                       ~verdict:(Ita_cert.Cert.Sup { clock; value; kind })
-                       snapshot)
-            | None -> ());
-            (Exact_wcrt value, stats.Reach.explored, stats.Reach.elapsed)
-        | Wcrt.Goal_unreachable stats ->
-            (No_response, stats.Reach.explored, stats.Reach.elapsed)
-        | Wcrt.Sup_budget_exhausted { observed; stats } ->
-            ( (match observed with
-              | Some v -> Wcrt_lower_bound v
-              | None -> No_response),
-              stats.Reach.explored,
-              stats.Reach.elapsed )
-        | Wcrt.Sup_unbounded { ceiling; stats } ->
-            (Wcrt_lower_bound ceiling, stats.Reach.explored, stats.Reach.elapsed)
-        )
-    | Binary { hi } -> (
-        let r =
-          Wcrt.binary_search ?order ?domains ~hi gen.Gen.net ~at ~clock
-        in
-        match (r.Wcrt.lower, r.Wcrt.upper) with
-        | Some l, Some u when u = l + 1 ->
-            (Exact_wcrt l, r.Wcrt.total_explored, r.Wcrt.total_elapsed)
-        | Some l, _ ->
-            (Wcrt_lower_bound l, r.Wcrt.total_explored, r.Wcrt.total_elapsed)
-        | None, Some _ -> (No_response, r.Wcrt.total_explored, r.Wcrt.total_elapsed)
-        | None, None -> (No_response, r.Wcrt.total_explored, r.Wcrt.total_elapsed)
-        )
-    | Structured_testing { order; budget; start; step } -> (
-        let r =
-          Wcrt.probe_lower ~order ?domains gen.Gen.net ~at
-            ~clock ~budget ~start ~step
-        in
-        match r.Wcrt.lower with
-        | Some l -> (Wcrt_lower_bound l, r.Wcrt.total_explored, r.Wcrt.total_elapsed)
-        | None -> (No_response, r.Wcrt.total_explored, r.Wcrt.total_elapsed))
+  let sup order =
+    Wcrt.sup ~order ~budget ?domains ?snap
+      ~initial_ceiling:(max 4 (4 * uncontended_us))
+      gen.Gen.net ~at ~clock
   in
+  (* the exhaustive run, then — only if the budget cut it off — the
+     paper's structured testing: the same sup-query depth-first *)
+  let first = sup order in
+  let rerun =
+    match first with
+    | Wcrt.Sup_budget_exhausted _ when order <> Reach.Dfs ->
+        Some (sup Reach.Dfs)
+    | _ -> None
+  in
+  let runs = first :: Option.to_list rerun in
+  let last = Option.value rerun ~default:first in
+  let stats_of = function
+    | Wcrt.Sup { stats; _ }
+    | Wcrt.Goal_unreachable stats
+    | Wcrt.Sup_budget_exhausted { stats; _ }
+    | Wcrt.Sup_unbounded { stats; _ } ->
+        stats
+  in
+  (* [None] sorts below [Some _]: the larger observation of the runs *)
+  let observed =
+    List.fold_left
+      (fun acc -> function
+        | Wcrt.Sup_budget_exhausted { observed; _ } -> max acc observed
+        | _ -> acc)
+      None runs
+  in
+  let outcome =
+    match last with
+    | Wcrt.Sup { value; _ } -> Exact_wcrt value
+    | Wcrt.Goal_unreachable _ -> No_response
+    | Wcrt.Sup_unbounded _ -> Unbounded
+    | Wcrt.Sup_budget_exhausted { stats; _ } -> (
+        let exhausted =
+          match budget.Reach.max_states with
+          | Some m when stats.Reach.explored >= m -> States
+          | _ -> Seconds
+        in
+        match observed with
+        | Some value -> Wcrt_lower_bound { value; exhausted }
+        | None -> Unobserved exhausted)
+  in
+  let explored, elapsed =
+    List.fold_left
+      (fun (n, t) r ->
+        let st = stats_of r in
+        (n + st.Reach.explored, t +. st.Reach.elapsed))
+      (0, 0.0) runs
+  in
+  (* [snap] fires only on a [Sup], so a snapshot is the certifiable
+     invariant of the run that completed *)
   let certified =
-    match !qcert with
-    | None -> None
-    | Some qc ->
+    match (last, !snap_ref) with
+    | Wcrt.Sup { value; kind; _ }, Some snapshot ->
+        let qc =
+          Cert_emit.of_snapshot ~index:0
+            ~verdict:(Ita_cert.Cert.Sup { clock; value; kind })
+            snapshot
+        in
         (match cert_out with
         | Some path ->
             Ita_cert.Cert.save path (Cert_emit.make gen.Gen.net [ qc ])
@@ -109,13 +108,16 @@ let wcrt ?(method_ = Exhaustive) ?order ?domains ?(certify = false) ?cert_out
                ~goal:(Cert_emit.goal_of_query at)
                qc)
         else None
+    | _ -> None
   in
   { outcome; explored; elapsed; uncontended_us; certified }
 
 let pp_outcome ppf = function
   | Exact_wcrt us -> Units.pp_ms ppf us
-  | Wcrt_lower_bound us -> Format.fprintf ppf "> %a" Units.pp_ms us
+  | Wcrt_lower_bound { value; _ } -> Format.fprintf ppf ">= %a" Units.pp_ms value
+  | Unobserved _ -> Format.pp_print_string ppf "?"
   | No_response -> Format.pp_print_string ppf "-"
+  | Unbounded -> Format.pp_print_string ppf "unbounded"
 
 type verdict = Met | Violated | Unknown
 
@@ -127,31 +129,32 @@ type budget_report = {
   verdict : verdict;
 }
 
-let check_budgets ?method_ ?order ?domains (sys : Sysmodel.t) =
+let check_budgets ?order ?budget ?domains (sys : Sysmodel.t) =
   List.concat_map
     (fun (s : Scenario.t) ->
       List.filter_map
         (fun (req : Scenario.requirement) ->
           match req.Scenario.budget_us with
           | None -> None
-          | Some budget ->
+          | Some budget_us ->
               let r =
-                wcrt ?method_ ?order ?domains sys
+                wcrt ?order ?budget ?domains sys
                   ~scenario:s.Scenario.name
                   ~requirement:req.Scenario.req_name
               in
               let verdict =
                 match r.outcome with
-                | Exact_wcrt v -> if v < budget then Met else Violated
-                | Wcrt_lower_bound v ->
-                    if v >= budget then Violated else Unknown
-                | No_response -> Unknown
+                | Exact_wcrt v -> if v < budget_us then Met else Violated
+                | Wcrt_lower_bound { value; _ } ->
+                    if value >= budget_us then Violated else Unknown
+                | Unbounded -> Violated
+                | Unobserved _ | No_response -> Unknown
               in
               Some
                 {
                   scenario_name = s.Scenario.name;
                   requirement_name = req.Scenario.req_name;
-                  budget_us = budget;
+                  budget_us;
                   wcrt = r.outcome;
                   verdict;
                 })

@@ -1,46 +1,47 @@
 (** End-to-end analysis driver: architecture model in, worst-case
     response times out.
 
-    [Exhaustive] explores the full zone graph and returns the exact
-    WCRT (a sup-query over the observer clock at [seen], equivalent to
-    the paper's binary search on Property 1 but in a single run).
-    [Structured_testing] is the paper's fallback for state spaces that
-    explode (the "df" / "rdf" cells of Table 1): a budgeted
-    depth-first or random-depth-first hunt for ever-larger response
-    times, yielding a sound lower bound. *)
+    {!wcrt} is the one WCRT policy, the paper's own.  It first explores
+    the full zone graph in the caller's order (a sup-query over the
+    observer clock at [seen], equivalent to the paper's binary search
+    on Property 1 in a single run).  Only when the budget runs out
+    does it run the same sup-query once more, depth-first and under
+    the same budget: the paper's "structured testing" fallback for
+    state spaces that explode (the "df" cells of Table 1).  The larger
+    response the two runs observed is a sound WCRT lower bound. *)
 
 open Ita_mc
 
-type method_ =
-  | Exhaustive
-  | Binary of { hi : int }  (** the paper's actual strategy *)
-  | Structured_testing of {
-      order : Reach.order;
-      budget : Reach.budget;
-      start : int;
-      step : int;
-    }
+type dimension = States | Seconds
+(** The {!Reach.budget} dimension that ran out. *)
 
 type outcome =
-  | Exact_wcrt of int  (** microseconds; attained *)
-  | Wcrt_lower_bound of int  (** microseconds; search was budgeted *)
+  | Exact_wcrt of int  (** microseconds; an exploration completed *)
+  | Wcrt_lower_bound of { value : int; exhausted : dimension }
+      (** microseconds; the budget ran out, and [value] is the larger
+          response observed by the two runs *)
+  | Unobserved of dimension
+      (** the budget ran out before either run observed a response:
+          nothing is known about the WCRT *)
   | No_response  (** the measured response never occurs *)
+  | Unbounded
+      (** the measured clock is unbounded at the goal ({!Wcrt.Sup_unbounded}) *)
 
 type result = {
   outcome : outcome;
-  explored : int;
-  elapsed : float;
+  explored : int;  (** symbolic states, summed over both runs *)
+  elapsed : float;  (** wall-clock seconds, summed over both runs *)
   uncontended_us : int;
       (** interference-free duration of the measured window *)
   certified : (Ita_cert.Cert.stats, Ita_cert.Cert.failure) Stdlib.result option;
       (** [Some r] iff [~certify:true] produced an [Exact_wcrt] and the
-          independent checker was run on its certificate; [None] for
-          every other method/outcome combination. *)
+          independent checker was run on its certificate; [None]
+          otherwise. *)
 }
 
 val wcrt :
-  ?method_:method_ ->
   ?order:Reach.order ->
+  ?budget:Reach.budget ->
   ?domains:int ->
   ?certify:bool ->
   ?cert_out:string ->
@@ -49,20 +50,24 @@ val wcrt :
   requirement:string ->
   result
 (** [wcrt sys ~scenario ~requirement] builds the measured network and
-    extracts the WCRT.  Default method is [Exhaustive] with BFS.
+    extracts the WCRT with the policy above.  [?order] defaults to
+    BFS; when it is already [Dfs] the depth-first rerun would repeat
+    the first run and is skipped.  [?budget] (default
+    {!Reach.no_budget}) applies to each run.  The measured clock's
+    extrapolation ceiling starts at four times the uncontended time.
 
     [?certify] (default [false]) re-validates an [Exact_wcrt] verdict
-    with the independent certificate checker, in process, and reports
-    the outcome in [certified].  [?cert_out] additionally (or instead)
-    saves the certificate to the given path, where [tamc certify]-style
-    offline validation can pick it up.  Both only apply to the
-    [Exhaustive] method — bounds from incomplete searches carry no
-    invariant to certify.
+    from a sup with the independent certificate checker, in process,
+    and reports the outcome in [certified].  [?cert_out] additionally
+    (or instead) saves the certificate to the given path, where
+    [tamc certify]-style offline validation can pick it up.  Bounds
+    from cut-off runs carry no invariant to certify.
     @raise Not_found on unknown scenario/requirement names. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
-(** Table-style: "357.133" for exact values, "> 400.000" for lower
-    bounds, "-" for no response. *)
+(** Table-style: "357.133" for exact values, ">= 400.000" for lower
+    bounds, "?" when nothing was observed, "-" for no response,
+    "unbounded". *)
 
 type verdict = Met | Violated | Unknown
 
@@ -75,8 +80,8 @@ type budget_report = {
 }
 
 val check_budgets :
-  ?method_:method_ ->
-  ?order:Ita_mc.Reach.order ->
+  ?order:Reach.order ->
+  ?budget:Reach.budget ->
   ?domains:int ->
   Sysmodel.t ->
   budget_report list

@@ -13,9 +13,9 @@ let create ~dir =
 
 let dir t = t.dir
 
-(* bump when Job.result or the key fields change shape: old entries
-   become misses *)
-let version = "ita-dse-v10"
+(* bump when Job.result or the key fields change shape, or a job's
+   answer for the same key changes: old entries become misses *)
+let version = "ita-dse-v11"
 
 let job_key (spec : Job.spec) =
   let b = spec.Job.budget in

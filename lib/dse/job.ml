@@ -1,6 +1,5 @@
 open Ita_core
 module Reach = Ita_mc.Reach
-module Wcrt = Ita_mc.Wcrt
 
 type technique = Mc | Sim | Symta | Rtc
 
@@ -61,67 +60,34 @@ let measure_us = function
 type result = { measure : measure; elapsed : float; explored : int }
 
 let run_mc spec =
-  let s = Sysmodel.scenario spec.sys spec.scenario in
-  let req = Scenario.requirement s spec.requirement in
-  let gen = Gen.generate ~measure:(spec.scenario, req) spec.sys in
-  let obs = Option.get gen.Gen.observer in
-  let budget =
-    {
-      Reach.max_states = spec.budget.mc_states;
-      Reach.max_seconds = spec.budget.mc_seconds;
-    }
+  let r =
+    Analyze.wcrt
+      ~budget:
+        {
+          Reach.max_states = spec.budget.mc_states;
+          max_seconds = spec.budget.mc_seconds;
+        }
+      ?domains:spec.budget.mc_domains ~certify:spec.budget.mc_certify
+      spec.sys ~scenario:spec.scenario ~requirement:spec.requirement
   in
-  let snap_ref = ref None in
-  let snap =
-    if spec.budget.mc_certify then
-      Some (fun s -> snap_ref := Some s)
-    else None
+  let measure =
+    match (r.Analyze.outcome, r.Analyze.certified) with
+    (* a rejected certificate demotes the cell to [Failed] rather than
+       letting an unproven number drive design choices *)
+    | _, Some (Error f) ->
+        let module Cert = Ita_cert.Cert in
+        Failed
+          (Printf.sprintf "certificate rejected [%s] %s"
+             (Cert.obligation_name f.Cert.obligation)
+             f.Cert.message)
+    | Analyze.Exact_wcrt v, _ -> Exact v
+    | Analyze.Wcrt_lower_bound { value; _ }, _ -> Lower value
+    | Analyze.Unobserved _, _ ->
+        Failed "budget exhausted before any response was observed"
+    | Analyze.No_response, _ -> No_response
+    | Analyze.Unbounded, _ -> Unbounded
   in
-  match
-    Wcrt.sup ~budget ?domains:spec.budget.mc_domains ?snap gen.Gen.net
-      ~at:obs.Gen.seen ~clock:obs.Gen.obs_clock
-  with
-  | Wcrt.Sup { value; kind; stats } -> (
-      (* a certified mc cell: re-validate the exact verdict with the
-         independent checker before it may enter the Pareto front; a
-         rejected certificate demotes the cell to [Failed] rather
-         than letting an unproven number drive design choices *)
-      match !snap_ref with
-      | None ->
-          { measure = Exact value; elapsed = stats.Reach.elapsed; explored = stats.Reach.explored }
-      | Some snapshot -> (
-          let module Cert = Ita_cert.Cert in
-          let qc =
-            Ita_mc.Cert_emit.of_snapshot ~index:0
-              ~verdict:(Cert.Sup { clock = obs.Gen.obs_clock; value; kind })
-              snapshot
-          in
-          let goal = Ita_mc.Cert_emit.goal_of_query obs.Gen.seen in
-          match Cert.check gen.Gen.net ~goal qc with
-          | Ok _ ->
-              { measure = Exact value; elapsed = stats.Reach.elapsed; explored = stats.Reach.explored }
-          | Error f ->
-              {
-                measure =
-                  Failed
-                    (Printf.sprintf "certificate rejected [%s] %s"
-                       (Cert.obligation_name f.Cert.obligation)
-                       f.Cert.message);
-                elapsed = stats.Reach.elapsed;
-                explored = stats.Reach.explored;
-              }))
-  | Wcrt.Goal_unreachable stats ->
-      { measure = No_response; elapsed = stats.Reach.elapsed; explored = stats.Reach.explored }
-  | Wcrt.Sup_budget_exhausted { observed = Some v; stats } ->
-      { measure = Lower v; elapsed = stats.Reach.elapsed; explored = stats.Reach.explored }
-  | Wcrt.Sup_budget_exhausted { observed = None; stats } ->
-      {
-        measure = Failed "budget exhausted before any response was observed";
-        elapsed = stats.Reach.elapsed;
-        explored = stats.Reach.explored;
-      }
-  | Wcrt.Sup_unbounded { stats; _ } ->
-      { measure = Unbounded; elapsed = stats.Reach.elapsed; explored = stats.Reach.explored }
+  { measure; elapsed = r.Analyze.elapsed; explored = r.Analyze.explored }
 
 let run_sim spec =
   let samples = ref 0 in

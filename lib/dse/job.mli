@@ -17,8 +17,9 @@ val technique_name : technique -> string
 val technique_of_string : string -> (technique, string) result
 
 type budget = {
-  mc_states : int option;  (** state cap for the zone exploration *)
-  mc_seconds : float option;  (** wall-clock cap for the exploration *)
+  mc_states : int option;
+      (** state cap for each of {!Ita_core.Analyze.wcrt}'s runs *)
+  mc_seconds : float option;  (** wall-clock cap for each run *)
   mc_domains : int option;
       (** worker domains inside one exploration ([None]: the engine
           default, {!Ita_mc.Reach.default_domains}).  Sweeps running
@@ -50,8 +51,9 @@ type spec = {
 (** What kind of number a technique produced — the paper's Table 2
     distinction.  [Exact] comes from exhaustive model checking;
     [Lower] from simulation (a witnessed response) or from a budgeted
-    exploration (largest response observed before the budget ran
-    out); [Upper] from the conservative analytic techniques. *)
+    {!Ita_core.Analyze.wcrt} (the larger response its exhaustive run
+    and depth-first rerun observed before the budget ran out); [Upper]
+    from the conservative analytic techniques. *)
 type measure =
   | Exact of int  (** microseconds; the true WCRT *)
   | Lower of int  (** microseconds; a sound lower bound *)

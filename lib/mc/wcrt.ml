@@ -92,106 +92,3 @@ let sup ?order ?budget ?domains ?snap ?(initial_ceiling = 1_000_000)
               })
   in
   attempt initial_ceiling
-
-type search_result = {
-  lower : int option;
-  upper : int option;
-  runs : int;
-  total_explored : int;
-  total_elapsed : float;
-}
-
-let check ?order ?budget ?domains net (at : Query.t) clock c =
-  let q = Query.with_guard at (Guard.clock_ge clock c) in
-  Reach.reach ?order ?budget ?domains net q
-
-let binary_search ?order ?budget ?domains ?(hi = 1_000_000) net ~at ~clock =
-  let runs = ref 0 and explored = ref 0 and elapsed = ref 0.0 in
-  let note (s : Reach.stats) =
-    incr runs;
-    explored := !explored + s.Reach.explored;
-    elapsed := !elapsed +. s.Reach.elapsed
-  in
-  let result lower upper =
-    {
-      lower;
-      upper;
-      runs = !runs;
-      total_explored = !explored;
-      total_elapsed = !elapsed;
-    }
-  in
-  let exception Stop of search_result in
-  let test c =
-    match check ?order ?budget ?domains net at clock c with
-    | Reach.Reachable { stats; _ } ->
-        note stats;
-        `Reachable
-    | Reach.Unreachable stats ->
-        note stats;
-        `Unreachable
-    | Reach.Budget_exhausted stats ->
-        note stats;
-        `Unknown
-  in
-  try
-    (* the goal location must be reachable at all for the search to
-       mean anything *)
-    let lower = ref None and upper = ref None in
-    (match test 0 with
-    | `Reachable -> lower := Some 0
-    | `Unreachable -> raise (Stop (result None (Some 0)))
-    | `Unknown -> raise (Stop (result None None)));
-    (* exponential climb to an unreachable ceiling *)
-    let hi = ref hi in
-    let continue = ref true in
-    while !continue do
-      match test !hi with
-      | `Reachable ->
-          lower := Some !hi;
-          hi := !hi * 2
-      | `Unreachable ->
-          upper := Some !hi;
-          continue := false
-      | `Unknown -> raise (Stop (result !lower None))
-    done;
-    (* invariant: lower reachable, upper unreachable *)
-    let lo = ref (match !lower with Some l -> l | None -> 0) in
-    let up = ref (match !upper with Some u -> u | None -> assert false) in
-    while !up - !lo > 1 do
-      let mid = !lo + ((!up - !lo) / 2) in
-      match test mid with
-      | `Reachable -> lo := mid
-      | `Unreachable -> up := mid
-      | `Unknown -> raise (Stop (result (Some !lo) (Some !up)))
-    done;
-    result (Some !lo) (Some !up)
-  with Stop r -> r
-
-let probe_lower ?order ?domains net ~at ~clock ~budget ~start ~step =
-  let runs = ref 0 and explored = ref 0 and elapsed = ref 0.0 in
-  let note (s : Reach.stats) =
-    incr runs;
-    explored := !explored + s.Reach.explored;
-    elapsed := !elapsed +. s.Reach.elapsed
-  in
-  let lower = ref None in
-  let c = ref start in
-  let continue = ref true in
-  while !continue do
-    match check ?order ?domains ~budget net at clock !c with
-    | Reach.Reachable { stats; _ } ->
-        note stats;
-        lower := Some !c;
-        c := !c + step
-    | Reach.Unreachable stats | Reach.Budget_exhausted stats ->
-        note stats;
-        continue := false
-  done;
-  {
-    lower = !lower;
-    upper = None;
-    runs = !runs;
-    total_explored = !explored;
-    total_elapsed = !elapsed;
-  }

@@ -3,16 +3,15 @@
     The paper (Property 1) finds the WCRT of a measured event by a
     binary search for the smallest [C] such that
     [A[] (rstat_m.seen -> rstat_m.y < C)] holds, i.e. such that
-    [seen && y >= C] is unreachable.  This module implements:
+    [seen && y >= C] is unreachable.  {!sup} answers the same question
+    in one exploration: it records the maximal value of the measured
+    clock over the goal states.  The binary search survives as its
+    oracle in the test suite ([test/models.ml]).
 
-    - {!binary_search}: exactly that strategy;
-    - {!sup}: a direct sup-query (explore everything, record the
-      maximal value of the measured clock at the goal), usually
-      cheaper — one exploration instead of ~log runs;
-    - {!probe_lower}: the paper's "structured testing" fallback for
-      intractable state spaces — depth-first / random-depth-first
-      search for counterexamples under a state budget, which yields
-      WCRT *lower* bounds (the "> 400.000 (df)" entries of Table 1).
+    Under a budget, a run that is cut off still reports the largest
+    value it observed, a sound WCRT lower bound; [Ita_core.Analyze]
+    turns that into the paper's depth-first "structured testing"
+    fallback.
 
     All values are in model time units (the paper's models use
     microseconds). *)
@@ -58,38 +57,3 @@ val sup :
     [?snap] fires exactly when the result is [Sup], with the final
     (below-ceiling) attempt's {!Reach.snapshot} for certificate
     emission. *)
-
-type search_result = {
-  lower : int option;  (** largest [C] with [goal && clock >= C] reachable *)
-  upper : int option;  (** smallest [C] proven unreachable *)
-  runs : int;
-  total_explored : int;
-  total_elapsed : float;
-}
-
-val binary_search :
-  ?order:Reach.order ->
-  ?budget:Reach.budget ->
-  ?domains:int ->
-  ?hi:int ->
-  Network.t ->
-  at:Query.t ->
-  clock:Guard.clock ->
-  search_result
-(** Binary search with doubling to find the initial unreachable [hi]
-    (default start [1_000_000]).  With an exhausted budget the
-    so-far-established bounds are returned. *)
-
-val probe_lower :
-  ?order:Reach.order ->
-  ?domains:int ->
-  Network.t ->
-  at:Query.t ->
-  clock:Guard.clock ->
-  budget:Reach.budget ->
-  start:int ->
-  step:int ->
-  search_result
-(** Climb [C] from [start] by [step] while the budgeted search keeps
-    finding counterexamples; the last success is a sound WCRT lower
-    bound. *)

@@ -251,6 +251,57 @@ let unsliced_sup ?(max_ceiling = 1 lsl 40) net ~at ~clock =
           stats;
         }
 
+(* The paper's Property-1 search, the oracle for [Wcrt.sup]: the WCRT
+   is the largest [C] with [seen && y >= C] reachable.  Doubling from
+   [hi] finds an unreachable constant, then bisection closes the gap.
+   An exhausted budget stops the search with the bounds established so
+   far. *)
+type search_result = {
+  lower : int option;  (** largest [C] with [goal && clock >= C] reachable *)
+  upper : int option;  (** smallest [C] proven unreachable *)
+  runs : int;
+}
+
+let binary_search ?budget ?(hi = 1_000_000) net ~at ~clock =
+  let runs = ref 0 in
+  let exception Stop of search_result in
+  let stop lower upper = raise (Stop { lower; upper; runs = !runs }) in
+  let test c =
+    incr runs;
+    match
+      Reach.reach ?budget net (Query.with_guard at (Guard.clock_ge clock c))
+    with
+    | Reach.Reachable _ -> `Reachable
+    | Reach.Unreachable _ -> `Unreachable
+    | Reach.Budget_exhausted _ -> `Unknown
+  in
+  try
+    (* the goal location must be reachable at all for the search to
+       mean anything *)
+    (match test 0 with
+    | `Reachable -> ()
+    | `Unreachable -> stop None (Some 0)
+    | `Unknown -> stop None None);
+    let rec climb lo hi =
+      match test hi with
+      | `Reachable -> climb hi (hi * 2)
+      | `Unreachable -> (lo, hi)
+      | `Unknown -> stop (Some lo) None
+    in
+    (* invariant: lo reachable, up unreachable *)
+    let rec bisect lo up =
+      if up - lo <= 1 then stop (Some lo) (Some up)
+      else
+        let mid = lo + ((up - lo) / 2) in
+        match test mid with
+        | `Reachable -> bisect mid up
+        | `Unreachable -> bisect lo mid
+        | `Unknown -> stop (Some lo) (Some up)
+    in
+    let lo, up = climb 0 hi in
+    bisect lo up
+  with Stop r -> r
+
 (* The ExtraM reference explorer: the oracle for the engine's Extra+LU
    abstraction and for its flow-refined L/U bounds.  Breadth-first over
    the certificate checker's naive successor relation ([Reference]: no

@@ -255,16 +255,68 @@ let test_analyze_nonpreemptive_blocking () =
   Alcotest.(check bool) "but bounded by block + backlog drain" true (np <= 36_000)
 
 let test_analyze_binary_search_agrees () =
+  (* the paper's Property-1 search on the same measured network *)
   let sys = showdown_system Resource.Priority_preemptive in
-  let r1 = Analyze.wcrt sys ~scenario:"Hi" ~requirement:"r" in
-  let r2 =
-    Analyze.wcrt ~method_:(Analyze.Binary { hi = 4000 }) sys ~scenario:"Hi"
-      ~requirement:"r"
+  let r = Analyze.wcrt sys ~scenario:"Hi" ~requirement:"r" in
+  let req = Scenario.requirement (Sysmodel.scenario sys "Hi") "r" in
+  let gen = Gen.generate ~measure:("Hi", req) sys in
+  let obs = Option.get gen.Gen.observer in
+  let bs =
+    Models.binary_search ~hi:4000 gen.Gen.net ~at:obs.Gen.seen
+      ~clock:obs.Gen.obs_clock
   in
-  match (r1.Analyze.outcome, r2.Analyze.outcome) with
-  | Analyze.Exact_wcrt a, Analyze.Exact_wcrt b ->
-      Alcotest.(check int) "sup = binary search" a b
+  match r.Analyze.outcome with
+  | Analyze.Exact_wcrt a ->
+      Alcotest.(check (option int)) "sup = binary search" (Some a) bs.Models.lower;
+      Alcotest.(check (option int)) "first unreachable" (Some (a + 1))
+        bs.Models.upper
   | _ -> Alcotest.fail "expected exact results"
+
+(* The WCRT policy's three paths, at one domain so the counts repeat. *)
+let policy_wcrt ?budget () =
+  Analyze.wcrt ~domains:1 ?budget
+    (showdown_system Resource.Priority_nonpreemptive)
+    ~scenario:"Hi" ~requirement:"r"
+
+let test_policy_exact () =
+  match (policy_wcrt ()).Analyze.outcome with
+  | Analyze.Exact_wcrt v ->
+      Alcotest.(check int) "30 ms block + its own 2 ms" 32_000 v
+  | o -> Alcotest.failf "expected exact, got %a" Analyze.pp_outcome o
+
+let test_policy_unobserved () =
+  match (policy_wcrt ~budget:(Reach.states 1) ()).Analyze.outcome with
+  | Analyze.Unobserved Analyze.States -> ()
+  | o -> Alcotest.failf "expected states-exhausted, got %a" Analyze.pp_outcome o
+
+let test_policy_lower_bound () =
+  (* a budget short of the exhaustive count cuts the breadth-first run
+     off; once a response has been seen, the outcome is a lower bound
+     no larger than the exact WCRT (or exact, when the depth-first
+     rerun completes within the budget) *)
+  let exact = policy_wcrt () in
+  let wcrt =
+    match exact.Analyze.outcome with
+    | Analyze.Exact_wcrt v -> v
+    | _ -> Alcotest.fail "expected exact"
+  in
+  let bounds = ref 0 in
+  let stride = max 1 (exact.Analyze.explored / 40) in
+  for i = 0 to (exact.Analyze.explored - 3) / stride do
+    let states = 2 + (i * stride) in
+    match (policy_wcrt ~budget:(Reach.states states) ()).Analyze.outcome with
+    | Analyze.Wcrt_lower_bound { value; exhausted = Analyze.States } ->
+        incr bounds;
+        if value > wcrt then
+          Alcotest.failf "budget %d: bound %d above the WCRT %d" states value
+            wcrt
+    | Analyze.Unobserved Analyze.States -> ()
+    | Analyze.Exact_wcrt v when v = wcrt -> ()
+    | o ->
+        Alcotest.failf "budget %d: unexpected %a" states Analyze.pp_outcome o
+  done;
+  Alcotest.(check bool) "some budget runs out after a response" true
+    (!bounds > 0)
 
 let test_queue_overflow_detected () =
   (* utilization 1.0: backlog grows without bound; the bounded counters
@@ -556,6 +608,11 @@ let () =
           Alcotest.test_case "blocking" `Quick test_analyze_nonpreemptive_blocking;
           Alcotest.test_case "binary agrees with sup" `Quick
             test_analyze_binary_search_agrees;
+          Alcotest.test_case "policy: exact" `Quick test_policy_exact;
+          Alcotest.test_case "policy: nothing observed" `Quick
+            test_policy_unobserved;
+          Alcotest.test_case "policy: lower bound" `Quick
+            test_policy_lower_bound;
           Alcotest.test_case "queue overflow detected" `Quick
             test_queue_overflow_detected;
         ] );

@@ -93,12 +93,12 @@ let test_sup_needs_ceiling_growth () =
 let test_binary_search () =
   let net, _x, y = Models.two_phase () in
   let r =
-    Wcrt.binary_search ~hi:8 net
+    Models.binary_search ~hi:8 net
       ~at:(Query.at net ~comp:"P" ~loc:"L2")
       ~clock:y
   in
-  Alcotest.(check (option int)) "lower = 6" (Some 6) r.Wcrt.lower;
-  Alcotest.(check (option int)) "upper = 7" (Some 7) r.Wcrt.upper
+  Alcotest.(check (option int)) "lower = 6" (Some 6) r.Models.lower;
+  Alcotest.(check (option int)) "upper = 7" (Some 7) r.Models.upper
 
 let test_binary_search_agrees_with_sup =
   QCheck2.Test.make ~count:20 ~name:"binary search = sup on random deadlines"
@@ -133,17 +133,8 @@ let test_binary_search_agrees_with_sup =
         | Wcrt.Sup { value; _ } -> value
         | _ -> -1
       in
-      let bs = Wcrt.binary_search ~hi:4 net ~at ~clock:y in
-      sup_val = ub + 4 && bs.Wcrt.lower = Some sup_val)
-
-let test_probe_lower () =
-  let net, _x, y = Models.two_phase () in
-  let r =
-    Wcrt.probe_lower ~order:Reach.Dfs net
-      ~at:(Query.at net ~comp:"P" ~loc:"L2")
-      ~clock:y ~budget:Reach.no_budget ~start:1 ~step:1
-  in
-  Alcotest.(check (option int)) "probe climbs to 6" (Some 6) r.Wcrt.lower
+      let bs = Models.binary_search ~hi:4 net ~at ~clock:y in
+      sup_val = ub + 4 && bs.Models.lower = Some sup_val)
 
 (* ------------------------------------------------------------------ *)
 (* WCRT drivers under exhausted budgets                                *)
@@ -154,13 +145,13 @@ let test_binary_search_budget_starved () =
      stop immediately and admit it knows nothing *)
   let net, _x, y = Models.two_phase () in
   let r =
-    Wcrt.binary_search ~budget:(Reach.states 1) ~hi:8 net
+    Models.binary_search ~budget:(Reach.states 1) ~hi:8 net
       ~at:(Query.at net ~comp:"P" ~loc:"L2")
       ~clock:y
   in
-  Alcotest.(check (option int)) "no lower bound" None r.Wcrt.lower;
-  Alcotest.(check (option int)) "no upper bound" None r.Wcrt.upper;
-  Alcotest.(check int) "stopped after the first probe" 1 r.Wcrt.runs
+  Alcotest.(check (option int)) "no lower bound" None r.Models.lower;
+  Alcotest.(check (option int)) "no upper bound" None r.Models.upper;
+  Alcotest.(check int) "stopped after the first probe" 1 r.Models.runs
 
 let test_binary_search_budget_sound =
   QCheck2.Test.make ~count:30 ~name:"binary search sound under any budget"
@@ -170,22 +161,22 @@ let test_binary_search_budget_sound =
          true sup (6, first unreachable 7) *)
       let net, _x, y = Models.two_phase () in
       let r =
-        Wcrt.binary_search ~budget:(Reach.states b) ~hi:8 net
+        Models.binary_search ~budget:(Reach.states b) ~hi:8 net
           ~at:(Query.at net ~comp:"P" ~loc:"L2")
           ~clock:y
       in
       let lower_ok =
-        match r.Wcrt.lower with None -> true | Some l -> l >= 0 && l <= 6
+        match r.Models.lower with None -> true | Some l -> l >= 0 && l <= 6
       in
       let upper_ok =
-        match r.Wcrt.upper with None -> true | Some u -> u >= 7
+        match r.Models.upper with None -> true | Some u -> u >= 7
       in
       let ordered =
-        match (r.Wcrt.lower, r.Wcrt.upper) with
+        match (r.Models.lower, r.Models.upper) with
         | Some l, Some u -> l < u
         | _ -> true
       in
-      r.Wcrt.runs >= 1 && lower_ok && upper_ok && ordered)
+      r.Models.runs >= 1 && lower_ok && upper_ok && ordered)
 
 let test_sup_budget_exhausted () =
   let net, _x, y = Models.two_phase () in
@@ -201,20 +192,6 @@ let test_sup_budget_exhausted () =
       | Some v ->
           Alcotest.(check bool) "observed <= true sup" true (v <= 6))
   | _ -> Alcotest.fail "a one-state budget must exhaust"
-
-let test_probe_lower_monotone =
-  QCheck2.Test.make ~count:50 ~name:"probe_lower climbs to start + k*step"
-    QCheck2.Gen.(pair (int_range 0 6) (int_range 1 4))
-    (fun (start, step) ->
-      (* goal && y >= c is reachable exactly for c <= 6, so the climb
-         must end on the largest start + i*step below that line *)
-      let net, _x, y = Models.two_phase () in
-      let r =
-        Wcrt.probe_lower ~order:Reach.Dfs net
-          ~at:(Query.at net ~comp:"P" ~loc:"L2")
-          ~clock:y ~budget:Reach.no_budget ~start ~step
-      in
-      r.Wcrt.lower = Some (start + (step * ((6 - start) / step))))
 
 (* ------------------------------------------------------------------ *)
 (* Search orders agree on verdicts                                     *)
@@ -728,13 +705,11 @@ let () =
             test_sup_needs_ceiling_growth;
           Alcotest.test_case "binary search" `Quick test_binary_search;
           QCheck_alcotest.to_alcotest test_binary_search_agrees_with_sup;
-          Alcotest.test_case "probe lower" `Quick test_probe_lower;
           Alcotest.test_case "binary search starved" `Quick
             test_binary_search_budget_starved;
           QCheck_alcotest.to_alcotest test_binary_search_budget_sound;
           Alcotest.test_case "sup budget exhausted" `Quick
             test_sup_budget_exhausted;
-          QCheck_alcotest.to_alcotest test_probe_lower_monotone;
         ] );
       ( "semantics-e2e",
         [
