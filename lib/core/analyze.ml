@@ -36,9 +36,7 @@ let wcrt ?(order = Reach.Bfs) ?(budget = Reach.no_budget) ?domains
     if want_cert then Some (fun s -> snap_ref := Some s) else None
   in
   let sup order =
-    Wcrt.sup ~order ~budget ?domains ?snap
-      ~initial_ceiling:(max 4 (4 * uncontended_us))
-      gen.Gen.net ~at ~clock
+    Wcrt.sup ~order ~budget ?domains ?snap gen.Gen.net ~at ~clock
   in
   (* the exhaustive run, then — only if the budget cut it off — the
      paper's structured testing: the same sup-query depth-first *)

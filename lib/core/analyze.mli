@@ -54,7 +54,8 @@ val wcrt :
     BFS; when it is already [Dfs] the depth-first rerun would repeat
     the first run and is skipped.  [?budget] (default
     {!Reach.no_budget}) applies to each run.  The measured clock's
-    extrapolation ceiling starts at four times the uncontended time.
+    extrapolation ceiling starts where {!Gen.generate} puts the
+    observer's constant, at four times the uncontended time.
 
     [?certify] (default [false]) re-validates an [Exact_wcrt] verdict
     from a sup with the independent certificate checker, in process,

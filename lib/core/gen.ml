@@ -833,7 +833,12 @@ let generate ?measure (sys : Sysmodel.t) =
               measuring_variant b ~scen_name env ~obs_clock ~to_chan ~from_chan
                 ~counter_bound
             in
-            observer := Some (scen_name, obs_clock);
+            let uncontended_us =
+              Sysmodel.uncontended_us sys s ~from_step:r.Scenario.from_step
+                ~to_step:r.Scenario.to_step
+            in
+            observer :=
+              Some (scen_name, obs_clock, max 4 (4 * uncontended_us));
             menv
         | _ -> env
       in
@@ -844,16 +849,14 @@ let generate ?measure (sys : Sysmodel.t) =
            ~initial:env.env_initial))
     sys.Sysmodel.scenarios;
   let net = Network.Builder.build b in
-  let observer =
-    Option.map
-      (fun (scen_name, obs_clock) ->
-        {
-          obs_clock;
-          seen = Query.at net ~comp:("ENV_" ^ scen_name) ~loc:"seen";
-        })
-      !observer
-  in
-  { net; observer; sys }
+  match !observer with
+  | None -> { net; observer = None; sys }
+  | Some (scen_name, obs_clock, ceiling) ->
+      (* the observer clock is only reset, so its constant is the sup's
+         first extrapolation ceiling *)
+      let net = Network.bump_clock_bound net obs_clock ceiling in
+      let seen = Query.at net ~comp:("ENV_" ^ scen_name) ~loc:"seen" in
+      { net; observer = Some { obs_clock; seen }; sys }
 
 let queue_var t ~scenario ~step =
   Network.var_index t.net (queue_name scenario step)

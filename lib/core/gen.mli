@@ -22,7 +22,10 @@
       nondeterministically tags one event, counts in-flight responses
       with [n]/[m], resets the observer clock at the window start and
       enters the committed [seen] location when the tagged response
-      arrives. *)
+      arrives.  The observer clock's extrapolation constant is raised
+      to four times the uncontended window (at least 4): the first
+      ceiling of {!Ita_mc.Wcrt.sup}, which the WCRT usually stays
+      below. *)
 
 open Ita_ta
 
@@ -40,7 +43,11 @@ type t = {
 val generate : ?measure:string * Scenario.requirement -> Sysmodel.t -> t
 (** [generate ~measure:(scenario_name, requirement) sys].  Without
     [measure], all actors are plain generators (useful for plain
-    reachability / deadlock-style queries).
+    reachability / deadlock-style queries).  With it, the network's
+    constant for [observer.obs_clock] is
+    [max 4 (4 * Sysmodel.uncontended_us ...)] of the measured window,
+    registered with {!Network.bump_clock_bound} (which also pins the
+    clock active): {!Ita_mc.Wcrt.sup} starts its ceiling there.
 
     @raise Network.Invalid_model on inconsistent input. *)
 

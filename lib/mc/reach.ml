@@ -626,12 +626,7 @@ let reach ?order ?budget ?domains ?snap net (q : Query.t) =
       Unreachable stats
   | Out_of_budget stats, _, _ -> Budget_exhausted stats
 
-let explore ?order ?budget ?domains ?(extra_bounds = []) ?snap net ~on_store =
-  let net =
-    List.fold_left
-      (fun net (x, c) -> Network.bump_clock_bound net x c)
-      net extra_bounds
-  in
+let explore ?order ?budget ?domains ?snap net ~on_store =
   match
     run ?order ?budget ?domains net ~goal:(fun _ -> Option.None) ~on_store ()
   with

@@ -167,7 +167,6 @@ val explore :
   ?order:order ->
   ?budget:budget ->
   ?domains:int ->
-  ?extra_bounds:(Guard.clock * int) list ->
   ?snap:(Network.t * (Semantics.state * Semantics.Dbm.t list) list -> unit) ->
   Network.t ->
   on_store:(Semantics.config -> unit) ->
@@ -175,13 +174,16 @@ val explore :
 (** Full exploration, calling [on_store] once per non-subsumed symbolic
     state; used by sup-style queries and state-space measurements.
     It takes no query and never slices, so the tests use it as the
-    unsliced oracle for {!reach} and {!Wcrt.sup}.
+    unsliced oracle for {!reach} and {!Wcrt.sup}.  It extrapolates
+    against the network's own constants: a caller whose goal compares a
+    clock against a constant of its own registers it first with
+    {!Network.bump_clock_bound}, as {!reach} and {!Wcrt.sup} do.
     The [on_store] calls are serialised under a dedicated mutex, so
     single-threaded consumers (sup tracking, deadlock probes) need no
     changes; at one domain they all run on the calling domain.
 
-    [?snap] fires on [`Complete] with the explored (flow-refined,
-    bumped) network and the final passed list: per interned discrete
+    [?snap] fires on [`Complete] with the explored (flow-refined)
+    network and the final passed list: per interned discrete
     state, the antichain of zones still stored for it, sorted as in
     {!snapshot.snap_passed}.  Whatever the order or domain count,
     every zone the exploration generated is included in one of them.

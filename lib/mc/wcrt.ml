@@ -17,8 +17,11 @@ let goal_sup net (q : Query.t) clock (c : Semantics.config) =
   | None -> None
   | Some z -> Some (Dbm.sup z clock)
 
-let sup ?order ?budget ?domains ?snap ?(initial_ceiling = 1_000_000)
-    ?(max_ceiling = 1 lsl 40) net ~at ~clock =
+let sup ?order ?budget ?domains ?snap ?(max_ceiling = 1 lsl 40) net ~at
+    ~clock =
+  (* the network fixes the first ceiling: the measured clock's own
+     constant, which [Gen.generate] raises for its observer clock *)
+  let first_ceiling = max 1 net.Network.k.(clock) in
   (* slice once, before the ceiling loop: the cone is seeded with the
      goal plus the measured clock, so the sup is taken over exactly the
      same runs — the exploration below runs on the reduced network and
@@ -32,7 +35,9 @@ let sup ?order ?budget ?domains ?snap ?(initial_ceiling = 1_000_000)
     | Some c -> c
     | None -> assert false (* the measured clock seeds the cone *)
   in
-  let rec attempt ceiling =
+  (* [collided]: the ceiling of the previous attempt, which the sup
+     reached, so [goal && clock >= collided] is reachable *)
+  let rec attempt ?collided ceiling =
     let best = ref None in
     let improve b =
       match !best with
@@ -44,7 +49,12 @@ let sup ?order ?budget ?domains ?snap ?(initial_ceiling = 1_000_000)
       | None -> ()
       | Some b -> improve b
     in
-    let extra_bounds = (clock, ceiling) :: Query.clock_constants net at in
+    let bumped =
+      List.fold_left
+        (fun net (x, c) -> Network.bump_clock_bound net x c)
+        net
+        ((clock, ceiling) :: Query.clock_constants net at)
+    in
     let last_snap = ref None in
     let explore_snap =
       match snap with
@@ -52,18 +62,22 @@ let sup ?order ?budget ?domains ?snap ?(initial_ceiling = 1_000_000)
       | Some _ -> Some (fun s -> last_snap := Some s)
     in
     let result =
-      Reach.explore ?order ?budget ?domains ~extra_bounds ?snap:explore_snap
-        net ~on_store
-    in
-    let observed () =
-      match !best with
-      | None -> None
-      | Some b when Bound.is_infinity b -> None
-      | Some b -> Some (Bound.value b)
+      Reach.explore ?order ?budget ?domains ?snap:explore_snap bumped
+        ~on_store
     in
     match result with
     | `Budget_exhausted stats ->
-        Sup_budget_exhausted { observed = observed (); stats }
+        (* a goal bound at or beyond the ceiling proves
+           [goal && clock >= ceiling] reachable (Property 1 with
+           C = ceiling), a finite one below it its own value *)
+        let seen =
+          Option.map
+            (fun b ->
+              if Bound.is_infinity b || Bound.value b >= ceiling then ceiling
+              else Bound.value b)
+            !best
+        in
+        Sup_budget_exhausted { observed = max seen collided; stats }
     | `Complete stats -> (
         match !best with
         | None -> Goal_unreachable stats
@@ -71,7 +85,7 @@ let sup ?order ?budget ?domains ?snap ?(initial_ceiling = 1_000_000)
             (* the sup collided with the extrapolation ceiling: it is an
                artifact of the abstraction, not a real bound *)
             if ceiling * 4 > max_ceiling then Sup_unbounded { ceiling; stats }
-            else attempt (ceiling * 4)
+            else attempt ~collided:ceiling (ceiling * 4)
         | Some b ->
             (* the bound is below the ceiling, so the passed list of
                this (final) attempt is the certifiable invariant *)
@@ -91,4 +105,4 @@ let sup ?order ?budget ?domains ?snap ?(initial_ceiling = 1_000_000)
                 stats;
               })
   in
-  attempt initial_ceiling
+  attempt first_ceiling

@@ -28,6 +28,11 @@ type sup_result =
   | Sup of { value : int; kind : bound_kind; stats : Reach.stats }
   | Goal_unreachable of Reach.stats
   | Sup_budget_exhausted of { observed : int option; stats : Reach.stats }
+      (** the budget ran out; [observed] is the largest response the
+          cut-off run proved reachable, a sound lower bound on the sup:
+          the largest goal bound of the measured clock below the
+          ceiling, else the ceiling itself once a goal bound reached
+          it, or the ceiling of an earlier attempt that collided *)
   | Sup_unbounded of { ceiling : int; stats : Reach.stats }
       (** the sup still collided with the extrapolation ceiling at
           [max_ceiling]: the clock is (almost certainly) unbounded at
@@ -38,7 +43,6 @@ val sup :
   ?budget:Reach.budget ->
   ?domains:int ->
   ?snap:(Reach.snapshot -> unit) ->
-  ?initial_ceiling:int ->
   ?max_ceiling:int ->
   Network.t ->
   at:Query.t ->
@@ -46,9 +50,14 @@ val sup :
   sup_result
 (** [sup net ~at ~clock] explores the full zone graph and returns the
     supremum of [clock] over goal states.  The extrapolation ceiling
-    for the measured clock starts at [initial_ceiling] (default
-    [1_000_000]) and is multiplied by 4 until the sup falls strictly
-    below it, which guarantees soundness of the abstraction.
+    for the measured clock starts at the clock's own constant in [net]
+    ([Network.k], or 1 if that is 0) and is multiplied by 4 until the
+    sup falls strictly below it, which guarantees soundness of the
+    abstraction.  A caller picks the first ceiling by raising that
+    constant with {!Network.bump_clock_bound}: [Ita_core.Gen.generate]
+    raises its observer clock's to four times the uncontended window.
+    [?max_ceiling] (default [2^40]) caps the loop: a sup that still
+    collides there is [Sup_unbounded].
 
     The network is first reduced with {!Reach.default_slicing} to the
     cone of the goal plus the measured clock; the supremum is

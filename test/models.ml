@@ -200,17 +200,29 @@ module Wcrt = Ita_mc.Wcrt
 module Bound = Ita_dbm.Bound
 module Dbm = Ita_dbm.Dbm
 
+(* [Wcrt.sup] starts its ceiling loop at the measured clock's own
+   constant in the network it is given: raising that constant, as
+   [Gen.generate] raises its observer clock's, is how a test picks the
+   first ceiling. *)
+let with_ceiling ~clock ceiling net =
+  Network.bump_clock_bound net clock ceiling
+
 (* The unsliced oracles for [Reach.reach] and [Wcrt.sup], which always
    slice.  [Reach.explore] takes no query and never slices: explore the
    whole network at one domain, with the query's clock constants (and,
-   for a sup, the measured clock at [max_ceiling]) as extra bounds, and
-   test every stored configuration against the goal.  Under subset
-   subsumption every generated zone lies inside a stored one, so the
-   stored configurations meet the goal exactly when a generated one
-   does.  A sup is read off one exploration at [max_ceiling]:
-   [Wcrt.sup] reaches the same value through smaller ceilings first. *)
-let unsliced_explore net extra_bounds on_store =
-  match Reach.explore ~domains:1 ~extra_bounds net ~on_store with
+   for a sup, the measured clock at [max_ceiling]) registered in the
+   network, and test every stored configuration against the goal.
+   Under subset subsumption every generated zone lies inside a stored
+   one, so the stored configurations meet the goal exactly when a
+   generated one does.  A sup is read off one exploration at
+   [max_ceiling]: [Wcrt.sup] reaches the same value through smaller
+   ceilings first. *)
+let unsliced_explore net bounds on_store =
+  let net =
+    List.fold_left (fun net (x, c) -> Network.bump_clock_bound net x c) net
+      bounds
+  in
+  match Reach.explore ~domains:1 net ~on_store with
   | `Complete stats -> stats
   | `Budget_exhausted _ -> assert false (* no budget *)
 

@@ -393,7 +393,10 @@ let verdict = function
 
 let sup_fingerprint ?(initial_ceiling = 64) ?(max_ceiling = 256) net ~at
     ~clock =
-  match Wcrt.sup ~initial_ceiling ~max_ceiling net ~at ~clock with
+  match
+    Wcrt.sup ~max_ceiling (Models.with_ceiling ~clock initial_ceiling net) ~at
+      ~clock
+  with
   | Wcrt.Sup { value; kind; _ } ->
       Printf.sprintf "sup %d %s" value
         (match kind with

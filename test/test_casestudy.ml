@@ -67,6 +67,46 @@ let test_cv_po_tmc () =
   Alcotest.(check int) "HandleTMC (+ChangeVolume) po" 373_859
     (exact sys ~scenario:"HandleTMC" ~requirement:"TMC")
 
+(* The generator puts the measured clock's first extrapolation ceiling
+   into the network: four times the uncontended window, on every
+   Table 1 row (A2V's window starts at an intermediate step). *)
+let test_observer_constant () =
+  List.iter
+    (fun (row : R.row) ->
+      let sys = R.system row.R.combo R.Po in
+      let s = Sysmodel.scenario sys row.R.scenario in
+      let req = Scenario.requirement s row.R.requirement in
+      let gen = Gen.generate ~measure:(row.R.scenario, req) sys in
+      let obs = Option.get gen.Gen.observer in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: observer constant" row.R.label)
+        (4
+        * Sysmodel.uncontended_us sys s ~from_step:req.Scenario.from_step
+            ~to_step:req.Scenario.to_step)
+        gen.Gen.net.Ita_ta.Network.k.(obs.Gen.obs_clock))
+    R.table1_rows
+
+(* Every caller runs the same search: [Wcrt.sup] handed the generated
+   network starts its ceiling where [Analyze.wcrt] does, so at one
+   domain the two agree on the WCRT and on the explored count. *)
+let test_single_search () =
+  let sys = R.system R.Cv_tmc R.Po in
+  let req = Scenario.requirement (Sysmodel.scenario sys "ChangeVolume") "K2A" in
+  let gen = Gen.generate ~measure:("ChangeVolume", req) sys in
+  let obs = Option.get gen.Gen.observer in
+  let r = Analyze.wcrt ~domains:1 sys ~scenario:"ChangeVolume" ~requirement:"K2A" in
+  match
+    ( r.Analyze.outcome,
+      Ita_mc.Wcrt.sup ~domains:1 gen.Gen.net ~at:obs.Gen.seen
+        ~clock:obs.Gen.obs_clock )
+  with
+  | Analyze.Exact_wcrt v, Ita_mc.Wcrt.Sup { value; stats; _ } ->
+      Alcotest.(check int) "K2A po = 32.829" 32_829 v;
+      Alcotest.(check int) "same WCRT" v value;
+      Alcotest.(check int) "same explored count" r.Analyze.explored
+        stats.Reach.explored
+  | o, _ -> Alcotest.failf "expected exact sups, got %a" Analyze.pp_outcome o
+
 let test_sim_below_mc () =
   (* Table 2's shape: simulation never exceeds the model checker *)
   let sys = R.system R.Al_tmc R.Pno in
@@ -139,6 +179,11 @@ let () =
           Alcotest.test_case "tmc pno/sp" `Quick test_tmc_pno_sp;
           Alcotest.test_case "addresslookup invariance" `Slow test_al_invariance;
           Alcotest.test_case "cv combo, po (tmc)" `Quick test_cv_po_tmc;
+        ] );
+      ( "sup ceiling",
+        [
+          Alcotest.test_case "observer constant" `Quick test_observer_constant;
+          Alcotest.test_case "single search: K2A po" `Quick test_single_search;
         ] );
       ( "cross-technique shape",
         [

@@ -49,9 +49,10 @@ let sup_cert ?(domains = 1) ?(initial_ceiling = 64) ?(max_ceiling = 256) net
     ~at ~clock =
   let snap = ref None in
   match
-    Wcrt.sup ~domains ~initial_ceiling ~max_ceiling
+    Wcrt.sup ~domains ~max_ceiling
       ~snap:(fun s -> snap := Some s)
-      net ~at ~clock
+      (Models.with_ceiling ~clock initial_ceiling net)
+      ~at ~clock
   with
   | Wcrt.Sup { value; kind; _ } -> (
       match !snap with

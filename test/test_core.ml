@@ -318,6 +318,46 @@ let test_policy_lower_bound () =
   Alcotest.(check bool) "some budget runs out after a response" true
     (!bounds > 0)
 
+(* A cut-off run keeps what it saw.  At 100 and 150 states the
+   breadth-first run stores goal zones whose measured clock the
+   extrapolation lifted past the ceiling: each proves a response of at
+   least the ceiling, next to the finite responses it observed.  And a
+   larger budget never reports less. *)
+let test_policy_budget_sweep () =
+  let bound states =
+    match (policy_wcrt ~budget:(Reach.states states) ()).Analyze.outcome with
+    | Analyze.Wcrt_lower_bound { value; exhausted = Analyze.States } ->
+        Some value
+    | Analyze.Exact_wcrt v -> Some v
+    | Analyze.Unobserved Analyze.States -> None
+    | o ->
+        Alcotest.failf "budget %d: unexpected %a" states Analyze.pp_outcome o
+  in
+  List.iter
+    (fun states ->
+      match (policy_wcrt ~budget:(Reach.states states) ()).Analyze.outcome with
+      | Analyze.Wcrt_lower_bound { value; _ } ->
+          if value < 2_000 || value > 32_000 then
+            Alcotest.failf "budget %d: bound %d outside [2000, 32000]" states
+              value
+      | o ->
+          Alcotest.failf "budget %d: expected a lower bound, got %a" states
+            Analyze.pp_outcome o)
+    [ 100; 150 ];
+  (* [None] sorts below [Some _]: seeing nothing is the least bound *)
+  let exhaustive = (policy_wcrt ()).Analyze.explored in
+  let stride = max 1 (exhaustive / 100) in
+  let rec sweep prev states =
+    if states <= exhaustive + stride then begin
+      let b = bound states in
+      if b < prev then
+        Alcotest.failf "budget %d reports less than budget %d" states
+          (states - stride);
+      sweep b (states + stride)
+    end
+  in
+  sweep None 1
+
 let test_queue_overflow_detected () =
   (* utilization 1.0: backlog grows without bound; the bounded counters
      must catch it rather than silently drop events *)
@@ -613,6 +653,8 @@ let () =
             test_policy_unobserved;
           Alcotest.test_case "policy: lower bound" `Quick
             test_policy_lower_bound;
+          Alcotest.test_case "policy: budget sweep" `Quick
+            test_policy_budget_sweep;
           Alcotest.test_case "queue overflow detected" `Quick
             test_queue_overflow_detected;
         ] );

@@ -92,7 +92,11 @@ let sup_fp ?(initial_ceiling = 64) ?(max_ceiling = 256) ~domains net ~at
     ~clock () =
   (* tiny ceilings, as in test_mc: model constants are all well below
      64, and the fingerprint only has to agree across domain counts *)
-  match Wcrt.sup ~domains ~initial_ceiling ~max_ceiling net ~at ~clock with
+  match
+    Wcrt.sup ~domains ~max_ceiling
+      (Models.with_ceiling ~clock initial_ceiling net)
+      ~at ~clock
+  with
   | Wcrt.Sup { value; kind; _ } ->
       Printf.sprintf "sup %d %s" value
         (match kind with

@@ -36,7 +36,10 @@ let fp_of_sup = function
 
 let sup_fp ?(initial_ceiling = 64) ?(max_ceiling = 256) ?domains net ~at ~clock
     () =
-  fp_of_sup (Wcrt.sup ?domains ~initial_ceiling ~max_ceiling net ~at ~clock)
+  fp_of_sup
+    (Wcrt.sup ?domains ~max_ceiling
+       (Models.with_ceiling ~clock initial_ceiling net)
+       ~at ~clock)
 
 let unsliced_sup_fp ?(max_ceiling = 256) net ~at ~clock =
   fp_of_sup (Models.unsliced_sup ~max_ceiling net ~at ~clock)
@@ -235,14 +238,12 @@ let test_station_strict_win () =
     | _ -> Alcotest.fail "expected a finite sup"
   in
   (* both explorations extrapolate the measured clock at the engine's
-     first ceiling, which its sup (10) stays below *)
+     final ceiling: it starts at y's constant 10, which the sup (10)
+     reaches, and settles at 40 *)
   let v_off, n_off =
-    value_explored (Models.unsliced_sup ~max_ceiling:1_000_000 net ~at ~clock)
+    value_explored (Models.unsliced_sup ~max_ceiling:40 net ~at ~clock)
   in
-  let v_on, n_on =
-    value_explored
-      (Wcrt.sup ~domains:1 net ~at ~clock)
-  in
+  let v_on, n_on = value_explored (Wcrt.sup ~domains:1 net ~at ~clock) in
   Alcotest.(check int) "same WCRT" v_off v_on;
   Alcotest.(check bool)
     (Printf.sprintf "strictly fewer states (%d < %d)" n_on n_off)
@@ -279,8 +280,9 @@ let test_identity () =
     "byte-identical exploration"
     (counts (Models.unsliced_sup ~max_ceiling:64 net ~at ~clock:z))
     (counts
-       (Wcrt.sup ~domains:1 ~initial_ceiling:64 ~max_ceiling:64 net ~at
-          ~clock:z))
+       (Wcrt.sup ~domains:1 ~max_ceiling:64
+          (Models.with_ceiling ~clock:z 64 net)
+          ~at ~clock:z))
 
 (* pp_report smoke: the report must mention the removals and carry the
    resolver's provenance prefix *)
@@ -433,8 +435,7 @@ let test_radionav_differential () =
       let obs = Option.get gen.Core.Gen.observer in
       (* the measured clock is pinned active, so at a 2^40 ceiling the
          oracle's single exploration would tell its values apart across
-         periods; use Wcrt.sup's default first ceiling (1 s), which
-         both WCRTs stay below *)
+         periods; use a 1 s ceiling, which both WCRTs stay below *)
       (match
          Models.unsliced_sup ~max_ceiling:1_000_000 gen.Core.Gen.net
            ~at:obs.Core.Gen.seen ~clock:obs.Core.Gen.obs_clock
