@@ -97,18 +97,11 @@ type cell = {
 (* the extralu column is pinned to one domain, the one schedule whose
    counts are deterministic, so the explored counts stay comparable
    across machines and TAMC_DOMAINS settings; the multi-domain rerun
-   gets its own gated column *)
+   gets its own gated column, at min(4, cores) domains on multi-core
+   hosts only *)
 let bench_par_domains =
-  (* BENCH_PAR_DOMAINS forces the worker count (>= 2) or disables the
-     column (0 or 1); unset, multi-core hosts get min(4, cores) *)
-  match Sys.getenv_opt "BENCH_PAR_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 2 -> Some n
-      | Some _ | None -> None)
-  | None ->
-      let cores = Domain.recommended_domain_count () in
-      if cores >= 2 then Some (min 4 cores) else None
+  let cores = Domain.recommended_domain_count () in
+  if cores >= 2 then Some (min 4 cores) else None
 
 let par_min_seq_elapsed = 0.5
 (* seconds of one-domain Extra+LU work below which the parallel rerun

@@ -353,71 +353,6 @@ let show_model_cmd =
     Term.(const run_show_model $ combo_arg $ column_arg $ measure)
 
 (* ------------------------------------------------------------------ *)
-(* sweep (extension: the parameter sweep the paper says UPPAAL lacks)  *)
-(* ------------------------------------------------------------------ *)
-
-let run_sweep combo column kbps_list budget =
-  Format.printf
-    "HandleTMC WCRT (ms) vs bus bandwidth - all four techniques@.";
-  Format.printf "%8s %12s %12s %12s %12s@." "kbps" "mc" "sim" "symta" "mpa";
-  List.iter
-    (fun kbps ->
-      let base = R.system combo column in
-      let resources =
-        List.map
-          (fun (r : Resource.t) ->
-            if Resource.is_link r then
-              Resource.link r.Resource.name ~kbps
-                ~policy:r.Resource.policy
-            else r)
-          base.Sysmodel.resources
-      in
-      let sys = { base with Sysmodel.resources } in
-      let mc =
-        let r =
-          Analyze.wcrt
-            ?budget:(Option.map Reach.states budget)
-            sys ~scenario:"HandleTMC" ~requirement:"TMC"
-        in
-        Format.asprintf "%a" Analyze.pp_outcome r.Analyze.outcome
-      in
-      let sim =
-        Format.asprintf "%a" Units.pp_ms
-          (Ita_sim.Engine.max_response ~runs:5 ~horizon_us:30_000_000 sys
-             ~scenario:"HandleTMC" ~requirement:"TMC")
-      in
-      let bound_cell b =
-        match b with
-        | Ok v -> Format.asprintf "%a" Units.pp_ms v
-        | Error _ -> "diverged"
-      in
-      let symta =
-        bound_cell
-          (Ita_symta.Sysanalysis.wcrt_bound sys ~scenario:"HandleTMC"
-             ~requirement:"TMC")
-      in
-      let mpa =
-        bound_cell
-          (Ita_rtc.Gpc.wcrt_bound sys ~scenario:"HandleTMC" ~requirement:"TMC")
-      in
-      Format.printf "%8.0f %12s %12s %12s %12s@." kbps mc sim symta mpa)
-    kbps_list
-
-let sweep_cmd =
-  let kbps =
-    Arg.(
-      value
-      & opt (list float) [ 48.0; 60.0; 72.0; 96.0; 120.0 ]
-      & info [ "kbps" ] ~doc:"bus bandwidths to sweep")
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "bus-bandwidth design-space sweep with all four techniques (the \
-          parameter sweep the paper notes UPPAAL could not do)")
-    Term.(const run_sweep $ combo_arg $ column_arg $ kbps $ budget_arg)
-
-(* ------------------------------------------------------------------ *)
 (* explore: design-space exploration over architecture candidates      *)
 (* ------------------------------------------------------------------ *)
 
@@ -430,8 +365,7 @@ let technique_conv =
 
 let run_explore combo column scenario requirement techniques mmi_mips rad_mips
     nav_mips bus_kbps decode_on jobs timeout_s cache_dir no_cache mc_states
-    mc_seconds mc_domains mc_certify sim_runs sim_horizon_s inject_crash
-    isolation =
+    mc_seconds mc_certify sim_runs sim_horizon_s inject_crash =
   let open Ita_dse in
   let space =
     Spaces.radionav ~combo ~column ~mmi_mips ~rad_mips ~nav_mips ~bus_kbps
@@ -442,14 +376,13 @@ let run_explore combo column scenario requirement techniques mmi_mips rad_mips
     {
       Job.mc_states;
       mc_seconds;
-      mc_domains;
       mc_certify;
       sim_runs;
       sim_horizon_us = int_of_float (sim_horizon_s *. 1e6);
     }
   in
   let report =
-    Explore.run ?isolation ?jobs ?timeout_s ?cache ~budget ?inject_crash space
+    Explore.run ?jobs ?timeout_s ?cache ~budget ?inject_crash space
       ~techniques ~scenario ~requirement
   in
   Format.printf "%a@." Explore.pp report
@@ -541,40 +474,6 @@ let explore_cmd =
           ~doc:"(fault injection) kill the worker of flat job $(docv)"
           ~docv:"N")
   in
-  let mc_domains =
-    Arg.(
-      value
-      & opt (some Knob.domains) None
-      & info [ "mc-domains" ]
-          ~doc:
-            "worker domains inside each model-checking job (default: 1 \
-             under --isolation domains, engine default otherwise)")
-  in
-  let isolation =
-    let isolation_conv =
-      let parse = function
-        | "auto" -> Ok None
-        | "fork" -> Ok (Some `Processes)
-        | "domains" -> Ok (Some `Domains)
-        | s ->
-            Error (`Msg (Printf.sprintf "unknown isolation %S (auto/fork/domains)" s))
-      in
-      let print ppf = function
-        | None -> Format.pp_print_string ppf "auto"
-        | Some `Processes -> Format.pp_print_string ppf "fork"
-        | Some `Domains -> Format.pp_print_string ppf "domains"
-      in
-      Arg.conv (parse, print)
-    in
-    Arg.(
-      value & opt isolation_conv None
-      & info [ "isolation" ]
-          ~doc:
-            "job dispatch: fork (one child process per job; required for \
-             --timeout-s and --inject-crash), domains (one shared domain \
-             pool; --timeout-s is ignored), or auto (fork when a timeout \
-             or fault injection is requested, else domains)")
-  in
   (* the shared cv/pno defaults would make the exhaustive mc jobs hit
      the paper's state-explosion cells; default to the tractable
      AddressLookup/periodic-offset configuration instead *)
@@ -594,8 +493,8 @@ let explore_cmd =
     Term.(
       const run_explore $ combo $ column $ scenario $ requirement
       $ techniques $ mmi $ rad $ nav $ bus $ decode_on $ jobs $ timeout
-      $ cache_dir $ no_cache $ mc_states $ mc_seconds $ mc_domains
-      $ mc_certify $ sim_runs $ sim_horizon $ inject_crash $ isolation)
+      $ cache_dir $ no_cache $ mc_states $ mc_seconds $ mc_certify
+      $ sim_runs $ sim_horizon $ inject_crash)
 
 (* ------------------------------------------------------------------ *)
 (* lint: static analysis of the generated networks                     *)
@@ -805,7 +704,6 @@ let () =
             table2_cmd;
             simulate_cmd;
             show_model_cmd;
-            sweep_cmd;
             explore_cmd;
             lint_cmd;
             ablation_cmd;

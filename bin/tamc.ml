@@ -42,27 +42,21 @@ let run_check path order budget trace domains cert_out =
         let failed = ref 0 in
         (* per-query certificates, in file order; queries whose verdict
            cannot be certified (deadlock probes, exhausted budgets,
-           unbounded sups) are skipped with a note.  TAMC_CERT
-           additionally re-validates each certificate in process the
-           moment it is emitted. *)
-        let self_certify =
-          match Sys.getenv_opt "TAMC_CERT" with
-          | None -> false
-          | Some s -> ( match String.trim s with "" | "0" -> false | _ -> true)
-        in
-        let want_cert = cert_out <> None || self_certify in
+           unbounded sups) are skipped with a note.  Each certificate
+           is re-validated in process the moment it is emitted; a
+           rejection fails the run. *)
+        let want_cert = cert_out <> None in
         let certs = ref [] in
         let certify ~goal (qc : Cert.query_cert) =
           certs := qc :: !certs;
-          if self_certify then
-            match Cert.check net ~goal qc with
-            | Ok _ -> Format.printf "query %d: self-certified@." qc.Cert.index
-            | Error f ->
-                incr failed;
-                Format.printf "query %d: certificate REJECTED [%s] %s@."
-                  qc.Cert.index
-                  (Cert.obligation_name f.Cert.obligation)
-                  f.Cert.message
+          match Cert.check net ~goal qc with
+          | Ok _ -> Format.printf "query %d: self-certified@." qc.Cert.index
+          | Error f ->
+              incr failed;
+              Format.printf "query %d: certificate REJECTED [%s] %s@."
+                qc.Cert.index
+                (Cert.obligation_name f.Cert.obligation)
+                f.Cert.message
         in
         let skip_cert i what =
           if want_cert then
@@ -207,8 +201,9 @@ let check_cmd =
       & info [ "cert" ]
           ~doc:
             "write an independently checkable certificate for every \
-             certified verdict to $(docv); verify it with $(b,tamc \
-             certify)"
+             certified verdict to $(docv), re-validating each in process \
+             with the independent checker first (a rejection fails the \
+             run); verify the file again with $(b,tamc certify)"
           ~docv:"FILE")
   in
   Cmd.v

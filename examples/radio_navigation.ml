@@ -30,14 +30,13 @@ let () =
       Analyze.pp_outcome r.Analyze.outcome
       (match req.Scenario.budget_us with
       | Some budget ->
-          let met =
-            match r.Analyze.outcome with
-            | Analyze.Exact_wcrt v -> v < budget
-            | _ -> false
-          in
           Printf.sprintf " [budget %.0f ms: %s]"
             (Units.ms_of_us budget)
-            (if met then "met" else "VIOLATED/UNKNOWN")
+            (match
+               Analyze.outcome_verdict ~deadline_us:budget r.Analyze.outcome
+             with
+            | Analyze.Met -> "met"
+            | Analyze.Violated | Analyze.Unknown -> "VIOLATED/UNKNOWN")
       | None -> "")
       r.Analyze.explored r.Analyze.elapsed
   in

@@ -119,6 +119,22 @@ let pp_outcome ppf = function
 
 type verdict = Met | Violated | Unknown
 
+(* Property 1's strict form, A[] (seen -> y < C): a response time
+   meets its deadline iff it is below it *)
+let deadline_verdict ~deadline_us ?exact ?upper ?lower () =
+  match (exact, upper, lower) with
+  | Some v, _, _ -> if v < deadline_us then Met else Violated
+  | None, Some u, _ when u < deadline_us -> Met
+  | None, _, Some l when l >= deadline_us -> Violated
+  | _ -> Unknown
+
+let outcome_verdict ~deadline_us = function
+  | Exact_wcrt v -> deadline_verdict ~deadline_us ~exact:v ()
+  | Wcrt_lower_bound { value; _ } ->
+      deadline_verdict ~deadline_us ~lower:value ()
+  | Unbounded -> Violated
+  | Unobserved _ | No_response -> Unknown
+
 type budget_report = {
   scenario_name : string;
   requirement_name : string;
@@ -140,21 +156,13 @@ let check_budgets ?order ?budget ?domains (sys : Sysmodel.t) =
                   ~scenario:s.Scenario.name
                   ~requirement:req.Scenario.req_name
               in
-              let verdict =
-                match r.outcome with
-                | Exact_wcrt v -> if v < budget_us then Met else Violated
-                | Wcrt_lower_bound { value; _ } ->
-                    if value >= budget_us then Violated else Unknown
-                | Unbounded -> Violated
-                | Unobserved _ | No_response -> Unknown
-              in
               Some
                 {
                   scenario_name = s.Scenario.name;
                   requirement_name = req.Scenario.req_name;
                   budget_us;
                   wcrt = r.outcome;
-                  verdict;
+                  verdict = outcome_verdict ~deadline_us:budget_us r.outcome;
                 })
         s.Scenario.requirements)
     sys.Sysmodel.scenarios

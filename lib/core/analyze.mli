@@ -72,6 +72,20 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 type verdict = Met | Violated | Unknown
 
+val deadline_verdict :
+  deadline_us:int -> ?exact:int -> ?upper:int -> ?lower:int -> unit -> verdict
+(** The one deadline rule, Property 1's strict form
+    [A[] (seen -> y < C)], applied to what is known of a response
+    time (microseconds): an [exact] value is [Met] iff it is below the
+    deadline, else [Violated].  Without one, an [upper] bound below
+    the deadline is [Met] and a [lower] bound at or above it is
+    [Violated]; anything else is [Unknown]. *)
+
+val outcome_verdict : deadline_us:int -> outcome -> verdict
+(** {!deadline_verdict} of a {!wcrt} outcome: [Exact_wcrt] is an exact
+    value, [Wcrt_lower_bound] a lower bound; [Unbounded] is
+    [Violated], [Unobserved] and [No_response] are [Unknown]. *)
+
 type budget_report = {
   scenario_name : string;
   requirement_name : string;
@@ -88,8 +102,9 @@ val check_budgets :
   budget_report list
 (** The paper's framing — "does the product work, given a set of hard
     resource restrictions?" — as one call: analyze every requirement
-    that declares a budget and compare.  A lower bound at or above the
-    budget is already a [Violated]; a lower bound below it proves
-    nothing, hence [Unknown]. *)
+    that declares a budget and judge its outcome with
+    {!outcome_verdict}.  A lower bound at or above the budget is
+    already a [Violated]; a lower bound below it proves nothing, hence
+    [Unknown]. *)
 
 val pp_budget_report : Format.formatter -> budget_report -> unit

@@ -15,7 +15,7 @@ let dir t = t.dir
 
 (* bump when Job.result or the key fields change shape, or a job's
    answer for the same key changes: old entries become misses *)
-let version = "ita-dse-v11"
+let version = "ita-dse-v12"
 
 let job_key (spec : Job.spec) =
   let b = spec.Job.budget in
@@ -31,7 +31,6 @@ let job_key (spec : Job.spec) =
             spec.Job.requirement;
             opt string_of_int b.Job.mc_states;
             opt string_of_float b.Job.mc_seconds;
-            opt string_of_int b.Job.mc_domains;
             string_of_bool b.Job.mc_certify;
             string_of_int b.Job.sim_runs;
             string_of_int b.Job.sim_horizon_us;

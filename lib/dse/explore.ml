@@ -21,31 +21,12 @@ type report = {
   failed : int;
   rejected : int;
   workers : int;
-  isolation : [ `Processes | `Domains ];
   wall_s : float;
 }
 
-let run ?isolation ?jobs ?timeout_s ?cache ?(budget = Job.default_budget)
-    ?inject_crash space ~techniques ~scenario ~requirement =
+let run ?jobs ?timeout_s ?cache ?(budget = Job.default_budget) ?inject_crash
+    space ~techniques ~scenario ~requirement =
   if techniques = [] then invalid_arg "Explore.run: no techniques";
-  let isolation =
-    match isolation with
-    | Some i -> i
-    | None ->
-        (* per-job timeouts and fault injection need a killable child,
-           so those callers keep the forked pool; plain sweeps share
-           one domain pool and skip the fork/marshal tax *)
-        if timeout_s <> None || inject_crash <> None then `Processes
-        else `Domains
-  in
-  let budget =
-    match isolation with
-    | `Domains when budget.Job.mc_domains = None ->
-        (* the pool already parallelises across jobs; nested engine
-           parallelism would oversubscribe the cores *)
-        { budget with Job.mc_domains = Some 1 }
-    | _ -> budget
-  in
   let workers =
     match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
   in
@@ -125,14 +106,9 @@ let run ?isolation ?jobs ?timeout_s ?cache ?(budget = Job.default_budget)
       entries
   in
   let worker (flat, spec) =
-    if inject_crash = Some flat then
-      (* fault injection: die without a word, like a segfaulting or
-         OOM-killed worker would.  In a domain pool there is no child
-         process to kill, so the job raises and is recorded [Crashed]
-         without taking the sweep down. *)
-      (match isolation with
-      | `Processes -> Unix._exit 66
-      | `Domains -> failwith "injected crash");
+    (* fault injection: die without a word, like a segfaulting or
+       OOM-killed worker would *)
+    if inject_crash = Some flat then Unix._exit 66;
     Job.run spec
   in
   let to_run_arr = Array.of_list to_run in
@@ -146,9 +122,7 @@ let run ?isolation ?jobs ?timeout_s ?cache ?(budget = Job.default_budget)
     | _ -> ()
   in
   let outcomes =
-    match isolation with
-    | `Processes -> Pool.map ~jobs:workers ?timeout_s ~on_result worker to_run_arr
-    | `Domains -> Pool.map_domains ~jobs:workers ~on_result worker to_run_arr
+    Pool.map ~jobs:workers ?timeout_s ~on_result worker to_run_arr
   in
   let by_flat = Hashtbl.create 64 in
   List.iteri
@@ -211,71 +185,39 @@ let run ?isolation ?jobs ?timeout_s ?cache ?(budget = Job.default_budget)
     failed;
     rejected = List.length rejections;
     workers;
-    isolation;
     wall_s = Unix.gettimeofday () -. t0;
   }
 
+(* One fold over a row's finished cells: its first exact value, its
+   tightest upper bound and its largest lower bound *)
+let figures row =
+  let tighter pick v = function None -> Some v | Some w -> Some (pick v w) in
+  List.fold_left
+    (fun ((exact, upper, lower) as acc) c ->
+      match c.status with
+      | Done { Job.measure = Job.Exact v; _ } when exact = None ->
+          (Some v, upper, lower)
+      | Done { Job.measure = Job.Upper v; _ } ->
+          (exact, tighter min v upper, lower)
+      | Done { Job.measure = Job.Lower v; _ } ->
+          (exact, upper, tighter max v lower)
+      | _ -> acc)
+    (None, None, None) row.cells
+
 let row_wcrt_us row =
-  let measures =
-    List.filter_map
-      (fun c -> match c.status with Done r -> Some r.Job.measure | _ -> None)
-      row.cells
-  in
-  let exact =
-    List.find_map (function Job.Exact v -> Some v | _ -> None) measures
-  in
-  let fold_opt f vs = match vs with [] -> None | v :: tl -> Some (List.fold_left f v tl) in
-  let uppers =
-    List.filter_map (function Job.Upper v -> Some v | _ -> None) measures
-  in
-  let lowers =
-    List.filter_map (function Job.Lower v -> Some v | _ -> None) measures
-  in
-  match exact with
-  | Some v -> Some v
-  | None -> (
-      match fold_opt min uppers with
-      | Some v -> Some v
-      | None -> fold_opt max lowers)
+  match figures row with
+  | Some v, _, _ | None, Some v, _ | None, None, Some v -> Some v
+  | None, None, None -> None
 
 let feasibility ~deadline_us row =
   match deadline_us with
   | None -> `Unknown
-  | Some d ->
-      let measures =
-        List.filter_map
-          (fun c ->
-            match c.status with Done r -> Some r.Job.measure | _ -> None)
-          row.cells
-      in
-      let exact =
-        List.find_map (function Job.Exact v -> Some v | _ -> None) measures
-      in
-      let best_upper =
-        List.fold_left
-          (fun acc m ->
-            match m with
-            | Job.Upper v -> Some (match acc with None -> v | Some a -> min a v)
-            | _ -> acc)
-          None measures
-      in
-      let best_lower =
-        List.fold_left
-          (fun acc m ->
-            match m with
-            | Job.Lower v -> Some (match acc with None -> v | Some a -> max a v)
-            | _ -> acc)
-          None measures
-      in
-      (match exact with
-      | Some e -> if e <= d then `Feasible else `Infeasible
-      | None -> (
-          match best_upper with
-          | Some u when u <= d -> `Feasible
-          | _ -> (
-              match best_lower with
-              | Some l when l >= d -> `Infeasible
-              | _ -> `Unknown)))
+  | Some deadline_us -> (
+      let exact, upper, lower = figures row in
+      match Analyze.deadline_verdict ~deadline_us ?exact ?upper ?lower () with
+      | Analyze.Met -> `Feasible
+      | Analyze.Violated -> `Infeasible
+      | Analyze.Unknown -> `Unknown)
 
 let frontier report =
   report.rows
@@ -295,13 +237,9 @@ let pp ppf report =
   Format.fprintf ppf " ==@,";
   Format.fprintf ppf
     "%d candidates x %d techniques = %d jobs: %d cached, %d executed (%d \
-     failed) on %d %s in %.2fs"
+     failed) on %d forked workers in %.2fs"
     n_cands n_tech (n_cands * n_tech) report.cache_hits report.executed
-    report.failed report.workers
-    (match report.isolation with
-    | `Processes -> "forked workers"
-    | `Domains -> "worker domains")
-    report.wall_s;
+    report.failed report.workers report.wall_s;
   if report.rejected > 0 then
     Format.fprintf ppf "@,%d candidate%s rejected by the lint pre-flight"
       report.rejected

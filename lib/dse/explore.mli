@@ -32,14 +32,10 @@ type report = {
   failed : int;  (** crashed + timed out *)
   rejected : int;  (** candidates screened out by the lint pre-flight *)
   workers : int;
-  isolation : [ `Processes | `Domains ];
-      (** how jobs were dispatched: forked child processes or a shared
-          in-process domain pool *)
   wall_s : float;
 }
 
 val run :
-  ?isolation:[ `Processes | `Domains ] ->
   ?jobs:int ->
   ?timeout_s:float ->
   ?cache:Cache.t ->
@@ -50,18 +46,15 @@ val run :
   scenario:string ->
   requirement:string ->
   report
-(** [isolation] picks the pool: [`Processes] forks one child per job
-    (crash isolation, per-job [timeout_s]); [`Domains] shares one
-    in-process domain pool across jobs (no fork/marshal overhead; jobs
-    get [mc_domains = 1] unless the budget pins it, so pool and engine
-    parallelism do not multiply).  Default: [`Processes] when
-    [timeout_s] or [inject_crash] is given, else [`Domains].
+(** Every job runs through {!Pool.map}: [jobs] forked workers (default
+    {!Pool.default_jobs}), each job in its own child under the per-job
+    wall-clock limit [timeout_s] (default: none).  A job's model
+    checker runs {!Ita_mc.Reach.default_domains} worker domains, read
+    from the [TAMC_DOMAINS] the child inherits.
 
     [inject_crash i] makes flat job [i] (candidate-major over
     techniques) kill its own worker — the fault-injection hook that
     demonstrates crash isolation end to end; a cached job ignores it.
-    Under [`Domains] the job raises instead of dying, and is recorded
-    [Crashed] all the same.
     @raise Not_found on unknown scenario/requirement names.
     @raise Invalid_argument on an empty technique list. *)
 
@@ -72,9 +65,11 @@ val row_wcrt_us : row -> int option
 
 val feasibility :
   deadline_us:int option -> row -> [ `Feasible | `Infeasible | `Unknown ]
-(** Sound verdict against the deadline: [`Feasible] needs an exact
-    value or upper bound at or below it, [`Infeasible] an exact value
-    above it or a lower bound at or beyond it. *)
+(** Sound verdict against the deadline, by
+    {!Ita_core.Analyze.deadline_verdict} over the row's figures (its
+    exact value, tightest upper and largest lower bound): [`Feasible]
+    needs an exact value or upper bound below the deadline,
+    [`Infeasible] an exact value or lower bound at or beyond it. *)
 
 val frontier : report -> row list
 (** Pareto-optimal rows over (WCRT, {!Space.cost}), restricted to

@@ -21,7 +21,6 @@ let technique_of_string = function
 type budget = {
   mc_states : int option;
   mc_seconds : float option;
-  mc_domains : int option;
   mc_certify : bool;
   sim_runs : int;
   sim_horizon_us : int;
@@ -31,7 +30,6 @@ let default_budget =
   {
     mc_states = None;
     mc_seconds = None;
-    mc_domains = None;
     mc_certify = false;
     sim_runs = 5;
     sim_horizon_us = 30_000_000;
@@ -67,7 +65,7 @@ let run_mc spec =
           Reach.max_states = spec.budget.mc_states;
           max_seconds = spec.budget.mc_seconds;
         }
-      ?domains:spec.budget.mc_domains ~certify:spec.budget.mc_certify
+      ~certify:spec.budget.mc_certify
       spec.sys ~scenario:spec.scenario ~requirement:spec.requirement
   in
   let measure =

@@ -20,11 +20,6 @@ type budget = {
   mc_states : int option;
       (** state cap for each of {!Ita_core.Analyze.wcrt}'s runs *)
   mc_seconds : float option;  (** wall-clock cap for each run *)
-  mc_domains : int option;
-      (** worker domains inside one exploration ([None]: the engine
-          default, {!Ita_mc.Reach.default_domains}).  Sweeps running
-          jobs on a shared domain pool pin this to [1] so the pool's
-          parallelism is not multiplied by the engine's. *)
   mc_certify : bool;
       (** re-validate every exact mc verdict with the independent
           certificate checker before it enters the results; a

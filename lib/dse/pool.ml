@@ -117,46 +117,3 @@ let map ?jobs ?timeout_s ?(on_result = fun _ _ -> ()) f xs =
     running := !keep
   done;
   results
-
-(* Shared-domain-pool alternative to [map]: jobs run as tasks on
-   [jobs] domains inside this process.  No per-job timeout (a domain
-   cannot be killed) and no isolation from fatal runtime errors, but
-   no fork/marshal overhead either, and the engine's own ?domains
-   machinery composes with it.  An uncaught exception in a job yields
-   [Crashed] for that job only. *)
-let map_domains ?jobs ?(on_result = fun _ _ -> ()) f xs =
-  let n = Array.length xs in
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let jobs = min jobs (max 1 n) in
-  let results = Array.make n (Crashed no_result) in
-  let next = Atomic.make 0 in
-  let cb_lock = Mutex.create () in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        let outcome =
-          match f xs.(i) with
-          | v -> Done v
-          | exception e -> Crashed (Printexc.to_string e)
-        in
-        results.(i) <- outcome;
-        Mutex.lock cb_lock;
-        (match on_result i outcome with
-        | () -> Mutex.unlock cb_lock
-        | exception e ->
-            Mutex.unlock cb_lock;
-            raise e);
-        loop ()
-      end
-    in
-    loop ()
-  in
-  if n > 0 then
-    if jobs = 1 then worker ()
-    else begin
-      let doms = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-      worker ();
-      Array.iter Domain.join doms
-    end;
-  results

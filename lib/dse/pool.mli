@@ -1,6 +1,5 @@
-(** Worker pools for batch jobs: a [Unix.fork]-based pool with
-    per-job timeouts and crash isolation ({!map}), and an in-process
-    shared domain pool ({!map_domains}).
+(** The worker pool for batch jobs: [Unix.fork]-based, with per-job
+    timeouts and crash isolation.
 
     Each job runs in its own forked child and reports its result back
     over a pipe (marshaled).  A child that diverges past the timeout
@@ -11,7 +10,11 @@
 
     Children never exec: the job closure and its inputs are inherited
     through fork, so no argument serialization is needed; only
-    results cross the pipe, and they must not contain closures. *)
+    results cross the pipe, and they must not contain closures.
+
+    OCaml 5 forbids [Unix.fork] in a process that has ever spawned a
+    domain, so the caller must not have spawned one; a job may, since
+    it runs in its own child. *)
 
 type 'b outcome =
   | Done of 'b
@@ -35,16 +38,3 @@ val map :
     job settles (in completion order) — the streaming hook used to
     persist results the moment they exist.  Results are unmarshaled
     from the child, so ['b] must be closure-free data. *)
-
-val map_domains :
-  ?jobs:int ->
-  ?on_result:(int -> 'b outcome -> unit) ->
-  ('a -> 'b) ->
-  'a array ->
-  'b outcome array
-(** Like {!map} but on a pool of [jobs] worker domains inside this
-    process: no fork or marshal cost and results need not be
-    closure-free, at the price of no per-job timeout and no isolation
-    from fatal runtime errors.  An exception escaping [f] yields
-    [Crashed] for that job only ([Timed_out] never occurs).
-    [on_result] calls are serialised under a mutex. *)

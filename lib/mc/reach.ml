@@ -7,19 +7,6 @@ type budget = { max_states : int option; max_seconds : float option }
 
 let no_budget = { max_states = None; max_seconds = None }
 let states n = { max_states = Some n; max_seconds = None }
-let seconds s = { max_states = None; max_seconds = Some s }
-
-let combine a b =
-  let tighter merge x y =
-    match (x, y) with
-    | None, y -> y
-    | x, None -> x
-    | Some x, Some y -> Some (merge x y)
-  in
-  {
-    max_states = tighter min a.max_states b.max_states;
-    max_seconds = tighter min a.max_seconds b.max_seconds;
-  }
 
 module Slice = Ita_analysis.Slice
 

@@ -69,13 +69,6 @@ val slice_query :
 val no_budget : budget
 val states : int -> budget
 
-val seconds : float -> budget
-(** Wall-clock budget — the per-job deadline of batch sweeps, where
-    one diverging exploration must not stall the whole run. *)
-
-val combine : budget -> budget -> budget
-(** Tightest of both limits, dimension-wise. *)
-
 type stats = {
   explored : int;
       (** symbolic states popped and expanded.  Depends on the search

@@ -176,17 +176,8 @@ let chains_equal c1 c2 =
 
 let analyze ?(max_iterations = 64) (sys : Sysmodel.t) =
   let rec go chains iterations =
-    if iterations > max_iterations then begin
-      if Sys.getenv_opt "SYMTA_DEBUG" <> None then
-        Hashtbl.iter
-          (fun name (c : chain_state) ->
-            Format.eprintf "%s: pending=%d spread=%d prefixes=%s@." name
-              c.pending c.spread
-              (String.concat ","
-                 (Array.to_list (Array.map string_of_int c.prefixes))))
-          chains;
+    if iterations > max_iterations then
       raise (Diverged "chain states failed to stabilize")
-    end
     else
       let responses = round sys chains in
       let chains' = chain_update sys responses chains in

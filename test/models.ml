@@ -1,5 +1,5 @@
 (* Small hand-built networks with known answers, shared by the ta and
-   mc test suites. *)
+   mc test suites, and the test suites' shared helpers. *)
 
 open Ita_ta
 
@@ -429,3 +429,14 @@ let reference_sup ?lu ~ceiling net ~at ~clock =
           ( Bound.value b,
             if Bound.is_strict b then Ita_cert.Cert.Approached
             else Ita_cert.Cert.Attained )
+
+(* Runs [f] with the environment variable [var] set to [value].  The
+   engine treats a blank TAMC_DOMAINS exactly like an unset one, so
+   restoring to "" is a faithful undo even when the variable was
+   absent before (putenv cannot unset). *)
+let with_env var value f =
+  let saved = Sys.getenv_opt var in
+  Unix.putenv var value;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var (Option.value saved ~default:""))
+    f

@@ -17,7 +17,7 @@ module Explore = Ita_dse.Explore
    drags through thousands of cycles before zones collapse.           *)
 (* ------------------------------------------------------------------ *)
 
-let mini ?(mips = 1.0) () =
+let mini ?(mips = 1.0) ?(budget_us = 40) () =
   let cpu =
     Resource.processor "CPU" ~mips ~policy:Resource.Priority_preemptive
   in
@@ -33,7 +33,7 @@ let mini ?(mips = 1.0) () =
             Scenario.req_name = "R";
             from_step = None;
             to_step = 0;
-            budget_us = Some 40;
+            budget_us = Some budget_us;
           };
         ]
   in
@@ -44,20 +44,20 @@ let mini_space () =
   Space.make ~name:"mini" ~base:(mini ())
     ~axes:[ Space.mips_axis ~resource:"CPU" [ 1.0; 2.0 ] ]
 
-(* The in-process job tests pin the exploration to one domain, which
-   spawns none: OCaml's runtime forbids Unix.fork in a process that
-   has ever spawned a domain, so letting TAMC_DOMAINS parallelise these
-   would poison the fork-pool tests that run later.  The domain-pool
-   suites at the end of this file (which run after every fork) cover
-   the multicore paths. *)
 let mini_spec ?(technique = Job.Mc) ?(mips = 1.0) () =
   {
     Job.sys = mini ~mips ();
     technique;
     scenario = "Hi";
     requirement = "R";
-    budget = { Job.default_budget with Job.mc_domains = Some 1 };
+    budget = Job.default_budget;
   }
+
+(* The tests that model-check in this process run one worker on the
+   calling domain, which spawns none: OCaml forbids Unix.fork in a
+   process that has ever spawned a domain, and the pool and explore
+   tests fork.  Their forked jobs may spawn domains. *)
+let one_domain f () = Models.with_env "TAMC_DOMAINS" "1" f
 
 (* ------------------------------------------------------------------ *)
 (* Space                                                               *)
@@ -276,10 +276,6 @@ let test_cache_key_discriminates () =
     (k
     <> Cache.job_key
          { spec with Job.budget = { spec.Job.budget with Job.sim_runs = 9 } });
-  Alcotest.(check bool) "domain count changes the key" true
-    (k
-    <> Cache.job_key
-         { spec with Job.budget = { spec.Job.budget with Job.mc_domains = Some 4 } });
   Alcotest.(check bool) "certification changes the key" true
     (k
     <> Cache.job_key
@@ -338,8 +334,8 @@ let test_job_unknown_name_raises () =
 (* Explore end to end                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let explore ?isolation ?cache ?inject_crash () =
-  Explore.run ?isolation ~jobs:2 ~timeout_s:60.0 ?cache ?inject_crash
+let explore ?cache ?inject_crash () =
+  Explore.run ~jobs:2 ~timeout_s:60.0 ?cache ?inject_crash
     (mini_space ()) ~techniques:[ Job.Mc; Job.Symta ] ~scenario:"Hi"
     ~requirement:"R"
 
@@ -424,108 +420,56 @@ let test_explore_crash_isolated () =
   Alcotest.(check bool) "wounded row still reports" true
     (Explore.row_wcrt_us (List.hd report.Explore.rows) <> None)
 
-(* ------------------------------------------------------------------ *)
-(* Domain pool (must run after every fork-based test: once a domain
-   has been spawned, the runtime forbids Unix.fork in this process)    *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_map_domains () =
-  let xs = Array.init 40 Fun.id in
-  let out = Pool.map_domains ~jobs:4 (fun x -> x * x) xs in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Pool.Done v -> Alcotest.(check int) "square" (i * i) v
-      | _ -> Alcotest.fail "domain job must succeed")
-    out
-
-let test_pool_map_domains_exception_isolated () =
-  let out =
-    Pool.map_domains ~jobs:3
-      (fun x -> if x = 2 then failwith "boom" else x + 1)
-      [| 0; 1; 2; 3 |]
-  in
-  (match out.(2) with
-  | Pool.Crashed msg ->
-      Alcotest.(check bool) "message survives" true
-        (String.length msg > 0)
-  | _ -> Alcotest.fail "raising job must be Crashed");
-  List.iter
-    (fun i ->
-      match out.(i) with
-      | Pool.Done v -> Alcotest.(check int) "neighbour survives" (i + 1) v
-      | _ -> Alcotest.fail "non-raising jobs must succeed")
-    [ 0; 1; 3 ]
-
-let test_pool_map_domains_on_result () =
-  let seen = ref [] in
-  let out =
-    Pool.map_domains ~jobs:2
-      ~on_result:(fun i _ -> seen := i :: !seen)
-      (fun x -> x)
-      [| 10; 11; 12 |]
-  in
-  Alcotest.(check int) "all settled" 3 (Array.length out);
-  Alcotest.(check (list int))
-    "every job streamed exactly once" [ 0; 1; 2 ]
-    (List.sort compare !seen)
-
-let test_pool_map_domains_empty () =
-  Alcotest.(check int) "empty input" 0
-    (Array.length (Pool.map_domains Fun.id [||]))
-
-(* the same sweep through the shared domain pool: identical answers,
-   no forking, and the report says which pool ran it *)
-let explore_domains ?cache ?inject_crash () =
-  Explore.run ~isolation:`Domains ~jobs:2 ?cache ?inject_crash (mini_space ())
-    ~techniques:[ Job.Mc; Job.Symta ] ~scenario:"Hi" ~requirement:"R"
-
-let test_explore_domains_end_to_end () =
-  let report = explore_domains () in
-  Alcotest.(check bool) "report says domains" true
-    (report.Explore.isolation = `Domains);
-  Alcotest.(check int) "all jobs executed" 4 report.Explore.executed;
-  Alcotest.(check int) "none failed" 0 report.Explore.failed;
-  Alcotest.(check (list (option int)))
-    "same row WCRTs as the forked sweep" [ Some 4; Some 2 ]
-    (List.map Explore.row_wcrt_us report.Explore.rows);
-  Alcotest.(check int) "frontier size" 2
-    (List.length (Explore.frontier report))
-
-let test_explore_domains_crash_isolated () =
-  (* under the domain pool the injected fault raises instead of dying;
-     the job is Crashed, everything else survives *)
-  let report = explore_domains ~inject_crash:0 () in
-  Alcotest.(check int) "exactly one loss" 1 report.Explore.failed;
-  let statuses =
-    List.concat_map
-      (fun (row : Explore.row) ->
-        List.map (fun (c : Explore.cell) -> c.Explore.status) row.Explore.cells)
-      report.Explore.rows
-  in
-  (match List.hd statuses with
-  | Explore.Crashed _ -> ()
-  | _ -> Alcotest.fail "injected job must report Crashed");
-  Alcotest.(check int) "all other results survive" 3
-    (List.length
-       (List.filter
-          (function Explore.Done _ -> true | _ -> false)
-          statuses))
-
-let test_explore_domains_auto_default () =
-  (* no timeout, no fault injection: auto selection picks the domain
-     pool; the per-job budget gets mc_domains pinned to 1 so pool and
-     engine parallelism do not multiply *)
+let test_explore_then_pool () =
+  (* without a timeout the sweep still forks its jobs, so this process
+     spawns no domain and can fork again afterwards *)
   let report =
     Explore.run ~jobs:2 (mini_space ()) ~techniques:[ Job.Mc ] ~scenario:"Hi"
       ~requirement:"R"
   in
-  Alcotest.(check bool) "auto selects domains" true
-    (report.Explore.isolation = `Domains);
   Alcotest.(check int) "none failed" 0 report.Explore.failed;
   Alcotest.(check (list (option int)))
     "row WCRTs" [ Some 4; Some 2 ]
-    (List.map Explore.row_wcrt_us report.Explore.rows)
+    (List.map Explore.row_wcrt_us report.Explore.rows);
+  match Pool.map ~jobs:2 (fun x -> x + 1) [| 1; 2 |] with
+  | [| Pool.Done 2; Pool.Done 3 |] -> ()
+  | _ -> Alcotest.fail "the pool must still fork after a sweep"
+
+(* ------------------------------------------------------------------ *)
+(* The deadline rule: Property 1's strict form, y < C                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_deadline_rule () =
+  (* mini's WCRT is exactly 4 us: a 4 us budget is violated, 5 us met *)
+  let verdict budget_us =
+    match Analyze.check_budgets (mini ~budget_us ()) with
+    | [ r ] -> r.Analyze.verdict
+    | _ -> Alcotest.fail "one requirement declares a budget"
+  in
+  Alcotest.(check bool) "check_budgets: wcrt = budget violates" true
+    (verdict 4 = Analyze.Violated);
+  Alcotest.(check bool) "check_budgets: wcrt < budget meets" true
+    (verdict 5 = Analyze.Met);
+  let cand = List.hd (Space.candidates (mini_space ())) in
+  let feasibility measure =
+    let result = { Job.measure; elapsed = 0.0; explored = 0 } in
+    let cell =
+      { Explore.technique = Job.Mc; status = Explore.Done result; cached = false }
+    in
+    Explore.feasibility ~deadline_us:(Some 4)
+      { Explore.candidate = cand; cells = [ cell ] }
+  in
+  List.iter
+    (fun (label, measure, expected) ->
+      Alcotest.(check bool) label true (feasibility measure = expected))
+    [
+      ("exact at the deadline is infeasible", Job.Exact 4, `Infeasible);
+      ("exact below it is feasible", Job.Exact 3, `Feasible);
+      ("upper bound at the deadline proves nothing", Job.Upper 4, `Unknown);
+      ("upper bound below it is feasible", Job.Upper 3, `Feasible);
+      ("lower bound at the deadline is infeasible", Job.Lower 4, `Infeasible);
+      ("lower bound below it proves nothing", Job.Lower 3, `Unknown);
+    ]
 
 let () =
   Alcotest.run "dse"
@@ -570,7 +514,7 @@ let () =
         ] );
       ( "job",
         [
-          Alcotest.test_case "mc exact" `Quick test_job_mc_exact;
+          Alcotest.test_case "mc exact" `Quick (one_domain test_job_mc_exact);
           Alcotest.test_case "analytic upper bounds" `Quick
             test_job_upper_bounds_cover;
           Alcotest.test_case "unknown names raise" `Quick
@@ -582,25 +526,12 @@ let () =
           Alcotest.test_case "cache hits" `Quick test_explore_cache_hits;
           Alcotest.test_case "crash isolated" `Quick
             test_explore_crash_isolated;
+          Alcotest.test_case "no timeout, then pool" `Quick
+            test_explore_then_pool;
         ] );
-      (* keep these last: they spawn domains, after which the runtime
-         forbids Unix.fork in this process *)
-      ( "pool-domains",
+      ( "deadline",
         [
-          Alcotest.test_case "parallel map" `Quick test_pool_map_domains;
-          Alcotest.test_case "exception isolated" `Quick
-            test_pool_map_domains_exception_isolated;
-          Alcotest.test_case "on_result streams" `Quick
-            test_pool_map_domains_on_result;
-          Alcotest.test_case "empty input" `Quick test_pool_map_domains_empty;
-        ] );
-      ( "explore-domains",
-        [
-          Alcotest.test_case "end to end" `Quick
-            test_explore_domains_end_to_end;
-          Alcotest.test_case "crash isolated" `Quick
-            test_explore_domains_crash_isolated;
-          Alcotest.test_case "auto default" `Quick
-            test_explore_domains_auto_default;
+          Alcotest.test_case "one strict rule" `Quick
+            (one_domain test_deadline_rule);
         ] );
     ]

@@ -626,17 +626,6 @@ let test_random_nets_agree =
    resolve to the same built-in default (invalid ones additionally
    warn on stderr; the fallback itself is what these tests pin).       *)
 
-let with_env var value f =
-  let saved = Sys.getenv_opt var in
-  Unix.putenv var value;
-  (* [env_knob] treats a blank value exactly like an unset one, so
-     restoring to "" is a faithful undo even when the variable was
-     absent before (putenv cannot unset). *)
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv var (match saved with Some s -> s | Option.None -> ""))
-    f
-
 let test_parse_domains () =
   let ok input expected =
     Alcotest.(check bool)
@@ -659,11 +648,11 @@ let test_parse_domains () =
 
 let test_default_domains_env () =
   let fallback = max 1 (Domain.recommended_domain_count ()) in
-  with_env "TAMC_DOMAINS" "3" (fun () ->
+  Models.with_env "TAMC_DOMAINS" "3" (fun () ->
       Alcotest.(check int) "honored" 3 (Reach.default_domains ()));
   List.iter
     (fun bad ->
-      with_env "TAMC_DOMAINS" bad (fun () ->
+      Models.with_env "TAMC_DOMAINS" bad (fun () ->
           Alcotest.(check int)
             (Printf.sprintf "%S falls back like unset" bad)
             fallback
