@@ -14,24 +14,19 @@ module Reach = Ita_mc.Reach
 (* ------------------------------------------------------------------ *)
 
 let combo_conv =
-  let parse = function
-    | "cv" -> Ok R.Cv_tmc
-    | "al" -> Ok R.Al_tmc
-    | s -> Error (`Msg (Printf.sprintf "unknown combo %S (cv or al)" s))
+  let parse s =
+    match List.find_opt (fun c -> R.combo_name c = s) R.combos with
+    | Some c -> Ok c
+    | None -> Error (`Msg (Printf.sprintf "unknown combo %S (cv or al)" s))
   in
-  let print ppf c =
-    Format.pp_print_string ppf (match c with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
-  in
+  let print ppf c = Format.pp_print_string ppf (R.combo_name c) in
   Arg.conv (parse, print)
 
 let column_conv =
-  let parse = function
-    | "po" -> Ok R.Po
-    | "pno" -> Ok R.Pno
-    | "sp" -> Ok R.Sp
-    | "pj" -> Ok R.Pj
-    | "bur" -> Ok R.Bur
-    | s -> Error (`Msg (Printf.sprintf "unknown column %S" s))
+  let parse s =
+    match List.find_opt (fun c -> R.column_name c = s) R.columns with
+    | Some c -> Ok c
+    | None -> Error (`Msg (Printf.sprintf "unknown column %S" s))
   in
   let print ppf c = Format.pp_print_string ppf (R.column_name c) in
   Arg.conv (parse, print)
@@ -106,20 +101,21 @@ let run_wcrt combo column scenario requirement order seed budget domains
       ?domains ~certify ?cert_out sys ~scenario ~requirement
   in
   Format.printf "%s %s/%s [%s]: uncontended %a ms, wcrt %a ms (%d states, %.2fs)@."
-    (match combo with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
-    scenario requirement (R.column_name column) Units.pp_ms
+    (R.combo_name combo) scenario requirement (R.column_name column) Units.pp_ms
     r.Analyze.uncontended_us Analyze.pp_outcome r.Analyze.outcome
     r.Analyze.explored r.Analyze.elapsed;
   Option.iter (fun n -> print_cut_legend n [ r.Analyze.outcome ]) budget;
-  (match cert_out with
-  | Some path when r.Analyze.certified <> None || not certify ->
-      Format.printf "wrote certificate to %s@." path
-  | _ -> ());
-  match r.Analyze.certified with
-  | None ->
-      if certify then
+  (* [Analyze.wcrt] certifies, and writes [cert_out], only an exact
+     WCRT *)
+  (match r.Analyze.outcome with
+  | Analyze.Exact_wcrt _ ->
+      Option.iter (Format.printf "wrote certificate to %s@.") cert_out
+  | _ ->
+      if certify || cert_out <> None then
         Format.printf
-          "not certified: no exact WCRT verdict to build an invariant from@."
+          "not certified: no exact WCRT verdict to build an invariant from@.");
+  match r.Analyze.certified with
+  | None -> ()
   | Some (Ok st) ->
       Format.printf "certified (%d states, %d successor checks)@."
         st.Ita_cert.Cert.checked_states st.Ita_cert.Cert.checked_zones
@@ -175,9 +171,7 @@ let analyze_cell (row : R.row) column ~budget =
     ~requirement:row.R.requirement
 
 let run_table1 columns budget rows_filter full =
-  let columns =
-    if columns = [] then [ R.Po; R.Pno; R.Sp; R.Pj; R.Bur ] else columns
-  in
+  let columns = if columns = [] then R.columns else columns in
   let budget =
     if full then None else Some (Option.value budget ~default:R.table_budget)
   in
@@ -503,28 +497,13 @@ let explore_cmd =
 module Lint = Ita_analysis.Lint
 module Diag = Ita_analysis.Diagnostic
 
-let severity_conv =
-  let parse = function
-    | "hint" -> Ok Diag.Hint
-    | "info" -> Ok Diag.Info
-    | "warning" -> Ok Diag.Warning
-    | "error" -> Ok Diag.Error
-    | s -> Error (`Msg (Printf.sprintf "unknown severity %S" s))
-  in
-  let print ppf s = Format.pp_print_string ppf (Diag.severity_name s) in
-  Arg.conv (parse, print)
-
-let combo_name = function R.Cv_tmc -> "cv" | R.Al_tmc -> "al"
-
 (* Lint every generated network: for each combination x environment
    column, the plain network and each Table-1 measured variant (the
    measuring automaton and observer clock included).  Findings at or
    above the threshold make the exit code nonzero. *)
 let run_lint combos columns fail_on verbose json =
-  let combos = if combos = [] then [ R.Cv_tmc; R.Al_tmc ] else combos in
-  let columns =
-    if columns = [] then [ R.Po; R.Pno; R.Sp; R.Pj; R.Bur ] else columns
-  in
+  let combos = if combos = [] then R.combos else combos in
+  let columns = if columns = [] then R.columns else columns in
   let checked = ref 0 and flagged = ref 0 in
   let reports = ref [] in
   let lint_net label ?observer net =
@@ -568,7 +547,7 @@ let run_lint combos columns fail_on verbose json =
         (fun column ->
           let sys = R.system combo column in
           let label suffix =
-            Printf.sprintf "%s/%s%s" (combo_name combo)
+            Printf.sprintf "%s/%s%s" (R.combo_name combo)
               (R.column_name column) suffix
           in
           lint_net (label "") (Gen.generate sys).Gen.net;
@@ -593,15 +572,16 @@ let run_lint combos columns fail_on verbose json =
     List.iteri
       (fun i (label, net, findings) ->
         Buffer.add_string buf (if i > 0 then ",\n    " else "\n    ");
-        Buffer.add_string buf (Printf.sprintf {|{"label": %S, "report": |} label);
+        Buffer.add_string buf
+          (Printf.sprintf {|{"label": %s, "report": |} (Diag.json_string label));
         Buffer.add_string buf (String.trim (Lint.to_json net findings));
         Buffer.add_string buf "}")
       (List.rev !reports);
     Buffer.add_string buf (if !reports = [] then "],\n" else "\n  ],\n");
     Buffer.add_string buf
-      (Printf.sprintf {|  "checked": %d, "flagged": %d, "fail_on": %S|}
+      (Printf.sprintf {|  "checked": %d, "flagged": %d, "fail_on": %s|}
          !checked !flagged
-         (Diag.severity_name fail_on));
+         (Diag.json_string (Diag.severity_name fail_on)));
     Buffer.add_string buf "\n}\n";
     print_string (Buffer.contents buf)
   end
@@ -628,7 +608,7 @@ let lint_cmd =
   let fail_on =
     Arg.(
       value
-      & opt severity_conv Diag.Error
+      & opt Knob.severity Diag.Error
       & info [ "fail-on" ]
           ~doc:"lowest severity that makes the exit code nonzero")
   in
@@ -668,14 +648,7 @@ let run_ablation column =
   in
   List.iter
     (fun (label, cpu_policy, bus_policy) ->
-      let base = R.system R.Cv_tmc column in
-      let resources =
-        List.map
-          (fun (r : Resource.t) ->
-            { r with Resource.policy = (if Resource.is_link r then bus_policy else cpu_policy) })
-          base.Sysmodel.resources
-      in
-      let sys = { base with Sysmodel.resources } in
+      let sys = R.system_with ~cpu_policy ~bus_policy R.Cv_tmc column in
       let cell req =
         let r =
           Analyze.wcrt sys ~scenario:"ChangeVolume" ~requirement:req

@@ -9,6 +9,7 @@ module Wcrt = Ita_mc.Wcrt
 module Cert = Ita_cert.Cert
 module Cert_emit = Ita_mc.Cert_emit
 module E = Ita_tafmt.Elaborate
+module D = Ita_analysis.Diagnostic
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ta")
@@ -218,23 +219,6 @@ let check_cmd =
    fingerprint 4, mask 5, initiation 6, consecution 7, judgment 8,
    witness 9. *)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let run_certify path cert_path json =
   match load path with
   | Error m ->
@@ -248,9 +232,9 @@ let run_certify path cert_path json =
               "{\"certificate\": %s, \"fingerprint-ok\": false, \
                \"results\": [{\"status\": \"failed\", \"obligation\": %s, \
                \"detail\": %s}]}\n"
-              (json_string cert_path)
-              (json_string (Cert.obligation_name f.Cert.obligation))
-              (json_string f.Cert.message)
+              (D.json_string cert_path)
+              (D.json_string (Cert.obligation_name f.Cert.obligation))
+              (D.json_string f.Cert.message)
           else
             Printf.printf "FAILED [%s] %s\n"
               (Cert.obligation_name f.Cert.obligation)
@@ -302,13 +286,13 @@ let run_certify path cert_path json =
                     "{\"query\": %d, \"status\": \"failed\", \"obligation\": \
                      %s, \"detail\": %s}"
                     i
-                    (json_string (Cert.obligation_name f.Cert.obligation))
-                    (json_string f.Cert.message)
+                    (D.json_string (Cert.obligation_name f.Cert.obligation))
+                    (D.json_string f.Cert.message)
             in
             Printf.printf
               "{\"certificate\": %s, \"fingerprint-ok\": %b, \"results\": \
                [%s]}\n"
-              (json_string cert_path) fp_ok
+              (D.json_string cert_path) fp_ok
               (String.concat ", " (List.map result_json results))
           end
           else begin
@@ -391,19 +375,7 @@ let show_cmd =
    elaborated without the builder's urgent/broadcast guard checks so
    those turn into diagnostics instead of a hard failure. *)
 
-module D = Ita_analysis.Diagnostic
 module Lint = Ita_analysis.Lint
-
-let severity_conv =
-  let parse = function
-    | "hint" -> Ok D.Hint
-    | "info" -> Ok D.Info
-    | "warning" -> Ok D.Warning
-    | "error" -> Ok D.Error
-    | s -> Error (`Msg (Printf.sprintf "unknown severity %S" s))
-  in
-  let print ppf s = Format.pp_print_string ppf (D.severity_name s) in
-  Arg.conv (parse, print)
 
 (* Clocks and variables the file's queries mention are observed from
    outside the model and must not count as unused/dead. *)
@@ -476,7 +448,7 @@ let lint_cmd =
   let fail_on =
     Arg.(
       value
-      & opt severity_conv D.Error
+      & opt Knob.severity D.Error
       & info [ "fail-on" ]
           ~doc:"lowest severity that makes the exit code nonzero \
                 (hint/info/warning/error)")

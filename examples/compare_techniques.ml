@@ -27,17 +27,8 @@ let () =
 
   (* 2. simulation: max over sampled schedules *)
   let sim =
-    let worst = ref 0 in
-    for seed = 1 to 20 do
-      let stats = Ita_sim.Engine.run ~seed ~horizon_us:60_000_000 sys in
-      List.iter
-        (fun (s : Ita_sim.Engine.sample) ->
-          if s.Ita_sim.Engine.scenario = scenario
-             && s.Ita_sim.Engine.requirement = requirement
-          then worst := max !worst s.Ita_sim.Engine.response_us)
-        stats.Ita_sim.Engine.samples
-    done;
-    !worst
+    Ita_sim.Engine.max_response ~runs:20 ~horizon_us:60_000_000 sys ~scenario
+      ~requirement
   in
 
   (* 3. busy-window analysis: conservative *)

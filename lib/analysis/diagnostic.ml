@@ -142,3 +142,28 @@ let pp ?resolve (net : Network.t) ppf d =
   match d.fix with
   | Some f -> Format.fprintf ppf " (fix: %s)" f
   | None -> ()
+
+let json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  let rec go i =
+    if i < String.length s then begin
+      let d = String.get_utf_8_uchar s i in
+      let n = Uchar.utf_decode_length d in
+      (if not (Uchar.utf_decode_is_valid d) then
+         Buffer.add_string buf "\\ufffd"
+       else
+         match s.[i] with
+         | '"' -> Buffer.add_string buf "\\\""
+         | '\\' -> Buffer.add_string buf "\\\\"
+         | '\n' -> Buffer.add_string buf "\\n"
+         | '\t' -> Buffer.add_string buf "\\t"
+         | c when Char.code c < 0x20 ->
+             Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+         | _ -> Buffer.add_substring buf s i n);
+      go (i + n)
+    end
+  in
+  go 0;
+  Buffer.add_char buf '"';
+  Buffer.contents buf

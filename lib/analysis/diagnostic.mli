@@ -92,3 +92,9 @@ val pp :
 (** [error[urgent-clock-guard] BUS: claim -> run: ...message...
     (fix: ...)], prefixed by [resolve site] (e.g. [model.ta:12:3:])
     when the hook produces a position. *)
+
+val json_string : string -> string
+(** A JSON string literal: quoted, with quotes, backslashes and control
+    characters escaped.  UTF-8 text passes through unchanged; a byte
+    that is not part of a valid UTF-8 sequence becomes [�], so the
+    result is valid JSON whatever the input bytes. *)

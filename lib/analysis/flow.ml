@@ -17,18 +17,18 @@ module Fixpoint = struct
     equal : 'a -> 'a -> bool;
     join : 'a -> 'a -> 'a;
     widen : ('a -> 'a -> 'a) option;
-    widen_after : int;
     hits : int array;
     mutable dirty : bool;
   }
 
-  let create ~n ~bottom ~equal ~join ?widen ?(widen_after = 8) () =
+  let widen_after = 8
+
+  let create ~n ~bottom ~equal ~join ?widen () =
     {
       values = Array.make n bottom;
       equal;
       join;
       widen;
-      widen_after;
       hits = Array.make n 0;
       dirty = false;
     }
@@ -43,7 +43,7 @@ module Fixpoint = struct
     let j = s.join old v in
     let j =
       match s.widen with
-      | Some w when s.hits.(i) >= s.widen_after && not (s.equal j old) ->
+      | Some w when s.hits.(i) >= widen_after && not (s.equal j old) ->
           w old j
       | _ -> j
     in
@@ -591,168 +591,147 @@ let analyze (net : Network.t) =
 (* The backward L/U clock-bound fixpoint                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-location L/U constants recomputed over the {e live} part of the
-   control-flow graph with guard/reset constants evaluated under the
-   flow-refined intervals — the second instantiation of {!Fixpoint}.
-   The result is pointwise-min'ed against the builder's one-shot
-   analysis, so bounds can only tighten; [lbase]/[ubase] floors (query
-   constants) are untouched.  Components whose location-resolved table
-   would exceed the builder's size cap keep their existing rows. *)
+(* Per-location L/U constants: a location's bound for a clock covers
+   every constant the clock can still be compared against before its
+   next reset along that component.  Lower-bound atoms ([x >(=) c])
+   feed L, upper-bound atoms and invariants feed U, [==] feeds both,
+   and reset magnitudes feed both.  Computed over the {e live} part of
+   the control-flow graph with guard/reset constants evaluated under
+   the flow-refined intervals — the second instantiation of
+   {!Fixpoint}.  A flow-unreachable location keeps the bottom row.
+   [lbase]/[ubase] floors (query constants) and the classical [k] are
+   untouched. *)
 
 let refine_lu fa (net : Network.t) =
   let n_clocks = Array.length net.Network.clock_names in
   let lu_of i (a : Automaton.t) =
     let nl = Array.length a.Automaton.locations in
-    if nl * n_clocks > 65536 then Option.None
-    else begin
-      let reach l = fa.loc_env.(i).(l) <> None in
-      (* per-edge constants under the refined source environment,
-         computed once: (guard atoms as (clock, rel, c)), reset
-         magnitudes, reset clock set *)
-      let edge_consts =
-        Array.mapi
-          (fun ei (e : Automaton.edge) ->
-            if fa.status.(i).(ei) <> Live then Option.None
-            else
-              match env_at fa i e.Automaton.src with
-              | Option.None -> Option.None
-              | Some env ->
-                  let env =
-                    match refine env e.Automaton.guard.Guard.data with
-                    | Some env -> env
-                    | Option.None -> env
-                  in
-                  (* a receiver's update runs after the sender's: read
-                     unstable vars through G, not the refined snapshot *)
-                  let read =
-                    match e.Automaton.sync with
-                    | Automaton.Recv _ ->
-                        Array.mapi
-                          (fun v iv ->
-                            if fa.stable.(i).(v) then iv else fa.global.(v))
-                          env
-                    | Automaton.NoSync | Automaton.Send _ -> Array.copy env
-                  in
-                  let atoms =
-                    List.map
-                      (fun (at : Guard.atom) ->
-                        let lo, hi = Expr.interval env at.Guard.bound in
-                        (at.Guard.clock, at.Guard.rel, max (abs lo) (abs hi)))
-                      e.Automaton.guard.Guard.clocks
-                  in
-                  let mags = ref [] and resets = ref [] in
-                  List.iter
-                    (fun (asg : Update.assign) ->
-                      match asg with
-                      | Update.Reset_clock (x, rhs) ->
-                          let lo, hi = Expr.interval read rhs in
-                          mags := (x, max (abs lo) (abs hi)) :: !mags;
-                          resets := x :: !resets
-                      | Update.Set_var (v, rhs) ->
-                          let lo, hi = Expr.interval read rhs in
-                          let dl, dh = net.Network.var_ranges.(v) in
-                          let lo = max lo dl and hi = min hi dh in
-                          if lo <= hi then read.(v) <- (lo, hi))
-                    e.Automaton.update;
-                  Some (atoms, !mags, !resets))
-          a.Automaton.edges
-      in
-      let inv_consts =
-        Array.mapi
-          (fun l (loc : Automaton.location) ->
-            if not (reach l) then []
-            else
-              match env_at fa i l with
-              | Option.None -> []
-              | Some env ->
+    let reach l = fa.loc_env.(i).(l) <> None in
+    (* per-edge constants under the refined source environment,
+       computed once: (guard atoms as (clock, rel, c)), reset
+       magnitudes, reset clock set *)
+    let edge_consts =
+      Array.mapi
+        (fun ei (e : Automaton.edge) ->
+          if fa.status.(i).(ei) <> Live then Option.None
+          else
+            match env_at fa i e.Automaton.src with
+            | Option.None -> Option.None
+            | Some env ->
+                let env =
+                  match refine env e.Automaton.guard.Guard.data with
+                  | Some env -> env
+                  | Option.None -> env
+                in
+                (* a receiver's update runs after the sender's: read
+                   unstable vars through G, not the refined snapshot *)
+                let read =
+                  match e.Automaton.sync with
+                  | Automaton.Recv _ ->
+                      Array.mapi
+                        (fun v iv ->
+                          if fa.stable.(i).(v) then iv else fa.global.(v))
+                        env
+                  | Automaton.NoSync | Automaton.Send _ -> Array.copy env
+                in
+                let atoms =
                   List.map
                     (fun (at : Guard.atom) ->
                       let lo, hi = Expr.interval env at.Guard.bound in
                       (at.Guard.clock, at.Guard.rel, max (abs lo) (abs hi)))
-                    loc.Automaton.invariant.Guard.clocks)
-          a.Automaton.locations
-      in
-      (* value per location: L row ++ U row *)
-      let solver =
-        Fixpoint.create ~n:nl
-          ~bottom:(Array.make (2 * n_clocks) 0)
-          ~equal:( = )
-          ~join:(fun a b -> Array.mapi (fun k c -> max c b.(k)) a)
-          ()
-      in
-      (* chaotic per-location update (backward: sources absorb their
-         successors' rows) *)
-      let sweep () =
-        for l = nl - 1 downto 0 do
-          if reach l then begin
-            let row = Array.copy (Fixpoint.get solver l) in
-            let bump_l x c = if c > row.(x) then row.(x) <- c in
-            let bump_u x c =
-              if c > row.(n_clocks + x) then row.(n_clocks + x) <- c
-            in
-            let scan (x, rel, c) =
-              match rel with
-              | Guard.Ge | Guard.Gt -> bump_l x c
-              | Guard.Le | Guard.Lt -> bump_u x c
-              | Guard.Eq ->
-                  bump_l x c;
-                  bump_u x c
-            in
-            List.iter scan inv_consts.(l);
-            List.iter
-              (fun ei ->
-                match edge_consts.(ei) with
-                | Option.None -> ()
-                | Some (atoms, mags, resets) ->
-                    List.iter scan atoms;
-                    List.iter
-                      (fun (x, c) ->
-                        bump_l x c;
-                        bump_u x c)
-                      mags;
-                    let dst =
-                      Fixpoint.get solver (Automaton.edge a ei).Automaton.dst
-                    in
-                    for x = 1 to n_clocks - 1 do
-                      if not (List.mem x resets) then begin
-                        bump_l x dst.(x);
-                        bump_u x dst.(n_clocks + x)
-                      end
-                    done)
-              (Automaton.out_edges a l);
-            Fixpoint.update solver l row
-          end
-        done
-      in
-      Fixpoint.solve solver sweep;
-      let l_rows =
-        Array.init nl (fun l ->
-            let row = Fixpoint.get solver l in
-            Array.init n_clocks (fun x -> min net.Network.lloc.(i).(l).(x) row.(x)))
-      in
-      let u_rows =
-        Array.init nl (fun l ->
-            let row = Fixpoint.get solver l in
-            Array.init n_clocks (fun x ->
-                min net.Network.uloc.(i).(l).(x) row.(n_clocks + x)))
-      in
-      Some (l_rows, u_rows)
-    end
-  in
+                    e.Automaton.guard.Guard.clocks
+                in
+                let mags = ref [] and resets = ref [] in
+                List.iter
+                  (fun (asg : Update.assign) ->
+                    match asg with
+                    | Update.Reset_clock (x, rhs) ->
+                        let lo, hi = Expr.interval read rhs in
+                        mags := (x, max (abs lo) (abs hi)) :: !mags;
+                        resets := x :: !resets
+                    | Update.Set_var (v, rhs) ->
+                        let lo, hi = Expr.interval read rhs in
+                        let dl, dh = net.Network.var_ranges.(v) in
+                        let lo = max lo dl and hi = min hi dh in
+                        if lo <= hi then read.(v) <- (lo, hi))
+                  e.Automaton.update;
+                Some (atoms, !mags, !resets))
+        a.Automaton.edges
+    in
+    let inv_consts =
+      Array.mapi
+        (fun l (loc : Automaton.location) ->
+          if not (reach l) then []
+          else
+            match env_at fa i l with
+            | Option.None -> []
+            | Some env ->
+                List.map
+                  (fun (at : Guard.atom) ->
+                    let lo, hi = Expr.interval env at.Guard.bound in
+                    (at.Guard.clock, at.Guard.rel, max (abs lo) (abs hi)))
+                  loc.Automaton.invariant.Guard.clocks)
+        a.Automaton.locations
+    in
+    (* value per location: L row ++ U row *)
+    let solver =
+      Fixpoint.create ~n:nl
+        ~bottom:(Array.make (2 * n_clocks) 0)
+        ~equal:( = )
+        ~join:(fun a b -> Array.mapi (fun k c -> max c b.(k)) a)
+        ()
+    in
+    (* chaotic per-location update (backward: sources absorb their
+       successors' rows) *)
+    let sweep () =
+      for l = nl - 1 downto 0 do
+        if reach l then begin
+          let row = Array.copy (Fixpoint.get solver l) in
+          let bump_l x c = if c > row.(x) then row.(x) <- c in
+          let bump_u x c =
+            if c > row.(n_clocks + x) then row.(n_clocks + x) <- c
+          in
+          let scan (x, rel, c) =
+            match rel with
+            | Guard.Ge | Guard.Gt -> bump_l x c
+            | Guard.Le | Guard.Lt -> bump_u x c
+            | Guard.Eq ->
+                bump_l x c;
+                bump_u x c
+          in
+          List.iter scan inv_consts.(l);
+          List.iter
+            (fun ei ->
+              match edge_consts.(ei) with
+              | Option.None -> ()
+              | Some (atoms, mags, resets) ->
+                  List.iter scan atoms;
+                  List.iter
+                    (fun (x, c) ->
+                      bump_l x c;
+                      bump_u x c)
+                    mags;
+                  let dst =
+                    Fixpoint.get solver (Automaton.edge a ei).Automaton.dst
+                  in
+                  for x = 1 to n_clocks - 1 do
+                    if not (List.mem x resets) then begin
+                      bump_l x dst.(x);
+                      bump_u x dst.(n_clocks + x)
+                    end
+                  done)
+            (Automaton.out_edges a l);
+          Fixpoint.update solver l row
+        end
+      done
+    in
+    Fixpoint.solve solver sweep;
+    let rows = Array.init nl (Fixpoint.get solver) in
+    ( Array.map (fun row -> Array.sub row 0 n_clocks) rows,
+      Array.map (fun row -> Array.sub row n_clocks n_clocks) rows )
+in
   let lu = Array.mapi lu_of net.Network.automata in
-  let lloc =
-    Array.mapi
-      (fun i rows ->
-        match rows with Some (l, _) -> l | Option.None -> net.Network.lloc.(i))
-      lu
-  in
-  let uloc =
-    Array.mapi
-      (fun i rows ->
-        match rows with Some (_, u) -> u | Option.None -> net.Network.uloc.(i))
-      lu
-  in
-  { net with Network.lloc; uloc }
+  { net with Network.lloc = Array.map fst lu; uloc = Array.map snd lu }
 
 let refine_network net = refine_lu (analyze net) net
 

@@ -33,11 +33,10 @@ module Fixpoint : sig
     equal:('a -> 'a -> bool) ->
     join:('a -> 'a -> 'a) ->
     ?widen:('a -> 'a -> 'a) ->
-    ?widen_after:int ->
     unit ->
     'a t
   (** [widen old joined] is applied instead of plain join once a node
-      has changed [widen_after] times (default 8). *)
+      has changed 8 times. *)
 
   val get : 'a t -> int -> 'a
 
@@ -117,11 +116,12 @@ val clock_guard_unsat : (int * int) array -> Guard.t -> bool
     extrapolation. *)
 
 val refine_lu : t -> Network.t -> Network.t
-(** Recompute per-location L/U clock bounds over the live CFG with
-    flow-refined constants and return the network with tightened
-    [lloc]/[uloc] tables (pointwise min against the builder's
-    analysis; [lbase]/[ubase] floors untouched).  Oversized components
-    (the builder's shared-row fallback) keep their rows. *)
+(** The one source of the per-location L/U clock bounds: a backward
+    fixpoint over the live CFG with guard/reset constants evaluated
+    under the inferred intervals.  Returns the network with these
+    [lloc]/[uloc] tables in place of the builder's (which are [k] in
+    every row); no entry exceeds its clock's [k].  [k] and the
+    [lbase]/[ubase] floors are untouched. *)
 
 val refine_network : Network.t -> Network.t
 (** [refine_lu (analyze net) net]. *)

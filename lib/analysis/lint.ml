@@ -770,16 +770,17 @@ let to_json ?resolve ?pos (net : Network.t) findings =
     (fun i (d : D.t) ->
       Buffer.add_string buf (if i > 0 then ",\n    " else "\n    ");
       let site = Format.asprintf "%a" (D.pp_site net) d.D.site in
+      let str = D.json_string in
       Buffer.add_string buf
-        (Printf.sprintf {|{"severity": %S, "pass": %S, "site": %S|}
-           (D.severity_name d.D.severity)
-           (D.pass_name d.D.pass) site);
+        (Printf.sprintf {|{"severity": %s, "pass": %s, "site": %s|}
+           (str (D.severity_name d.D.severity))
+           (str (D.pass_name d.D.pass)) (str site));
       (match Option.bind resolve (fun f -> f d.D.site) with
-      | Some p -> Buffer.add_string buf (Printf.sprintf {|, "position": %S|} p)
+      | Some p -> Buffer.add_string buf (Printf.sprintf {|, "position": %s|} (str p))
       | None -> ());
-      Buffer.add_string buf (Printf.sprintf {|, "message": %S|} d.D.message);
+      Buffer.add_string buf (Printf.sprintf {|, "message": %s|} (str d.D.message));
       (match d.D.fix with
-      | Some f -> Buffer.add_string buf (Printf.sprintf {|, "fix": %S|} f)
+      | Some f -> Buffer.add_string buf (Printf.sprintf {|, "fix": %s|} (str f))
       | None -> ());
       Buffer.add_string buf "}")
     findings;

@@ -146,9 +146,7 @@ let system ?(queue_bound = 4) combo column =
   in
   Sysmodel.make
     ~name:
-      (Printf.sprintf "radionav-%s-%s"
-         (match combo with Cv_tmc -> "cv" | Al_tmc -> "al")
-         (column_name column))
+      (Printf.sprintf "radionav-%s-%s" (combo_name combo) (column_name column))
     ~resources:[ mmi; rad; nav; bus ]
     ~scenarios ~queue_bound ()
 

@@ -143,7 +143,7 @@ type budget_report = {
   verdict : verdict;
 }
 
-let check_budgets ?order ?budget ?domains (sys : Sysmodel.t) =
+let check_budgets (sys : Sysmodel.t) =
   List.concat_map
     (fun (s : Scenario.t) ->
       List.filter_map
@@ -152,8 +152,7 @@ let check_budgets ?order ?budget ?domains (sys : Sysmodel.t) =
           | None -> None
           | Some budget_us ->
               let r =
-                wcrt ?order ?budget ?domains sys
-                  ~scenario:s.Scenario.name
+                wcrt sys ~scenario:s.Scenario.name
                   ~requirement:req.Scenario.req_name
               in
               Some

@@ -94,17 +94,11 @@ type budget_report = {
   verdict : verdict;
 }
 
-val check_budgets :
-  ?order:Reach.order ->
-  ?budget:Reach.budget ->
-  ?domains:int ->
-  Sysmodel.t ->
-  budget_report list
+val check_budgets : Sysmodel.t -> budget_report list
 (** The paper's framing — "does the product work, given a set of hard
     resource restrictions?" — as one call: analyze every requirement
-    that declares a budget and judge its outcome with
-    {!outcome_verdict}.  A lower bound at or above the budget is
-    already a [Violated]; a lower bound below it proves nothing, hence
-    [Unknown]. *)
+    that declares a budget with {!wcrt}'s defaults (breadth-first, no
+    state budget, so no outcome is a lower bound) and judge its outcome
+    with {!outcome_verdict}. *)
 
 val pp_budget_report : Format.formatter -> budget_report -> unit

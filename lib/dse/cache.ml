@@ -1,4 +1,4 @@
-type t = { dir : string; mutable hits : int; mutable misses : int }
+type t = string  (* the cache directory *)
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -9,9 +9,7 @@ let rec mkdir_p dir =
 
 let create ~dir =
   mkdir_p dir;
-  { dir; hits = 0; misses = 0 }
-
-let dir t = t.dir
+  dir
 
 (* bump when Job.result or the key fields change shape, or a job's
    answer for the same key changes: old entries become misses *)
@@ -36,24 +34,19 @@ let job_key (spec : Job.spec) =
             string_of_int b.Job.sim_horizon_us;
           ]))
 
-let path t key = Filename.concat t.dir (key ^ ".job")
+let path dir key = Filename.concat dir (key ^ ".job")
 
 let find t key =
   match open_in_bin (path t key) with
-  | exception Sys_error _ ->
-      t.misses <- t.misses + 1;
-      None
-  | ic -> (
+  | exception Sys_error _ -> None
+  | ic ->
       let v =
         match (Marshal.from_channel ic : Job.result) with
         | r -> Some r
         | exception _ -> None
       in
       close_in_noerr ic;
-      (match v with
-      | Some _ -> t.hits <- t.hits + 1
-      | None -> t.misses <- t.misses + 1);
-      v)
+      v
 
 let store t key r =
   let final = path t key in
@@ -64,6 +57,3 @@ let store t key r =
   Marshal.to_channel oc (r : Job.result) [];
   close_out oc;
   Sys.rename tmp final
-
-let hits t = t.hits
-let misses t = t.misses

@@ -15,17 +15,12 @@ type t
 val create : dir:string -> t
 (** Creates [dir] (and parents) when missing. *)
 
-val dir : t -> string
-
 val job_key : Job.spec -> string
 (** Stable hex digest of everything that determines a job's result:
     the full system model, technique, measured requirement and
     budget. *)
 
 val find : t -> string -> Job.result option
-(** Counts a hit or a miss. *)
+(** [None] for a missing, stale or corrupt entry. *)
 
 val store : t -> string -> Job.result -> unit
-
-val hits : t -> int
-val misses : t -> int

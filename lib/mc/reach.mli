@@ -9,12 +9,12 @@
     lower bounds — in state spaces too large to exhaust.
 
     Every exploration first runs the abstract-interpretation dataflow
-    analysis ({!Ita_analysis.Flow}): the per-location L/U clock bounds
-    the extrapolation reads are recomputed over the live control flow
-    with guard constants evaluated under the inferred intervals (never
-    looser than the builder's), and each variable is packed into
-    exactly its inferred range.  The refinement rewrites only the L/U
-    tables, never the classical constants [Network.k]; the test suite's
+    analysis ({!Ita_analysis.Flow}): {!Ita_analysis.Flow.refine_lu}
+    computes the per-location L/U clock bounds the extrapolation reads
+    over the live control flow, with guard constants evaluated under
+    the inferred intervals, and each variable is packed into exactly
+    its inferred range.  The refinement rewrites only the L/U tables,
+    never the classical constants [Network.k]; the test suite's
     independent ExtraM reference explorer reads those to check both the
     abstraction and the refinement. *)
 

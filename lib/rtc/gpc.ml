@@ -136,16 +136,15 @@ let round sys ~horizon pendings spreads =
     sys.Sysmodel.resources;
   next
 
-let analyze ?(max_iterations = 32) ?horizon (sys : Sysmodel.t) =
+let max_iterations = 32
+
+let analyze (sys : Sysmodel.t) =
   let base_horizon =
-    match horizon with
-    | Some h -> h
-    | None ->
-        4
-        * List.fold_left
-            (fun acc (s : Scenario.t) ->
-              max acc (Eventmodel.period s.Scenario.trigger))
-            1 sys.Sysmodel.scenarios
+    4
+    * List.fold_left
+        (fun acc (s : Scenario.t) ->
+          max acc (Eventmodel.period s.Scenario.trigger))
+        1 sys.Sysmodel.scenarios
   in
   let rec with_horizon horizon =
     let delays = Hashtbl.create 16 in
@@ -235,8 +234,8 @@ let pp ppf t =
     t.steps;
   Format.fprintf ppf "@]"
 
-let wcrt_bound ?max_iterations ?horizon sys ~scenario ~requirement =
-  match analyze ?max_iterations ?horizon sys with
+let wcrt_bound sys ~scenario ~requirement =
+  match analyze sys with
   | t -> (
       match wcrt t sys ~scenario ~requirement with
       | v -> Ok v

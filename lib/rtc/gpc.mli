@@ -33,17 +33,17 @@ type t = { steps : step_report list; iterations : int; horizon : int }
 
 exception Diverged of string
 
-val analyze : ?max_iterations:int -> ?horizon:int -> Ita_core.Sysmodel.t -> t
-(** Default horizon: four times the largest scenario period, grown
-    automatically if a delay bound collides with it. *)
+val analyze : Ita_core.Sysmodel.t -> t
+(** The horizon starts at four times the largest scenario period and
+    grows automatically if a delay bound collides with it; the delays
+    must stabilize within 32 rounds per horizon.
+    @raise Diverged otherwise. *)
 
 val wcrt :
   t -> Ita_core.Sysmodel.t -> scenario:string -> requirement:string -> int
 (** Sum of component delays along the requirement's window. *)
 
 val wcrt_bound :
-  ?max_iterations:int ->
-  ?horizon:int ->
   Ita_core.Sysmodel.t ->
   scenario:string ->
   requirement:string ->

@@ -43,7 +43,10 @@ type event =
 (* Per-instance bookkeeping for requirement windows. *)
 type instance = { arrived : int; mutable step_done : int array }
 
-let run ~seed ~horizon_us ?(sporadic_slack = 0.1) (sys : Sysmodel.t) =
+(* sporadic gaps are stretched by a uniform factor in [1, 1 + slack] *)
+let sporadic_slack = 0.1
+
+let run ~seed ~horizon_us (sys : Sysmodel.t) =
   let rng = Prng.create seed in
   let scenarios = Array.of_list sys.Sysmodel.scenarios in
   let resources = Array.of_list sys.Sysmodel.resources in
@@ -322,11 +325,10 @@ let run ~seed ~horizon_us ?(sporadic_slack = 0.1) (sys : Sysmodel.t) =
         (Array.map (fun r -> (r.res.Resource.name, r.busy)) rs);
   }
 
-let max_response ~runs ~horizon_us ?(first_seed = 1) ?sporadic_slack sys
-    ~scenario ~requirement =
+let max_response ~runs ~horizon_us sys ~scenario ~requirement =
   let worst = ref 0 in
-  for seed = first_seed to first_seed + runs - 1 do
-    let stats = run ~seed ~horizon_us ?sporadic_slack sys in
+  for seed = 1 to runs do
+    let stats = run ~seed ~horizon_us sys in
     List.iter
       (fun (s : sample) ->
         if s.scenario = scenario && s.requirement = requirement then

@@ -23,27 +23,19 @@ type run_stats = {
   busy_us : (string * int) list;  (** per-resource busy time *)
 }
 
-val run :
-  seed:int ->
-  horizon_us:int ->
-  ?sporadic_slack:float ->
-  Ita_core.Sysmodel.t ->
-  run_stats
+val run : seed:int -> horizon_us:int -> Ita_core.Sysmodel.t -> run_stats
 (** Simulate until [horizon_us]; every completed requirement window of
-    every event instance contributes one sample.  [sporadic_slack]
-    stretches sporadic inter-arrival gaps by a uniform factor in
-    [1, 1 + slack] (default 0.1); 0 makes sporadic maximally dense. *)
+    every event instance contributes one sample.  Sporadic
+    inter-arrival gaps are stretched by a uniform factor in [1, 1.1]. *)
 
 val max_response :
   runs:int ->
   horizon_us:int ->
-  ?first_seed:int ->
-  ?sporadic_slack:float ->
   Ita_core.Sysmodel.t ->
   scenario:string ->
   requirement:string ->
   int
 (** Worst response of one requirement over [runs] seeded runs
-    (seeds [first_seed .. first_seed + runs - 1], default from 1) —
+    (seeds [1 .. runs]) —
     the simulation estimate of a WCRT, a statistical {e lower} bound.
     Returns 0 when no window of the requirement ever completed. *)

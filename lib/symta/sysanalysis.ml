@@ -174,7 +174,9 @@ let chains_equal c1 c2 =
          | None -> false)
        c1 true
 
-let analyze ?(max_iterations = 64) (sys : Sysmodel.t) =
+let max_iterations = 64
+
+let analyze (sys : Sysmodel.t) =
   let rec go chains iterations =
     if iterations > max_iterations then
       raise (Diverged "chain states failed to stabilize")
@@ -229,8 +231,8 @@ let pp ppf t =
     t.steps;
   Format.fprintf ppf "@]"
 
-let wcrt_bound ?max_iterations sys ~scenario ~requirement =
-  match analyze ?max_iterations sys with
+let wcrt_bound sys ~scenario ~requirement =
+  match analyze sys with
   | t -> (
       match wcrt t sys ~scenario ~requirement with
       | v -> Ok v

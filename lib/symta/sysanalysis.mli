@@ -29,7 +29,11 @@ type t = { steps : step_report list; iterations : int }
 exception Diverged of string
 (** Stream jitters kept growing: the system is (or appears) overloaded. *)
 
-val analyze : ?max_iterations:int -> Ita_core.Sysmodel.t -> t
+val analyze : Ita_core.Sysmodel.t -> t
+(** Iterate local busy-window analyses and stream propagation until
+    the chain states stabilize, within 64 rounds.
+    @raise Diverged when they do not.
+    @raise Busywindow.Unschedulable when a busy window diverges. *)
 
 val wcrt :
   t -> Ita_core.Sysmodel.t -> scenario:string -> requirement:string -> int
@@ -37,7 +41,6 @@ val wcrt :
     microseconds. *)
 
 val wcrt_bound :
-  ?max_iterations:int ->
   Ita_core.Sysmodel.t ->
   scenario:string ->
   requirement:string ->

@@ -182,91 +182,14 @@ module Builder = struct
       active
     in
     let active = Array.map activity_of automata in
-    (* Separate lower/upper maximal constants (for Extra+LU), resolved
-       per automaton location by a backward fixpoint in the style of
-       [activity_of]: a location's bound for a clock covers every
-       constant the clock can still be compared against before its next
-       reset along that component.  Lower-bound atoms ([x >(=) c]) feed
-       L, upper-bound atoms and invariants feed U, [==] feeds both;
-       reset magnitudes are kept in both, matching the classical [k]
-       scan.  Per-state bounds are the max over components, which is
-       sound for networks (any future guard is some component's future
-       guard). *)
-    let reset_magnitudes (upd : Update.t) =
-      List.filter_map
-        (function
-          | Update.Reset_clock (x, e) ->
-              let lo, hi = Expr.interval var_ranges e in
-              Some (x, max (abs lo) (abs hi))
-          | Update.Set_var _ -> None)
-        upd
+    (* every location starts at the classical constants, a sound L and
+       U row; [Flow.refine_lu] computes the per-location tables before
+       each exploration.  The rows share [k] and are never mutated. *)
+    let k_rows =
+      Array.map
+        (fun (a : Automaton.t) -> Array.make (Array.length a.Automaton.locations) k)
+        automata
     in
-    let lu_of (a : Automaton.t) =
-      let nl = Array.length a.Automaton.locations in
-      let l = Array.init nl (fun _ -> Array.make n_clocks 0) in
-      let u = Array.init nl (fun _ -> Array.make n_clocks 0) in
-      let changed = ref true in
-      let bump arr li x c =
-        if c > arr.(li).(x) then begin
-          arr.(li).(x) <- c;
-          changed := true
-        end
-      in
-      let scan_atoms li (g : Guard.t) =
-        List.iter
-          (fun (at : Guard.atom) ->
-            let lo, hi = Expr.interval var_ranges at.Guard.bound in
-            let c = max (abs lo) (abs hi) in
-            match at.Guard.rel with
-            | Guard.Ge | Guard.Gt -> bump l li at.Guard.clock c
-            | Guard.Le | Guard.Lt -> bump u li at.Guard.clock c
-            | Guard.Eq ->
-                bump l li at.Guard.clock c;
-                bump u li at.Guard.clock c)
-          g.Guard.clocks
-      in
-      while !changed do
-        changed := false;
-        Array.iteri
-          (fun li (loc : Automaton.location) ->
-            scan_atoms li loc.Automaton.invariant;
-            List.iter
-              (fun ei ->
-                let e = a.Automaton.edges.(ei) in
-                scan_atoms li e.Automaton.guard;
-                List.iter
-                  (fun (x, c) ->
-                    bump l li x c;
-                    bump u li x c)
-                  (reset_magnitudes e.Automaton.update);
-                let resets = reset_clocks e.Automaton.update in
-                for x = 1 to n_clocks - 1 do
-                  if not (List.mem x resets) then begin
-                    bump l li x l.(e.Automaton.dst).(x);
-                    bump u li x u.(e.Automaton.dst).(x)
-                  end
-                done)
-              (Automaton.out_edges a li))
-          a.Automaton.locations
-      done;
-      (* fall back to per-network (one shared row) when the
-         location-resolved table would be large: the lookup stays O(1)
-         and memory stays bounded for generated giants *)
-      if nl * n_clocks > 65536 then begin
-        let lmax = Array.make n_clocks 0 and umax = Array.make n_clocks 0 in
-        Array.iter
-          (fun row ->
-            Array.iteri (fun x c -> if c > lmax.(x) then lmax.(x) <- c) row)
-          l;
-        Array.iter
-          (fun row ->
-            Array.iteri (fun x c -> if c > umax.(x) then umax.(x) <- c) row)
-          u;
-        (Array.make nl lmax, Array.make nl umax)
-      end
-      else (l, u)
-    in
-    let lu = Array.map lu_of automata in
     {
       automata;
       clock_names;
@@ -277,8 +200,8 @@ module Builder = struct
       k;
       lbase = Array.make n_clocks 0;
       ubase = Array.make n_clocks 0;
-      lloc = Array.map fst lu;
-      uloc = Array.map snd lu;
+      lloc = k_rows;
+      uloc = k_rows;
       active;
       pinned = Array.make n_clocks false;
     }

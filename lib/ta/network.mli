@@ -11,9 +11,12 @@
     - receiving edges of broadcast channels carry no clock guards;
     - guards are diagonal-free by construction ({!Guard.t}).
 
-    [build] also derives the per-clock maximal constants used for zone
-    extrapolation from every guard, invariant and reset in the model;
-    queries that compare clocks against further constants must register
+    [build] also derives the per-clock maximal constants [k] from every
+    guard, invariant and reset in the model, and starts every
+    location's L/U row at [k].  The per-location L/U tables the engine
+    extrapolates with come from one analysis,
+    [Ita_analysis.Flow.refine_lu], which every exploration runs first.
+    Queries that compare clocks against further constants must register
     them with {!bump_clock_bound}. *)
 
 type t = {
@@ -32,11 +35,15 @@ type t = {
           constants registered with {!bump_clock_bound} land here *)
   ubase : int array;  (** same for the upper-bound constants U *)
   lloc : int array array array;
-      (** [lloc.(comp).(loc).(clock)]: largest constant a lower-bound
-          guard can still compare the clock against before its next
-          reset, from this component location on (backward fixpoint);
-          the per-state L bound is the max over components, then over
-          {!lbase}.  Feeds Extra+LU. *)
+      (** [lloc.(comp).(loc).(clock)]: an upper bound on every constant
+          a lower-bound guard can still compare the clock against
+          before its next reset, from this component location on; the
+          per-state L bound is the max over components, then over
+          {!lbase}.  Feeds Extra+LU.  A built network carries [k] in
+          every row, which is sound but coarse;
+          [Ita_analysis.Flow.refine_lu] replaces the rows with the
+          per-location backward fixpoint over the live control flow.
+          Rows may be shared: never mutate them. *)
   uloc : int array array array;  (** same for upper-bound guards/invariants *)
   active : bool array array array;
       (** [active.(comp).(loc).(clock)]: location-based clock activity

@@ -602,7 +602,9 @@ let observed_of_queries queries =
     queries;
   (List.sort_uniq compare !comps, !clocks, !vars)
 
-let test_lint_json_golden () =
+(* [dir] prefixes every position, as a model loaded from that
+   directory would print them *)
+let lint_demo_json ?(dir = "") () =
   let { E.net; queries; srcmap } =
     E.load_file ~validate:false (fixture "flow_demo.ta")
   in
@@ -622,7 +624,7 @@ let test_lint_json_golden () =
   let resolve site =
     Option.map
       (fun { Ita_tafmt.Ast.line; col } ->
-        Printf.sprintf "flow_demo.ta:%d:%d" line col)
+        Printf.sprintf "%sflow_demo.ta:%d:%d" dir line col)
       (site_pos site)
   in
   let pos site =
@@ -630,19 +632,65 @@ let test_lint_json_golden () =
       (fun { Ita_tafmt.Ast.line; col } -> (line, col))
       (site_pos site)
   in
-  let json = Lint.to_json ~resolve ~pos net findings in
-  let golden =
-    In_channel.with_open_bin (fixture "lint_golden.json")
-      In_channel.input_all
+  Lint.to_json ~resolve ~pos net findings
+
+let lint_golden () =
+  In_channel.with_open_bin (fixture "lint_golden.json") In_channel.input_all
+
+let test_lint_json_golden () =
+  Alcotest.(check string) "lint --json bytes" (lint_golden ()) (lint_demo_json ())
+
+(* JSON strings are UTF-8: a position under a non-ASCII directory
+   keeps its bytes, where OCaml's %S would write decimal escapes that
+   no JSON parser accepts *)
+let replace_all ~sub ~by s =
+  let n = String.length sub and buf = Buffer.create (String.length s) in
+  let rec go i =
+    if i + n > String.length s then
+      Buffer.add_string buf (String.sub s i (String.length s - i))
+    else if String.sub s i n = sub then begin
+      Buffer.add_string buf by;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char buf s.[i];
+      go (i + 1)
+    end
   in
-  Alcotest.(check string) "lint --json bytes" golden json
+  go 0;
+  Buffer.contents buf
+
+let test_lint_json_utf8 () =
+  let dir = "mod\xc3\xa8les/" in
+  let expected =
+    replace_all ~sub:"flow_demo.ta:" ~by:(dir ^ "flow_demo.ta:") (lint_golden ())
+  in
+  Alcotest.(check string) "positions keep their UTF-8 bytes" expected
+    (lint_demo_json ~dir ())
+
+let test_json_string () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string) (String.escaped input) expected (D.json_string input))
+    [
+      ("plain", {|"plain"|});
+      ("a \"quoted\" \\ path", {|"a \"quoted\" \\ path"|});
+      ("tab\tnew\nline\r", {|"tab\tnew\nline\u000d"|});
+      ("mod\xc3\xa8les", "\"mod\xc3\xa8les\"");
+      (* a stray Latin-1 byte is not UTF-8: replaced, not passed on *)
+      ("mod\xe8les", {|"mod\ufffdles"|});
+    ]
 
 let () =
   Alcotest.run "analysis"
     [
       ( "golden",
-        [ Alcotest.test_case "lint --json schema" `Quick test_lint_json_golden ]
-      );
+        [
+          Alcotest.test_case "lint --json schema" `Quick test_lint_json_golden;
+          Alcotest.test_case "lint --json keeps UTF-8" `Quick
+            test_lint_json_utf8;
+          Alcotest.test_case "json_string escapes" `Quick test_json_string;
+        ] );
       ( "passes",
         [
           Alcotest.test_case "unused clock" `Quick test_unused_clock;

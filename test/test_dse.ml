@@ -258,11 +258,9 @@ let test_cache_roundtrip () =
   Alcotest.(check bool) "cold lookup misses" true (Cache.find cache key = None);
   let r = { Job.measure = Job.Exact 4; elapsed = 0.01; explored = 7 } in
   Cache.store cache key r;
-  (match Cache.find cache key with
+  match Cache.find cache key with
   | Some r' -> Alcotest.(check bool) "stored = loaded" true (r = r')
-  | None -> Alcotest.fail "stored entry must be found");
-  Alcotest.(check (pair int int)) "hit/miss accounting" (1, 1)
-    (Cache.hits cache, Cache.misses cache)
+  | None -> Alcotest.fail "stored entry must be found"
 
 let test_cache_key_discriminates () =
   let k = Cache.job_key (mini_spec ()) in

@@ -288,20 +288,32 @@ let test_bounds_agree_on_examples () =
     [ "fischer.ta"; "train_gate.ta"; "two_phase.ta" ]
 
 (* Refined bounds may only tighten: on random networks every entry of
-   the refined L/U tables is at most the builder's, and the classical
-   constants the ExtraM oracle reads are untouched.                     *)
+   the refined L/U tables is at most the builder's classical constant
+   [k] of its clock, and [k], which the ExtraM oracle reads, is
+   untouched.                                                          *)
 let test_bounds_never_hurt =
   QCheck2.Test.make ~count:80
     ~name:"flow-refined bounds never exceed the builder's"
     gen_random_flow_net
     (fun net ->
       let refined = Flow.refine_network net in
-      let below (t : int array array array) (t' : int array array array) =
-        Array.for_all2 (Array.for_all2 (Array.for_all2 ( <= ))) t t'
+      let below_k (t : int array array array) =
+        Array.for_all
+          (Array.for_all (Array.for_all2 ( >= ) net.Network.k))
+          t
       in
-      below refined.Network.lloc net.Network.lloc
-      && below refined.Network.uloc net.Network.uloc
+      below_k refined.Network.lloc
+      && below_k refined.Network.uloc
       && refined.Network.k = net.Network.k)
+
+(* The zoo's differential on random networks: Extra+LU over the
+   refined tables against ExtraM, for every clock at every location. *)
+let test_bounds_agree_on_random =
+  QCheck2.Test.make ~count:40 ~name:"wcrt agrees on random networks"
+    gen_random_flow_net
+    (fun net ->
+      check_net_bounds_agree "random" net;
+      true)
 
 let () =
   Alcotest.run "flow"
@@ -321,5 +333,6 @@ let () =
           Alcotest.test_case "verdicts agree on examples" `Quick
             test_bounds_agree_on_examples;
           QCheck_alcotest.to_alcotest test_bounds_never_hurt;
+          QCheck_alcotest.to_alcotest test_bounds_agree_on_random;
         ] );
     ]

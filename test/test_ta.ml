@@ -140,6 +140,27 @@ let test_extrapolation_constants () =
   Alcotest.(check int) "bumped" 99 net'.Network.k.(y);
   Alcotest.(check int) "original untouched" 0 net.Network.k.(y)
 
+(* A built network carries the classical constants as every location's
+   L and U row: the per-location tables come from the dataflow
+   analysis alone (test_flow checks them). *)
+let test_lu_rows_are_k () =
+  List.iter
+    (fun (name, (net : Network.t)) ->
+      let rows_are_k (t : int array array array) =
+        Array.for_all (Array.for_all (fun row -> row = net.Network.k)) t
+      in
+      Alcotest.(check bool) (name ^ ": L rows are k") true
+        (rows_are_k net.Network.lloc);
+      Alcotest.(check bool) (name ^ ": U rows are k") true
+        (rows_are_k net.Network.uloc))
+    [
+      ("two-phase", (let net, _, _ = Models.two_phase () in net));
+      ("urgent-gate", fst (Models.urgent_gate ()));
+      ("committed-gate", fst (Models.committed_gate ()));
+      ("handshake", fst (Models.handshake ()));
+      ("broadcast", Models.broadcast_pair ());
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Symbolic semantics                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -265,6 +286,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_validation;
           Alcotest.test_case "extrapolation constants" `Quick
             test_extrapolation_constants;
+          Alcotest.test_case "L/U rows are k" `Quick test_lu_rows_are_k;
         ] );
       ( "semantics",
         [
