@@ -37,7 +37,8 @@ val analyze : Ita_core.Sysmodel.t -> t
 (** The horizon starts at four times the largest scenario period and
     grows automatically if a delay bound collides with it; the delays
     must stabilize within 32 rounds per horizon.
-    @raise Diverged otherwise. *)
+    @raise Diverged when they do not, or when the horizon passes
+    2{^34}. *)
 
 val wcrt :
   t -> Ita_core.Sysmodel.t -> scenario:string -> requirement:string -> int
