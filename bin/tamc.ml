@@ -69,6 +69,7 @@ let run_check path order budget trace domains cert_out =
             | E.Deadlock_q -> (
                 Format.printf "query %d: deadlock ... @?" i;
                 let dead = ref None in
+                let net = Ita_analysis.Flow.refine_network net in
                 let result =
                   Reach.explore ~order ~budget ?domains net
                     ~on_store:(fun cfg ->

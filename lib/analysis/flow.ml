@@ -595,12 +595,15 @@ let analyze (net : Network.t) =
    every constant the clock can still be compared against before its
    next reset along that component.  Lower-bound atoms ([x >(=) c])
    feed L, upper-bound atoms and invariants feed U, [==] feeds both,
-   and reset magnitudes feed both.  Computed over the {e live} part of
-   the control-flow graph with guard/reset constants evaluated under
-   the flow-refined intervals — the second instantiation of
-   {!Fixpoint}.  A flow-unreachable location keeps the bottom row.
-   [lbase]/[ubase] floors (query constants) and the classical [k] are
-   untouched. *)
+   and reset magnitudes feed both.  The same sweep computes clock
+   activity (Daws-Yovine): a clock is active where some atom can still
+   test it before its next reset, whatever the constant.  Computed
+   over the {e live} part of the control-flow graph with guard/reset
+   constants evaluated under the flow-refined intervals — the second
+   instantiation of {!Fixpoint}.  A flow-unreachable location keeps
+   the bottom row: every bound 0, every clock inactive.
+   [lbase]/[ubase] floors (query constants), [pinned] and the
+   classical [k] are untouched. *)
 
 let refine_lu fa (net : Network.t) =
   let n_clocks = Array.length net.Network.clock_names in
@@ -673,10 +676,10 @@ let refine_lu fa (net : Network.t) =
                   loc.Automaton.invariant.Guard.clocks)
         a.Automaton.locations
     in
-    (* value per location: L row ++ U row *)
+    (* value per location: L row ++ U row ++ activity row (0 or 1) *)
     let solver =
       Fixpoint.create ~n:nl
-        ~bottom:(Array.make (2 * n_clocks) 0)
+        ~bottom:(Array.make (3 * n_clocks) 0)
         ~equal:( = )
         ~join:(fun a b -> Array.mapi (fun k c -> max c b.(k)) a)
         ()
@@ -691,7 +694,9 @@ let refine_lu fa (net : Network.t) =
           let bump_u x c =
             if c > row.(n_clocks + x) then row.(n_clocks + x) <- c
           in
+          let activate x = row.((2 * n_clocks) + x) <- 1 in
           let scan (x, rel, c) =
+            activate x;
             match rel with
             | Guard.Ge | Guard.Gt -> bump_l x c
             | Guard.Le | Guard.Lt -> bump_u x c
@@ -717,7 +722,8 @@ let refine_lu fa (net : Network.t) =
                   for x = 1 to n_clocks - 1 do
                     if not (List.mem x resets) then begin
                       bump_l x dst.(x);
-                      bump_u x dst.(n_clocks + x)
+                      bump_u x dst.(n_clocks + x);
+                      if dst.((2 * n_clocks) + x) > 0 then activate x
                     end
                   done)
             (Automaton.out_edges a l);
@@ -728,10 +734,18 @@ let refine_lu fa (net : Network.t) =
     Fixpoint.solve solver sweep;
     let rows = Array.init nl (Fixpoint.get solver) in
     ( Array.map (fun row -> Array.sub row 0 n_clocks) rows,
-      Array.map (fun row -> Array.sub row n_clocks n_clocks) rows )
+      Array.map (fun row -> Array.sub row n_clocks n_clocks) rows,
+      Array.map
+        (fun row -> Array.init n_clocks (fun x -> row.((2 * n_clocks) + x) > 0))
+        rows )
 in
-  let lu = Array.mapi lu_of net.Network.automata in
-  { net with Network.lloc = Array.map fst lu; uloc = Array.map snd lu }
+  let tables = Array.mapi lu_of net.Network.automata in
+  {
+    net with
+    Network.lloc = Array.map (fun (l, _, _) -> l) tables;
+    uloc = Array.map (fun (_, u, _) -> u) tables;
+    active = Array.map (fun (_, _, a) -> a) tables;
+  }
 
 let refine_network net = refine_lu (analyze net) net
 

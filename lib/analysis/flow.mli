@@ -8,9 +8,10 @@
       variables, per (component, location), with guard refinement and
       cross-process propagation across channel synchronizations
       ({!analyze});
-    - a backward per-location {e L/U clock-bound} analysis over the
-      live part of the control-flow graph, with guard/reset constants
-      evaluated under the refined intervals ({!refine_lu}).
+    - a backward per-location {e L/U clock-bound} and clock-activity
+      analysis over the live part of the control-flow graph, with
+      guard/reset constants evaluated under the refined intervals
+      ({!refine_lu}).
 
     Concurrency is sound by construction: a variable written by more
     than one component is never tracked flow-sensitively — reads go
@@ -116,12 +117,16 @@ val clock_guard_unsat : (int * int) array -> Guard.t -> bool
     extrapolation. *)
 
 val refine_lu : t -> Network.t -> Network.t
-(** The one source of the per-location L/U clock bounds: a backward
-    fixpoint over the live CFG with guard/reset constants evaluated
-    under the inferred intervals.  Returns the network with these
-    [lloc]/[uloc] tables in place of the builder's (which are [k] in
-    every row); no entry exceeds its clock's [k].  [k] and the
-    [lbase]/[ubase] floors are untouched. *)
+(** The one source of the per-location L/U clock bounds and of clock
+    activity: one backward fixpoint over the live CFG with guard/reset
+    constants evaluated under the inferred intervals.  Returns the
+    network with these [lloc]/[uloc]/[active] tables in place of the
+    builder's (which are [k] in every L/U row and all-true activity
+    rows); no entry exceeds its clock's [k].  A clock is active at a
+    location when a live path from it tests the clock, through a guard
+    or an invariant, before resetting it.  [k], [pinned] and the
+    [lbase]/[ubase] floors are untouched.  [fa] must be the analysis
+    of the same network. *)
 
 val refine_network : Network.t -> Network.t
 (** [refine_lu (analyze net) net]. *)

@@ -652,59 +652,37 @@ let cone_pass fa ~observed_comps ~observed_clocks ~observed_vars
 
 (* ---- merged-query-clock (syntactic mirror of Slice's CoiMerge) ---- *)
 
-(* Groups the unpinned clocks by their constant-reset signature over
-   every edge, exactly as {!Slice.make} does under [CoiMerge] — except
-   over the whole network rather than the kept live edges, so equal
-   signatures here imply equal signatures on any cone (a sound
-   under-approximation: the pass only fires when merging definitely
-   folds the clock).  A query clock that is a non-representative class
-   member is answered through the representative; correct, but worth a
-   warning because pinning the clock is the documented way to keep it
-   distinct. *)
+(* Groups the unpinned clocks with {!Slice.quasi_equal}, as
+   {!Slice.make} does under [CoiMerge] — except over every edge of the
+   network rather than the kept live edges, so equal signatures here
+   imply equal signatures on any cone (a sound under-approximation:
+   the pass only fires when merging definitely folds the clock).  A
+   query clock that is a non-representative class member is answered
+   through the representative; correct, but worth a warning because
+   pinning the clock is the documented way to keep it distinct. *)
 let merge_pass ~observed (net : Network.t) =
-  let ncl = Array.length net.Network.clock_names in
   if not (Array.exists Fun.id observed) then []
-  else begin
-    let candidate = Array.make ncl false in
-    for x = 1 to ncl - 1 do
-      candidate.(x) <- not net.Network.pinned.(x)
-    done;
-    let signature = Array.make ncl [] in
-    iter_edges net (fun _ci _ei _a (e : Automaton.edge) ->
-        let consts = Hashtbl.create 4 in
-        List.iter
-          (function
-            | Update.Reset_clock (x, Expr.Int c) when c >= 0 ->
-                Hashtbl.replace consts x c
-            | Update.Reset_clock (x, _) -> candidate.(x) <- false
-            | Update.Set_var _ -> ())
-          e.Automaton.update;
-        for x = 1 to ncl - 1 do
-          if candidate.(x) then
-            signature.(x) <- Hashtbl.find_opt consts x :: signature.(x)
-        done);
-    let groups = Hashtbl.create 8 in
-    let out = ref [] in
-    for x = 1 to ncl - 1 do
-      if candidate.(x) then
-        match Hashtbl.find_opt groups signature.(x) with
-        | None -> Hashtbl.add groups signature.(x) x
-        | Some r ->
-            if observed.(x) then
-              out :=
-                mk
-                  ~fix:"pin the clock (bump its clock bound)"
-                  D.Merged_query_clock D.Warning (D.Clock_site x)
-                  (sprintf
-                     "the query observes clock %s, but quasi-equal merging \
-                      folds it into %s (identical reset pattern on every \
-                      edge): verdicts are answered through the representative"
-                     net.Network.clock_names.(x)
-                     net.Network.clock_names.(r))
-                :: !out
-    done;
-    List.rev !out
-  end
+  else
+    let merged_into =
+      Slice.quasi_equal net
+        ~candidate:(fun x -> not net.Network.pinned.(x))
+        ~edges:(fun _ _ -> true)
+    in
+    List.filter_map
+      (fun x ->
+        let r = merged_into.(x) in
+        if r < 0 || not observed.(x) then None
+        else
+          Some
+            (mk ~fix:"pin the clock (bump its clock bound)"
+               D.Merged_query_clock D.Warning (D.Clock_site x)
+               (sprintf
+                  "the query observes clock %s, but quasi-equal merging \
+                   folds it into %s (identical reset pattern on every \
+                   edge): verdicts are answered through the representative"
+                  net.Network.clock_names.(x)
+                  net.Network.clock_names.(r))))
+      (List.init (Array.length merged_into) Fun.id)
 
 (* ---- driver ---- *)
 

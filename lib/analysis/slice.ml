@@ -133,14 +133,52 @@ let identity_slice mode (net : Network.t) =
     dropped_edges = [];
   }
 
-let make ?(mode = CoiMerge) ?fa (net : Network.t) (goal : goal) =
+(* Quasi-equal clock detection: group the candidate clocks by their
+   reset signature over the selected edges — the Int constant reset
+   there, or nothing.  Clocks sharing a signature are equal in every
+   valuation those edges can reach (all start at 0), so each class
+   collapses onto its smallest member. *)
+let quasi_equal (net : Network.t) ~candidate ~edges =
+  let ncl = Array.length net.Network.clock_names in
+  let candidate = Array.init ncl (fun x -> x > 0 && candidate x) in
+  let signature = Array.make ncl [] in
+  Array.iteri
+    (fun ci (a : Automaton.t) ->
+      Array.iteri
+        (fun ei (e : Automaton.edge) ->
+          if edges ci ei then begin
+            let consts = Hashtbl.create 4 in
+            List.iter
+              (function
+                | Update.Reset_clock (x, Expr.Int c) when c >= 0 ->
+                    Hashtbl.replace consts x c
+                | Update.Reset_clock (x, _) -> candidate.(x) <- false
+                | Update.Set_var _ -> ())
+              e.Automaton.update;
+            for x = 1 to ncl - 1 do
+              if candidate.(x) then
+                signature.(x) <- Hashtbl.find_opt consts x :: signature.(x)
+            done
+          end)
+        a.Automaton.edges)
+    net.Network.automata;
+  let merged_into = Array.make ncl (-1) in
+  let groups = Hashtbl.create 8 in
+  for x = 1 to ncl - 1 do
+    if candidate.(x) then
+      match Hashtbl.find_opt groups signature.(x) with
+      | None -> Hashtbl.add groups signature.(x) x
+      | Some r -> merged_into.(x) <- r
+  done;
+  merged_into
+
+let make ?(mode = CoiMerge) ~fa (net : Network.t) (goal : goal) =
   if mode = Off then identity_slice mode net
   else begin
     let nc = Array.length net.Network.automata in
     let ncl = Array.length net.Network.clock_names in
     let nv = Array.length net.Network.var_names in
     let auto ci = net.Network.automata.(ci) in
-    let fa = match fa with Some fa -> fa | None -> Flow.analyze net in
     let live ci ei = Flow.edge_status fa ci ei = Flow.Live in
     let reachable ci li = Flow.reachable fa ci li in
     let keep = Array.make nc false in
@@ -304,46 +342,15 @@ let make ?(mode = CoiMerge) ?fa (net : Network.t) (goal : goal) =
                 e.Automaton.update)
           (auto ci).Automaton.edges
     done;
-    (* Quasi-equal clock detection (CoiMerge): group the kept, unpinned
-       clocks by their reset signature over every kept live edge — the
-       Int constant reset there, or nothing.  Clocks sharing a
-       signature are equal in every reachable valuation (all start at
-       0), so each class collapses onto its smallest member. *)
-    let merged_into = Array.make ncl (-1) in
-    if mode = CoiMerge then begin
-      let candidate = Array.make ncl false in
-      for x = 1 to ncl - 1 do
-        candidate.(x) <- rel_clock.(x) && not net.Network.pinned.(x)
-      done;
-      let signature = Array.make ncl [] in
-      for ci = 0 to nc - 1 do
-        if keep.(ci) then
-          Array.iteri
-            (fun ei (e : Automaton.edge) ->
-              if live ci ei then begin
-                let consts = Hashtbl.create 4 in
-                List.iter
-                  (function
-                    | Update.Reset_clock (x, Expr.Int c) when c >= 0 ->
-                        Hashtbl.replace consts x c
-                    | Update.Reset_clock (x, _) -> candidate.(x) <- false
-                    | Update.Set_var _ -> ())
-                  e.Automaton.update;
-                for x = 1 to ncl - 1 do
-                  if candidate.(x) then
-                    signature.(x) <- Hashtbl.find_opt consts x :: signature.(x)
-                done
-              end)
-            (auto ci).Automaton.edges
-      done;
-      let groups = Hashtbl.create 8 in
-      for x = 1 to ncl - 1 do
-        if candidate.(x) then
-          match Hashtbl.find_opt groups signature.(x) with
-          | None -> Hashtbl.add groups signature.(x) x
-          | Some r -> merged_into.(x) <- r
-      done
-    end;
+    (* CoiMerge: merge the kept, unpinned quasi-equal clocks, with
+       signatures over every kept live edge *)
+    let merged_into =
+      if mode = CoiMerge then
+        quasi_equal net
+          ~candidate:(fun x -> rel_clock.(x) && not net.Network.pinned.(x))
+          ~edges:(fun ci ei -> keep.(ci) && live ci ei)
+      else Array.make ncl (-1)
+    in
     let dropped_edges = ref [] in
     for ci = nc - 1 downto 0 do
       if keep.(ci) then

@@ -98,14 +98,33 @@ type t = {
       (** dead [(comp, edge)] pairs dropped from kept components *)
 }
 
-val make : ?mode:mode -> ?fa:Flow.t -> Network.t -> goal -> t
-(** Compute the slice.  [?fa] reuses an existing flow analysis of the
-    {e same} network (the lint driver already has one); otherwise one
-    is run here.  The rebuilt network is produced with the builder's
-    validation off, so slicing never rejects a network the caller
-    already accepted; no new urgent/broadcast clock guards can be
-    introduced by the rewrite.  When nothing is removed, dropped or
-    merged the original network is returned unchanged ([identity]). *)
+val make : ?mode:mode -> fa:Flow.t -> Network.t -> goal -> t
+(** Compute the slice.  [fa] is the flow analysis of the {e same}
+    network: the caller owns it, so one analysis serves the slice and
+    whatever else the caller derives from it ([Lint.run]'s
+    semantic passes, [Ita_mc.Reach.slice_query]'s refinement).  The
+    rebuilt network is produced with the builder's validation off, so
+    slicing never rejects a network the caller already accepted; no
+    new urgent/broadcast clock guards can be introduced by the
+    rewrite.  It carries the builder's unrefined L/U and activity
+    tables.  When nothing is removed, dropped or merged the original
+    network is returned unchanged ([identity]); that happens only
+    when every edge is live. *)
+
+val quasi_equal :
+  Network.t ->
+  candidate:(Guard.clock -> bool) ->
+  edges:(int -> int -> bool) ->
+  int array
+(** [quasi_equal net ~candidate ~edges] groups the [candidate] clocks
+    by their reset signature over the edges [(comp, edge)] that
+    [edges] selects: on each such edge, the non-negative integer
+    constant the clock is reset to, or no reset.  A candidate reset
+    to anything else on a selected edge is in no group.  Returns, per
+    clock, the smallest member of its group when that is another
+    clock, else [-1].  {!make} merges with it under [CoiMerge] over
+    the kept live edges; [Lint]'s [merged-query-clock] pass runs it
+    over every edge. *)
 
 val map_comp : t -> int -> int option
 val map_clock : t -> Guard.clock -> Guard.clock option

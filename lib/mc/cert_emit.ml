@@ -20,17 +20,9 @@ module Cert = Ita_cert.Cert
    query's clocks are pinned always-active, so judgment bounds are
    never weakened. *)
 let free_inactive (net : Network.t) (st : Semantics.state) z =
-  let n = Array.length net.Network.clock_names in
-  let n_comp = Array.length net.Network.automata in
   let z = Dbm.copy z in
-  for x = 1 to n - 1 do
-    if not net.Network.pinned.(x) then begin
-      let rec live i =
-        i < n_comp
-        && (net.Network.active.(i).(st.Semantics.locs.(i)).(x) || live (i + 1))
-      in
-      if not (live 0) then Dbm.free z x
-    end
+  for x = 1 to Array.length net.Network.clock_names - 1 do
+    if not (Network.live_clock net st.Semantics.locs x) then Dbm.free z x
   done;
   z
 

@@ -66,12 +66,9 @@ let default_slicing () = CoiMerge
 
 (* Discrete states are interned under a packed key: locations and
    variables bit-packed into a short int array, each variable in
-   exactly the bits its (declared or flow-inferred) range needs.  The
-   packing is injective over in-range states, so exploration counts are
-   independent of the bound source; a value outside its inferred range
-   — impossible if the dataflow analysis is sound, since the runtime
-   already confines variables to their declared ranges — fails fast
-   rather than corrupting the passed list. *)
+   exactly the bits its declared range needs.  [Update.set_checked]
+   confines every variable to that range, so the packing is injective
+   over every state the semantics can produce. *)
 module Packed_key = struct
   type t = int array
 
@@ -85,7 +82,8 @@ let bits_needed n =
   let rec go b v = if v = 0 then b else go (b + 1) (v lsr 1) in
   go 0 n
 
-let make_packer (net : Network.t) ranges =
+let make_packer (net : Network.t) =
+  let ranges = net.Network.var_ranges in
   let nc = Array.length net.Network.automata in
   let nv = Array.length ranges in
   let loc_bits =
@@ -129,15 +127,7 @@ let make_packer (net : Network.t) ranges =
       push loc_bits.(i) st.Semantics.locs.(i)
     done;
     for v = 0 to nv - 1 do
-      let lo, hi = ranges.(v) in
-      let x = st.Semantics.env.(v) in
-      if x < lo || x > hi then
-        failwith
-          (Printf.sprintf
-             "Reach: variable %s = %d escapes its inferred range [%d, %d] \
-              (dataflow soundness violation)"
-             net.Network.var_names.(v) x lo hi);
-      push var_bits.(v) (x - lo)
+      push var_bits.(v) (st.Semantics.env.(v) - fst ranges.(v))
     done;
     out
 
@@ -367,16 +357,8 @@ let run ?(order = Bfs) ?(budget = no_budget) ?domains net ~goal ~on_store () =
   let domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
-  (* the dataflow analysis tightens the per-location L/U clock bounds
-     the Extra+LU extrapolation reads and shrinks the variable ranges
-     the packed state key allots bits to.  It rewrites only [lloc] and
-     [uloc], never the classical constants [k], which the tests'
-     ExtraM reference explorer reads to check the refinement *)
-  let fa = Ita_analysis.Flow.analyze net in
-  let net = Ita_analysis.Flow.refine_lu fa net in
-  let ranges = Ita_analysis.Flow.global_ranges fa in
   let t0 = Unix.gettimeofday () in
-  let pack = make_packer net ranges in
+  let pack = make_packer net in
   (* small shard tables: most queries are tiny (a DSE sweep runs
      thousands of them), and together the shards start with 4096
      buckets *)
@@ -530,7 +512,7 @@ let run ?(order = Bfs) ?(budget = no_budget) ?domains net ~goal ~on_store () =
     | Some Over_budget -> Out_of_budget (stats ())
     | None -> Space_exhausted (stats ())
   in
-  (result, dump, net)
+  (result, dump)
 
 (* Everything certificate emission needs from a completed exploration:
    the slice that translates back to original index space, the network
@@ -560,8 +542,17 @@ let goal_of_query ~extra_clocks (q : Query.t) : Slice.goal =
           q.Query.guard.Guard.clocks;
   }
 
+(* The one dataflow analysis of a query: it slices the network, and the
+   same analysis refines the slice when it is the identity.  A rebuilt
+   slice is refined with its own analysis, whose intervals and live
+   edges are those of the reduced network. *)
 let slice_query mode ?(extra_clocks = []) net (q : Query.t) =
-  let sl = Slice.make ~mode net (goal_of_query ~extra_clocks q) in
+  let fa = Ita_analysis.Flow.analyze net in
+  let sl = Slice.make ~mode ~fa net (goal_of_query ~extra_clocks q) in
+  let snet =
+    if sl.Slice.identity then Ita_analysis.Flow.refine_lu fa net
+    else Ita_analysis.Flow.refine_network sl.Slice.net
+  in
   let q' =
     if sl.Slice.identity then q
     else
@@ -576,7 +567,7 @@ let slice_query mode ?(extra_clocks = []) net (q : Query.t) =
         guard = Slice.map_guard sl q.Query.guard;
       }
   in
-  (sl, sl.Slice.net, q')
+  (sl, snet, q')
 
 let reach ?order ?budget ?domains ?snap net (q : Query.t) =
   let sl, net, q = slice_query (default_slicing ()) net q in
@@ -592,7 +583,7 @@ let reach ?order ?budget ?domains ?snap net (q : Query.t) =
   match
     run ?order ?budget ?domains net ~goal ~on_store:(fun _ -> ()) ()
   with
-  | Goal_found (witness, gz, stats), _, _ ->
+  | Goal_found (witness, gz, stats), _ ->
       let witness =
         List.map
           (fun (st : step) ->
@@ -603,27 +594,24 @@ let reach ?order ?budget ?domains ?snap net (q : Query.t) =
           witness
       in
       Reachable { witness; goal_zone = Slice.unmap_zone sl gz; stats }
-  | Space_exhausted stats, dump, xnet ->
+  | Space_exhausted stats, dump ->
       (* the verdict is an invariant claim: surface everything a
          certificate needs while the passed list is still alive *)
       (match snap with
-      | Some f ->
-          f { snap_slice = sl; snap_net = xnet; snap_passed = dump () }
+      | Some f -> f { snap_slice = sl; snap_net = net; snap_passed = dump () }
       | Option.None -> ());
       Unreachable stats
-  | Out_of_budget stats, _, _ -> Budget_exhausted stats
+  | Out_of_budget stats, _ -> Budget_exhausted stats
 
 let explore ?order ?budget ?domains ?snap net ~on_store =
   match
     run ?order ?budget ?domains net ~goal:(fun _ -> Option.None) ~on_store ()
   with
-  | Goal_found _, _, _ -> assert false
-  | Space_exhausted stats, dump, xnet ->
-      (match snap with
-      | Some f -> f (xnet, dump ())
-      | Option.None -> ());
+  | Goal_found _, _ -> assert false
+  | Space_exhausted stats, dump ->
+      (match snap with Some f -> f (dump ()) | Option.None -> ());
       `Complete stats
-  | Out_of_budget stats, _, _ -> `Budget_exhausted stats
+  | Out_of_budget stats, _ -> `Budget_exhausted stats
 
 let pp_stats ppf s =
   Format.fprintf ppf "explored %d, stored %d, transitions %d, %.3fs"

@@ -8,15 +8,17 @@
     ("df" / "rdf" in Table 1) for finding counterexamples — hence WCRT
     lower bounds — in state spaces too large to exhaust.
 
-    Every exploration first runs the abstract-interpretation dataflow
-    analysis ({!Ita_analysis.Flow}): {!Ita_analysis.Flow.refine_lu}
-    computes the per-location L/U clock bounds the extrapolation reads
-    over the live control flow, with guard constants evaluated under
-    the inferred intervals, and each variable is packed into exactly
-    its inferred range.  The refinement rewrites only the L/U tables,
-    never the classical constants [Network.k]; the test suite's
-    independent ExtraM reference explorer reads those to check both the
-    abstraction and the refinement. *)
+    The engine explores exactly the network it is given, with each
+    variable packed into exactly its declared range.  A query's
+    network comes from {!slice_query}, which runs the
+    abstract-interpretation dataflow analysis ({!Ita_analysis.Flow})
+    once: the analysis slices the network, and
+    {!Ita_analysis.Flow.refine_lu} computes over the live control flow
+    the per-location L/U clock bounds the extrapolation reads and the
+    clock activity the reduction reads.  The refinement rewrites only
+    those tables, never the classical constants [Network.k]; the test
+    suite's independent ExtraM reference explorer reads those to check
+    both the abstraction and the refinement. *)
 
 open Ita_ta
 
@@ -61,10 +63,13 @@ val slice_query :
 (** [slice_query mode net q] computes the query-directed reduction of
     [net] (the cone is seeded with the query's components, tested
     clocks and read variables, plus [extra_clocks] — e.g. a measured
-    sup clock) and returns the slice, the reduced network and the
-    query translated into its index space.  Used by {!reach} and by
-    {!Wcrt}; exposed for the [tamc slice] report and the test
-    suites. *)
+    sup clock) and returns the slice, the reduced network with its
+    flow-refined L/U and activity tables, and the query translated
+    into its index space.  It analyses [net] once, slices with that
+    analysis and refines an identity slice with it too; a rebuilt
+    slice is refined with its own analysis.  {!reach} and every
+    ceiling attempt of {!Wcrt.sup} explore the returned network;
+    exposed for the [tamc slice] report and the test suites. *)
 
 val no_budget : budget
 val states : int -> budget
@@ -133,7 +138,8 @@ val reach :
     unaffected).
 
     The network is first reduced to the query's cone of influence
-    with {!default_slicing}; the verdict is unaffected.  Witnesses,
+    with {!default_slicing} and refined, both by {!slice_query}; the
+    verdict is unaffected.  Witnesses,
     states and the goal zone are translated back to the original
     network's index space: removed components are shown at their
     initial location, removed variables at their initial value,
@@ -160,32 +166,34 @@ val explore :
   ?order:order ->
   ?budget:budget ->
   ?domains:int ->
-  ?snap:(Network.t * (Semantics.state * Semantics.Dbm.t list) list -> unit) ->
+  ?snap:((Semantics.state * Semantics.Dbm.t list) list -> unit) ->
   Network.t ->
   on_store:(Semantics.config -> unit) ->
   [ `Complete of stats | `Budget_exhausted of stats ]
 (** Full exploration, calling [on_store] once per non-subsumed symbolic
     state; used by sup-style queries and state-space measurements.
     It takes no query and never slices, so the tests use it as the
-    unsliced oracle for {!reach} and {!Wcrt.sup}.  It extrapolates
-    against the network's own constants: a caller whose goal compares a
-    clock against a constant of its own registers it first with
-    {!Network.bump_clock_bound}, as {!reach} and {!Wcrt.sup} do.
+    unsliced oracle for {!reach} and {!Wcrt.sup}.  It explores exactly
+    [net], with [net]'s own L/U and activity tables: a freshly built
+    network carries the builder's unreduced ones, so a caller that
+    wants the refined tables passes
+    [Ita_analysis.Flow.refine_network net], and a caller whose goal
+    compares a clock against a constant of its own registers it first
+    with {!Network.bump_clock_bound}, as {!reach} and {!Wcrt.sup} do.
     The [on_store] calls are serialised under a dedicated mutex, so
     single-threaded consumers (sup tracking, deadlock probes) need no
     changes; at one domain they all run on the calling domain.
 
-    [?snap] fires on [`Complete] with the explored (flow-refined)
-    network and the final passed list: per interned discrete
-    state, the antichain of zones still stored for it, sorted as in
-    {!snapshot.snap_passed}.  Whatever the order or domain count,
-    every zone the exploration generated is included in one of them.
-    The list itself is deterministic at one domain for a given order;
-    across orders or domain counts its contents may differ (see
-    {!stats.stored}), which is why {!Cert_emit} prunes each antichain
-    to its a◁LU-maximal subset before writing a certificate.  Callers
-    that slice themselves ({!Wcrt.sup}) assemble the full {!snapshot}
-    from it. *)
+    [?snap] fires on [`Complete] with the final passed list: per
+    interned discrete state, the antichain of zones still stored for
+    it, sorted as in {!snapshot.snap_passed}.  Whatever the order or
+    domain count, every zone the exploration generated is included in
+    one of them.  The list itself is deterministic at one domain for a
+    given order; across orders or domain counts its contents may
+    differ (see {!stats.stored}), which is why {!Cert_emit} prunes each
+    antichain to its a◁LU-maximal subset before writing a certificate.
+    Callers that slice themselves ({!Wcrt.sup}) assemble the full
+    {!snapshot} from it and the network they explored. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 val pp_witness : Network.t -> Format.formatter -> step list -> unit

@@ -22,10 +22,10 @@ let sup ?order ?budget ?domains ?snap ?(max_ceiling = 1 lsl 40) net ~at
   (* the network fixes the first ceiling: the measured clock's own
      constant, which [Gen.generate] raises for its observer clock *)
   let first_ceiling = max 1 net.Network.k.(clock) in
-  (* slice once, before the ceiling loop: the cone is seeded with the
-     goal plus the measured clock, so the sup is taken over exactly the
-     same runs — the exploration below runs on the reduced network and
-     needs no index translation of its own *)
+  (* slice and refine once, before the ceiling loop: the cone is
+     seeded with the goal plus the measured clock, so the sup is taken
+     over exactly the same runs — every attempt below explores the
+     reduced, refined network and only bumps the ceiling *)
   let sl, net, at =
     Reach.slice_query (Reach.default_slicing ()) ~extra_clocks:[ clock ] net
       at
@@ -55,11 +55,11 @@ let sup ?order ?budget ?domains ?snap ?(max_ceiling = 1 lsl 40) net ~at
         net
         ((clock, ceiling) :: Query.clock_constants net at)
     in
-    let last_snap = ref None in
+    let last_passed = ref None in
     let explore_snap =
       match snap with
       | None -> None
-      | Some _ -> Some (fun s -> last_snap := Some s)
+      | Some _ -> Some (fun p -> last_passed := Some p)
     in
     let result =
       Reach.explore ?order ?budget ?domains ?snap:explore_snap bumped
@@ -89,12 +89,12 @@ let sup ?order ?budget ?domains ?snap ?(max_ceiling = 1 lsl 40) net ~at
         | Some b ->
             (* the bound is below the ceiling, so the passed list of
                this (final) attempt is the certifiable invariant *)
-            (match (snap, !last_snap) with
-            | Some f, Some (xnet, passed) ->
+            (match (snap, !last_passed) with
+            | Some f, Some passed ->
                 f
                   {
                     Reach.snap_slice = sl;
-                    snap_net = xnet;
+                    snap_net = bumped;
                     snap_passed = passed;
                   }
             | _ -> ());

@@ -60,8 +60,9 @@ val sup :
     collides there is [Sup_unbounded].
 
     The network is first reduced with {!Reach.default_slicing} to the
-    cone of the goal plus the measured clock; the supremum is
-    unchanged.
+    cone of the goal plus the measured clock and refined, once, by
+    {!Reach.slice_query}; every ceiling attempt explores that network
+    with only the ceiling bumped.  The supremum is unchanged.
 
     [?snap] fires exactly when the result is [Sup], with the final
     (below-ceiling) attempt's {!Reach.snapshot} for certificate

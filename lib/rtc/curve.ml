@@ -3,7 +3,7 @@ type t = {
   bp_fn : horizon:int -> int list;
   cache : (int, int) Hashtbl.t;
 }
-(* Derived curves (leftover, deconvolution, ...) evaluate their
+(* Derived curves (leftover, sums, ...) evaluate their
    operands at many repeated abscissae; the per-curve cache turns the
    nested compositions built by the GPC layer from exponential into
    linear work. *)
@@ -42,7 +42,6 @@ let zero = raw (fun _ -> 0) (fun ~horizon:_ -> [])
 let constant k = raw (fun _ -> k) (fun ~horizon:_ -> [])
 let rate r = raw (fun d -> r * d) (fun ~horizon:_ -> [])
 
-
 let upper_pjd ~period ~jitter ~dmin =
   (* closed-window convention: alpha(0) is the instantaneous burst, so
      horizontal deviations see the arriving job's full demand (the
@@ -74,17 +73,6 @@ let upper_pjd ~period ~jitter ~dmin =
   in
   raw eval_fn bp_fn
 
-let lower_pjd ~period ~jitter =
-  let eval_fn d = if d <= jitter then 0 else (d - jitter) / period in
-  let bp_fn ~horizon =
-    let rec steps k acc =
-      let p = (k * period) + jitter in
-      if p > horizon then acc else steps (k + 1) (p :: acc)
-    in
-    steps 1 []
-  in
-  raw eval_fn bp_fn
-
 let scale c k = raw (fun d -> k * eval c d) c.bp_fn
 
 let merge_bps c1 c2 ~horizon =
@@ -97,16 +85,3 @@ let add c1 c2 =
   raw
     (fun d -> eval c1 d + eval c2 d)
     (fun ~horizon -> merge_bps c1 c2 ~horizon)
-
-let min_c c1 c2 =
-  raw
-    (fun d -> min (eval c1 d) (eval c2 d))
-    (fun ~horizon -> merge_bps c1 c2 ~horizon)
-
-let clamp0 c = raw (fun d -> max 0 (eval c d)) c.bp_fn
-
-let shift_left c s =
-  raw
-    (fun d -> eval c (d + s))
-    (fun ~horizon ->
-      List.map (fun p -> max 0 (p - s)) (c.bp_fn ~horizon:(horizon + s)))

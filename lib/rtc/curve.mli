@@ -6,6 +6,9 @@
     service and demand curves.  Curves are monotone with
     [eval c 0 >= 0].
 
+    The module holds what {!Gpc} builds its curves from: constant,
+    rate and upper staircase curves, scaling and sums.
+
     Representation: an evaluation function plus a breakpoint
     generator.  All min-plus operators in {!Minplus} evaluate extrema
     over the union of the operands' breakpoints, which is exact for
@@ -40,17 +43,7 @@ val upper_pjd : period:int -> jitter:int -> dmin:int -> t
     second term only when [dmin > 0]), so [alpha^u(0)] is the maximal
     instantaneous burst. *)
 
-val lower_pjd : period:int -> jitter:int -> t
-(** Lower staircase [alpha^l(d) = max(0, floor((d - J) / P))]. *)
-
 val scale : t -> int -> t
 (** [scale c k] multiplies values by [k] — events to work units. *)
 
 val add : t -> t -> t
-val min_c : t -> t -> t
-val clamp0 : t -> t
-(** Pointwise [max 0]. *)
-
-val shift_left : t -> int -> t
-(** [shift_left c s] is [fun d -> eval c (d + s)]: the
-    jitter-propagation transform for output arrival curves. *)

@@ -65,29 +65,3 @@ let leftover ~horizon ~service ~demand =
   in
   Curve.make ~eval ~breakpoints:(fun ~horizon:h ->
       List.filter (fun p -> p <= h) (Array.to_list cands))
-
-let conv ~horizon f g =
-  let cands = candidates ~horizon f g in
-  let eval d =
-    let best = ref (Curve.eval f 0 + Curve.eval g d) in
-    List.iter
-      (fun l ->
-        if l <= d then begin
-          let v = Curve.eval f l + Curve.eval g (d - l) in
-          if v < !best then best := v
-        end)
-      (d :: cands);
-    !best
-  in
-  Curve.make ~eval ~breakpoints:(fun ~horizon:h ->
-      List.filter (fun p -> p <= h) cands)
-
-let deconv ~horizon f g =
-  let cands = candidates ~horizon f g in
-  let eval d =
-    List.fold_left
-      (fun acc u -> max acc (Curve.eval f (d + u) - Curve.eval g u))
-      (Curve.eval f d) cands
-  in
-  Curve.make ~eval ~breakpoints:(fun ~horizon:h ->
-      List.filter (fun p -> p <= h) cands)

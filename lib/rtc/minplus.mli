@@ -1,6 +1,7 @@
-(** Min-plus / max-plus operators on curves, evaluated over breakpoint
-    candidates (exact for the staircase / piecewise-linear curves of
-    this library).
+(** The min-plus operators {!Gpc} composes: the delay and backlog
+    bounds of a greedy component and its leftover service, evaluated
+    over breakpoint candidates (exact for the staircase /
+    piecewise-linear curves of this library).
 
     All operators take a [horizon]: the largest window the analysis
     will ever inspect.  It must dominate the longest busy period; the
@@ -23,11 +24,3 @@ val leftover : horizon:int -> service:Curve.t -> demand:Curve.t -> Curve.t
 (** Remaining lower service curve after a greedy component consumed
     [demand]: [beta'(d) = sup_{0 <= l <= d} (beta l - alpha l)],
     clamped at 0. *)
-
-val conv : horizon:int -> Curve.t -> Curve.t -> Curve.t
-(** Min-plus convolution [(f (+) g) d = inf_{0<=l<=d} f l + g (d-l)]. *)
-
-val deconv : horizon:int -> Curve.t -> Curve.t -> Curve.t
-(** Min-plus deconvolution
-    [(f (/) g) d = sup_{u >= 0} f (d + u) - g u], with [u] ranging over
-    the horizon. *)

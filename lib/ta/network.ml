@@ -30,6 +30,15 @@ let bump_clock_bound net x c =
   pinned.(x) <- true;
   { net with k; lbase; ubase; pinned }
 
+let live_clock net locs x =
+  net.pinned.(x)
+  ||
+  let n = Array.length locs and i = ref 0 in
+  while !i < n && not net.active.(!i).(locs.(!i)).(x) do
+    incr i
+  done;
+  !i < n
+
 let index_of name arr =
   let found = ref (-1) in
   Array.iteri (fun i n -> if n = name && !found < 0 then found := i) arr;
@@ -137,59 +146,17 @@ module Builder = struct
         a.edges
     in
     Array.iter scan_automaton automata;
-    (* Location-based clock activity (Daws-Yovine): backward fixpoint
-       per automaton.  active(l) = tested(l) + union over outgoing
-       edges e of (tested-by-guard(e) + (active(dst e) minus resets
-       of e)). *)
-    let n_clocks = Array.length clock_names in
-    let guard_clocks (g : Guard.t) =
-      List.map (fun (a : Guard.atom) -> a.Guard.clock) g.Guard.clocks
-    in
-    let reset_clocks (u : Update.t) =
-      List.filter_map
-        (function
-          | Update.Reset_clock (x, _) -> Some x
-          | Update.Set_var _ -> None)
-        u
-    in
-    let activity_of (a : Automaton.t) =
-      let nl = Array.length a.Automaton.locations in
-      let active = Array.init nl (fun _ -> Array.make n_clocks false) in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        Array.iteri
-          (fun l (loc : Automaton.location) ->
-            let mark x =
-              if not active.(l).(x) then begin
-                active.(l).(x) <- true;
-                changed := true
-              end
-            in
-            List.iter mark (guard_clocks loc.Automaton.invariant);
-            List.iter
-              (fun ei ->
-                let e = a.Automaton.edges.(ei) in
-                List.iter mark (guard_clocks e.Automaton.guard);
-                let resets = reset_clocks e.Automaton.update in
-                Array.iteri
-                  (fun x act ->
-                    if act && x > 0 && not (List.mem x resets) then mark x)
-                  active.(e.Automaton.dst))
-              (Automaton.out_edges a l))
-          a.Automaton.locations
-      done;
-      active
-    in
-    let active = Array.map activity_of automata in
     (* every location starts at the classical constants, a sound L and
-       U row; [Flow.refine_lu] computes the per-location tables before
-       each exploration.  The rows share [k] and are never mutated. *)
-    let k_rows =
+       U row, with every clock active; [Flow.refine_lu] computes the
+       per-location tables.  The rows are shared and never mutated. *)
+    let n_clocks = Array.length clock_names in
+    let rows row =
       Array.map
-        (fun (a : Automaton.t) -> Array.make (Array.length a.Automaton.locations) k)
+        (fun (a : Automaton.t) ->
+          Array.make (Array.length a.Automaton.locations) row)
         automata
     in
+    let k_rows = rows k in
     {
       automata;
       clock_names;
@@ -202,7 +169,7 @@ module Builder = struct
       ubase = Array.make n_clocks 0;
       lloc = k_rows;
       uloc = k_rows;
-      active;
+      active = rows (Array.make n_clocks true);
       pinned = Array.make n_clocks false;
     }
 end

@@ -11,13 +11,14 @@
     - receiving edges of broadcast channels carry no clock guards;
     - guards are diagonal-free by construction ({!Guard.t}).
 
-    [build] also derives the per-clock maximal constants [k] from every
-    guard, invariant and reset in the model, and starts every
-    location's L/U row at [k].  The per-location L/U tables the engine
-    extrapolates with come from one analysis,
-    [Ita_analysis.Flow.refine_lu], which every exploration runs first.
-    Queries that compare clocks against further constants must register
-    them with {!bump_clock_bound}. *)
+    [build] keeps to syntactic facts: it derives the per-clock maximal
+    constants [k] from every guard, invariant and reset in the model,
+    starts every location's L/U row at [k] and marks every clock
+    active everywhere.  The per-location L/U and activity tables the
+    engine explores with come from one analysis,
+    [Ita_analysis.Flow.refine_lu], which a query runs once on the
+    network it slices.  Queries that compare clocks against further
+    constants must register them with {!bump_clock_bound}. *)
 
 type t = {
   automata : Automaton.t array;
@@ -49,8 +50,12 @@ type t = {
       (** [active.(comp).(loc).(clock)]: location-based clock activity
           (Daws-Yovine): a clock is active at a location when some path
           from it can test the clock before resetting it.  The checker
-          normalizes inactive clocks to 0, collapsing zones that differ
-          only in dead clock values. *)
+          normalizes clocks that are not {!live_clock} to 0, collapsing
+          zones that differ only in dead clock values.  A built network
+          marks every clock active everywhere, which is sound but
+          unreduced; [Ita_analysis.Flow.refine_lu] computes the rows
+          over the live control flow.  Rows may be shared: never mutate
+          them. *)
   pinned : bool array;
       (** clocks observed from outside the model (query clocks); always
           treated as active *)
@@ -68,6 +73,12 @@ val bump_clock_bound : t -> Guard.clock -> int -> t
     constants for [x] (classical [k] and both LU floors) are at least
     [c] and which pins [x] as always active (queries observe it);
     shares everything else. *)
+
+val live_clock : t -> int array -> Guard.clock -> bool
+(** [live_clock net locs x]: [x] is pinned, or active at the location
+    of some component in the location vector [locs].  A clock that is
+    not live can hold any value without changing a future guard or
+    invariant. *)
 
 val component_index : t -> string -> int
 (** @raise Not_found on unknown automaton name. *)

@@ -86,16 +86,8 @@ let apply_invariants (net : Network.t) st z =
    clocks coincide (active-clock reduction, always on).  Clocks the
    network pins are left alone. *)
 let normalize_inactive (net : Network.t) st z =
-  let n = Array.length net.Network.clock_names in
-  let n_comp = Array.length net.Network.automata in
-  for x = 1 to n - 1 do
-    if not net.Network.pinned.(x) then begin
-      let rec live i =
-        i < n_comp
-        && (net.Network.active.(i).(st.locs.(i)).(x) || live (i + 1))
-      in
-      if not (live 0) then Dbm.reset z x 0
-    end
+  for x = 1 to Array.length net.Network.clock_names - 1 do
+    if not (Network.live_clock net st.locs x) then Dbm.reset z x 0
   done
 
 (* Resolve the per-state Extra+LU constants: the bound for a clock is

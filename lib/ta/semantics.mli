@@ -17,11 +17,14 @@
       extrapolation ([Network.k]), with identical reachability verdicts
       on the diagonal-free automata this library builds;
     - active-clock reduction (Daws–Yovine) is always on: delay-closure
-      pins every clock that is inactive in the current location vector
-      ([Network.active], minus [Network.pinned]) to [0], so zones
-      differing only in dead clock values coincide.  This is sound: an
-      inactive clock is reset before it is next tested, hence its value
-      cannot influence any future guard or invariant.  The unreduced
+      pins every clock that is not {!Network.live_clock} in the current
+      location vector to [0], so zones differing only in dead clock
+      values coincide.  This is sound: an inactive clock is reset
+      before it is next tested, hence its value cannot influence any
+      future guard or invariant.  The activity comes from the
+      network's [Network.active] rows: a built network marks every
+      clock active, so the reduction normalizes nothing until
+      [Ita_analysis.Flow.refine_lu] has computed them.  The unreduced
       zone graph, the differential-testing oracle, is the one of the
       same network with every clock pinned
       ([Network.bump_clock_bound net x 0] for each clock [x]): a bound

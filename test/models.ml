@@ -209,9 +209,10 @@ let with_ceiling ~clock ceiling net =
 
 (* The unsliced oracles for [Reach.reach] and [Wcrt.sup], which always
    slice.  [Reach.explore] takes no query and never slices: explore the
-   whole network at one domain, with the query's clock constants (and,
-   for a sup, the measured clock at [max_ceiling]) registered in the
-   network, and test every stored configuration against the goal.
+   whole network at one domain, with the flow-refined tables a query
+   explores with, the query's clock constants (and, for a sup, the
+   measured clock at [max_ceiling]) registered in the network, and
+   test every stored configuration against the goal.
    Under subset subsumption every generated zone lies inside a stored
    one, so the stored configurations meet the goal exactly when a
    generated one does.  A sup is read off one exploration at
@@ -219,7 +220,8 @@ let with_ceiling ~clock ceiling net =
    ceilings first. *)
 let unsliced_explore net bounds on_store =
   let net =
-    List.fold_left (fun net (x, c) -> Network.bump_clock_bound net x c) net
+    List.fold_left (fun net (x, c) -> Network.bump_clock_bound net x c)
+      (Ita_analysis.Flow.refine_network net)
       bounds
   in
   match Reach.explore ~domains:1 net ~on_store with
@@ -429,6 +431,69 @@ let reference_sup ?lu ~ceiling net ~at ~clock =
           ( Bound.value b,
             if Bound.is_strict b then Ita_cert.Cert.Approached
             else Ita_cert.Cert.Attained )
+
+(* Concrete-vs-symbolic cross-validation: [symbolic_cover net c] holds
+   when some zone the engine stored for the discrete state of the
+   concrete configuration [c] contains its clock valuation.  The engine
+   explores [Flow.refine_network net], with the activity every query
+   explores with, and the valuation is normalized as the engine
+   normalizes zones: a clock that is not [Network.live_clock] reads 0.
+   Stored zones are extrapolated supersets of the exact ones, so plain
+   membership must hold; a refined activity table that drops a clock
+   some later guard reads fails it. *)
+let symbolic_cover ?domains net =
+  let net = Ita_analysis.Flow.refine_network net in
+  let store = Hashtbl.create 256 in
+  (match
+     Reach.explore ?domains net ~on_store:(fun (cfg : Semantics.config) ->
+         let key =
+           (cfg.Semantics.state.Semantics.locs, cfg.Semantics.state.Semantics.env)
+         in
+         let zones = Option.value (Hashtbl.find_opt store key) ~default:[] in
+         Hashtbl.replace store key (cfg.Semantics.zone :: zones))
+   with
+  | `Complete _ -> ()
+  | `Budget_exhausted _ -> failwith "symbolic_cover: exploration incomplete");
+  fun (c : Concrete.t) ->
+    let clocks =
+      Array.mapi
+        (fun x v ->
+          if x = 0 || Network.live_clock net c.Concrete.locs x then v else 0)
+        c.Concrete.clocks
+    in
+    match Hashtbl.find_opt store (c.Concrete.locs, c.Concrete.env) with
+    | None -> false
+    | Some zones -> List.exists (fun z -> Dbm.satisfies z clocks) zones
+
+(* Like [Concrete.random_walk], but skipping enabled transitions whose
+   target invariant fails: random nets produce such edges, and the
+   symbolic engine drops them as empty-zone successors, so the oracle
+   must not fire them either.  Returns the visited configurations. *)
+let safe_walk net ~seed ~steps ~max_step_delay =
+  let rng = Ita_util.Prng.create seed in
+  let fire c label =
+    match Concrete.apply net c (Concrete.Fire label) with
+    | c' -> Some c'
+    | exception Invalid_argument _ -> None
+  in
+  let rec go c k acc =
+    if k = 0 then List.rev acc
+    else
+      let dmax =
+        match Concrete.max_delay net c with
+        | None -> max_step_delay
+        | Some m -> min m max_step_delay
+      in
+      let d = if dmax > 0 then Ita_util.Prng.int rng (dmax + 1) else 0 in
+      let c = if d > 0 then Concrete.apply net c (Concrete.Delay d) else c in
+      let acc = if d > 0 then c :: acc else acc in
+      match List.filter_map (fire c) (Concrete.fireable net c) with
+      | [] -> if d = 0 then List.rev acc else go c (k - 1) acc
+      | succs ->
+          let c' = List.nth succs (Ita_util.Prng.int rng (List.length succs)) in
+          go c' (k - 1) (c' :: acc)
+  in
+  go (Concrete.initial net) steps []
 
 (* Runs [f] with the environment variable [var] set to [value].  The
    engine treats a blank TAMC_DOMAINS exactly like an unset one, so

@@ -407,10 +407,12 @@ let sup_fingerprint ?(initial_ceiling = 64) ?(max_ceiling = 256) net ~at
   | Wcrt.Sup_unbounded _ -> "unbounded"
 
 (* explored symbolic states of the whole zone graph at one domain
-   (counts at several domains are schedule-dependent) *)
+   (counts at several domains are schedule-dependent), over the
+   flow-refined activity every query explores with *)
 let explored net =
   match
-    Reach.explore ~budget:(Reach.states 200_000) ~domains:1 net
+    Reach.explore ~budget:(Reach.states 200_000) ~domains:1
+      (Ita_analysis.Flow.refine_network net)
       ~on_store:(fun _ -> ())
   with
   | `Complete s -> s.Reach.explored

@@ -1,9 +1,10 @@
 (* Dataflow-engine tests: the semantic lint passes on the shipped demo
    model (findings the purely syntactic passes cannot see), qcheck
-   soundness of the inferred intervals against concrete random walks,
-   and the flow-refined LU bounds as a pure optimization — identical
-   verdicts and WCRT values to the unrefined ExtraM oracle, and tables
-   never looser than the builder's. *)
+   soundness of the inferred intervals and of the refined clock
+   activity against concrete random walks, and the flow-refined LU
+   bounds as a pure optimization — identical verdicts and WCRT values
+   to the unrefined ExtraM oracle, and tables never looser than the
+   builder's. *)
 
 open Ita_ta
 module Flow = Ita_analysis.Flow
@@ -99,12 +100,17 @@ let test_demo_intervals () =
    interval of every component and inside the global ranges.  Updates
    are self-clamping (Ite-guarded), so walks never trip the runtime
    range check and the declared range stays deliberately loose — the
-   analysis has something real to tighten.                             *)
+   analysis has something real to tighten.  The networks carry two
+   clocks, lower- and upper-bound guards and invariants, clock bounds
+   read from the variable and resets of either clock, so the L/U and
+   activity tables see constants above 1 and clocks that are dead
+   somewhere.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let build_random ~n_locs ~hi ~init ~sync ~edges =
+let build_random ~hi ~init ~sync ~invariants ~edges =
   let b = Network.Builder.create () in
   let x = Network.Builder.clock b "x" in
+  let y = Network.Builder.clock b "y" in
   let v = Network.Builder.int_var b "v" ~lo:0 ~hi ~init in
   let c =
     if sync then Some (Network.Builder.channel b "c" Channel.Binary ~urgent:false)
@@ -121,7 +127,10 @@ let build_random ~n_locs ~hi ~init ~sync ~edges =
     | 0 -> Guard.tt
     | 1 -> Guard.data Expr.(Cmp (Le, Var v, Int k))
     | 2 -> Guard.data Expr.(Cmp (Ge, Var v, Int k))
-    | _ -> Guard.clock_ge x 1
+    | 3 -> Guard.clock_ge x 1
+    | 4 -> Guard.clock_rel x Guard.Le (Expr.Var v)
+    | 5 -> Guard.clock_rel y Guard.Ge (Expr.Var v)
+    | _ -> Guard.clock_le y k
   in
   let update_of uk k =
     match uk with
@@ -130,10 +139,22 @@ let build_random ~n_locs ~hi ~init ~sync ~edges =
     | 2 -> bump
     | _ -> drop
   in
+  let reset_of = function
+    | 0 -> Update.none
+    | 1 -> Update.reset x
+    | _ -> Update.reset y
+  in
+  let invariant_of (ik, k) =
+    match ik with
+    | 0 -> Guard.tt
+    | 1 -> Guard.clock_le x (k + 1)
+    | _ -> Guard.clock_le y (k + 1)
+  in
   let a_edges =
     List.map
-      (fun ((src, dst), (gk, (uk, k))) ->
-        edge src dst ~guard:(guard_of gk k) ~update:(update_of uk k))
+      (fun (src, dst, gk, uk, rk, k) ->
+        edge src dst ~guard:(guard_of gk k)
+          ~update:(Update.seq [ update_of uk k; reset_of rk ]))
       edges
     @
     match c with
@@ -144,7 +165,11 @@ let build_random ~n_locs ~hi ~init ~sync ~edges =
         ]
     | None -> []
   in
-  let locations = List.init n_locs (fun i -> loc (Printf.sprintf "L%d" i)) in
+  let locations =
+    List.mapi
+      (fun i inv -> loc (Printf.sprintf "L%d" i) ~invariant:(invariant_of inv))
+      invariants
+  in
   Network.Builder.add_automaton b
     (Automaton.make ~name:"A" ~locations ~edges:a_edges ~initial:0);
   (match c with
@@ -162,13 +187,17 @@ let gen_random_flow_net =
   let* hi = int_range 1 6 in
   let* init = int_range 0 hi in
   let* sync = bool in
+  let* invariants =
+    list_repeat n_locs (pair (int_range 0 2) (int_range 0 hi))
+  in
   let* edges =
     list_size (int_range 3 6)
-      (pair
-         (pair (int_range 0 (n_locs - 1)) (int_range 0 (n_locs - 1)))
-         (pair (int_range 0 3) (pair (int_range 0 3) (int_range 0 hi))))
+      (let* src = int_range 0 (n_locs - 1) and* dst = int_range 0 (n_locs - 1) in
+       let* gk = int_range 0 6 and* uk = int_range 0 3 and* rk = int_range 0 2 in
+       let* k = int_range 0 hi in
+       return (src, dst, gk, uk, rk, k))
   in
-  return (build_random ~n_locs ~hi ~init ~sync ~edges)
+  return (build_random ~hi ~init ~sync ~invariants ~edges)
 
 let interval_sound net seed =
   let fa = Flow.analyze net in
@@ -182,9 +211,9 @@ let interval_sound net seed =
       env;
     !ok
   in
-  let walk = Concrete.random_walk net ~seed ~steps:50 ~max_step_delay:4 in
+  let walk = Models.safe_walk net ~seed ~steps:50 ~max_step_delay:4 in
   List.for_all
-    (fun (_, (c : Concrete.t)) ->
+    (fun (c : Concrete.t) ->
       within g c.Concrete.env
       && Array.for_all (fun i -> i)
            (Array.init
@@ -315,6 +344,56 @@ let test_bounds_agree_on_random =
       check_net_bounds_agree "random" net;
       true)
 
+(* The concrete-walk coverage oracle on the refined tables: every
+   configuration a random walk visits lies in a zone the engine stored
+   over [Flow.refine_network net].  It fails if the refined activity
+   normalizes a clock that a later guard or invariant reads. *)
+let test_refined_cover =
+  QCheck2.Test.make ~count:60 ~name:"refined activity covers concrete walks"
+    QCheck2.Gen.(pair gen_random_flow_net (int_range 1 10_000))
+    (fun (net, seed) ->
+      List.for_all (Models.symbolic_cover net)
+        (Models.safe_walk net ~seed ~steps:40 ~max_step_delay:7))
+
+(* The random networks must exercise what the properties above check:
+   a refined L/U entry above 1, and a clock inactive at a flow-reachable
+   location. *)
+let test_generator_exercises_tables () =
+  let nets =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 19 |]) ~n:100
+      gen_random_flow_net
+  in
+  let refined =
+    List.map
+      (fun net ->
+        let fa = Flow.analyze net in
+        (fa, Flow.refine_lu fa net))
+      nets
+  in
+  let above_1 (t : int array array array) =
+    Array.exists (Array.exists (Array.exists (fun c -> c > 1))) t
+  in
+  let dead_clock (fa, (r : Network.t)) =
+    let found = ref false in
+    Array.iteri
+      (fun i rows ->
+        Array.iteri
+          (fun l row ->
+            if Flow.reachable fa i l then
+              for x = 1 to Array.length row - 1 do
+                if not row.(x) then found := true
+              done)
+          rows)
+      r.Network.active;
+    !found
+  in
+  Alcotest.(check bool) "an L/U entry above 1" true
+    (List.exists
+       (fun (_, (r : Network.t)) -> above_1 r.Network.lloc || above_1 r.Network.uloc)
+       refined);
+  Alcotest.(check bool) "a clock inactive at a reachable location" true
+    (List.exists dead_clock refined)
+
 let () =
   Alcotest.run "flow"
     [
@@ -325,7 +404,10 @@ let () =
           Alcotest.test_case "demo model intervals" `Quick test_demo_intervals;
         ] );
       ( "soundness",
-        [ QCheck_alcotest.to_alcotest test_intervals_sound ] );
+        [
+          QCheck_alcotest.to_alcotest test_intervals_sound;
+          QCheck_alcotest.to_alcotest test_refined_cover;
+        ] );
       ( "bounds-differential",
         [
           Alcotest.test_case "wcrt agrees on model zoo" `Quick
@@ -334,5 +416,7 @@ let () =
             test_bounds_agree_on_examples;
           QCheck_alcotest.to_alcotest test_bounds_never_hurt;
           QCheck_alcotest.to_alcotest test_bounds_agree_on_random;
+          Alcotest.test_case "random networks exercise the tables" `Quick
+            test_generator_exercises_tables;
         ] );
     ]

@@ -346,39 +346,8 @@ let test_witness_structure () =
    extrapolation and active-clock reduction.                           *)
 (* ------------------------------------------------------------------ *)
 
-let symbolic_cover net =
-  let store = Hashtbl.create 256 in
-  (match
-     Reach.explore net ~on_store:(fun (cfg : Semantics.config) ->
-         let key = (cfg.Semantics.state.Semantics.locs, cfg.Semantics.state.Semantics.env) in
-         let zones = try Hashtbl.find store key with Not_found -> [] in
-         Hashtbl.replace store key (cfg.Semantics.zone :: zones))
-   with
-  | `Complete _ -> ()
-  | `Budget_exhausted _ -> Alcotest.fail "exploration should complete");
-  (* stored zones are extrapolated supersets of the exact ones, so
-     plain membership must hold *)
-  fun (c : Concrete.t) ->
-    (* the engine pins dead clocks at 0; normalize the concrete
-       valuation the same way before testing membership *)
-    let n = Array.length net.Network.clock_names in
-    let n_comp = Array.length net.Network.automata in
-    let clocks = Array.copy c.Concrete.clocks in
-    for x = 1 to n - 1 do
-      let live =
-        net.Network.pinned.(x)
-        || Array.exists
-             (fun i -> net.Network.active.(i).(c.Concrete.locs.(i)).(x))
-             (Array.init n_comp (fun i -> i))
-      in
-      if not live then clocks.(x) <- 0
-    done;
-    match Hashtbl.find_opt store (c.Concrete.locs, c.Concrete.env) with
-    | None -> false
-    | Some zones -> List.exists (fun z -> Ita_dbm.Dbm.satisfies z clocks) zones
-
 let walk_covered net seed =
-  let covered = symbolic_cover net in
+  let covered = Models.symbolic_cover net in
   let walk = Concrete.random_walk net ~seed ~steps:40 ~max_step_delay:7 in
   List.for_all (fun (_, c) -> covered c) walk
 

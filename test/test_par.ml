@@ -28,14 +28,14 @@ let antichain_fp net passed =
 let resident_zones passed =
   List.fold_left (fun n (_, zones) -> n + List.length zones) 0 passed
 
-(* the final passed list and stats of a complete exploration, read
-   off the [?snap] hook *)
+(* the final passed list and stats of a complete exploration of the
+   flow-refined network, read off the [?snap] hook *)
 let passed_list_exn ?budget ~domains net =
   let passed = ref [] in
   match
     Reach.explore ?budget ~domains
-      ~snap:(fun (_, p) -> passed := p)
-      net
+      ~snap:(fun p -> passed := p)
+      (Ita_analysis.Flow.refine_network net)
       ~on_store:(fun _ -> ())
   with
   | `Complete stats -> (!passed, stats)
@@ -234,69 +234,6 @@ let gen_random_net =
     (Automaton.make ~name:"P" ~locations ~edges ~initial:0);
   return (Network.Builder.build b, nl)
 
-let symbolic_cover ~domains net =
-  (* as in test_mc, but the cover is built by the engine under test *)
-  let store = Hashtbl.create 256 in
-  (match
-     Reach.explore ~domains net
-       ~on_store:(fun (cfg : Semantics.config) ->
-         let key =
-           (cfg.Semantics.state.Semantics.locs, cfg.Semantics.state.Semantics.env)
-         in
-         let zones = try Hashtbl.find store key with Not_found -> [] in
-         Hashtbl.replace store key (cfg.Semantics.zone :: zones))
-   with
-  | `Complete _ -> ()
-  | `Budget_exhausted _ -> Alcotest.fail "exploration should complete");
-  fun (c : Concrete.t) ->
-    let n = Array.length net.Network.clock_names in
-    let n_comp = Array.length net.Network.automata in
-    let clocks = Array.copy c.Concrete.clocks in
-    for x = 1 to n - 1 do
-      let live =
-        net.Network.pinned.(x)
-        || Array.exists
-             (fun i -> net.Network.active.(i).(c.Concrete.locs.(i)).(x))
-             (Array.init n_comp (fun i -> i))
-      in
-      if not live then clocks.(x) <- 0
-    done;
-    match Hashtbl.find_opt store (c.Concrete.locs, c.Concrete.env) with
-    | Option.None -> false
-    | Some zones -> List.exists (fun z -> Dbm.satisfies z clocks) zones
-
-let safe_walk net ~seed ~steps ~max_step_delay =
-  (* like Concrete.random_walk, but skipping enabled transitions whose
-     target invariant fails: random nets produce such edges, and the
-     symbolic engine drops them as empty-zone successors, so the
-     oracle must not fire them either *)
-  let rng = Ita_util.Prng.create seed in
-  let fire c label =
-    match Concrete.apply net c (Concrete.Fire label) with
-    | c' -> Some c'
-    | exception Invalid_argument _ -> None
-  in
-  let rec go c k acc =
-    if k = 0 then List.rev acc
-    else
-      let dmax =
-        match Concrete.max_delay net c with
-        | None -> max_step_delay
-        | Some m -> min m max_step_delay
-      in
-      let d = if dmax > 0 then Ita_util.Prng.int rng (dmax + 1) else 0 in
-      let c =
-        if d > 0 then Concrete.apply net c (Concrete.Delay d) else c
-      in
-      let acc = if d > 0 then c :: acc else acc in
-      match List.filter_map (fire c) (Concrete.fireable net c) with
-      | [] -> if d = 0 then List.rev acc else go c (k - 1) acc
-      | succs ->
-          let c' = List.nth succs (Ita_util.Prng.int rng (List.length succs)) in
-          go c' (k - 1) (c' :: acc)
-  in
-  go (Concrete.initial net) steps []
-
 let test_random_nets_par_agree =
   QCheck2.Test.make ~count:40
     ~name:"parallel verdicts agree with sequential and cover concrete walks"
@@ -317,8 +254,8 @@ let test_random_nets_par_agree =
       if seq_stats.Reach.stored <> par_stats.Reach.stored then ok := false;
       (* concrete oracle: a random walk is covered by the parallel
          cover *)
-      let covered = symbolic_cover ~domains:4 net in
-      let walk = safe_walk net ~seed ~steps:40 ~max_step_delay:7 in
+      let covered = Models.symbolic_cover ~domains:4 net in
+      let walk = Models.safe_walk net ~seed ~steps:40 ~max_step_delay:7 in
       if not (List.for_all covered walk) then ok := false;
       !ok)
 

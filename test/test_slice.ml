@@ -261,9 +261,9 @@ let test_station_strict_win () =
 let test_identity () =
   let net, z = Models.handshake () in
   let at = Query.at net ~comp:"S" ~loc:"P1" in
-  let sl, snet, at' = Reach.slice_query Reach.CoiMerge net at in
+  let sl, _, at' = Reach.slice_query Reach.CoiMerge net at in
   Alcotest.(check bool) "identity" true sl.Slice.identity;
-  Alcotest.(check bool) "same network" true (snet == net);
+  Alcotest.(check bool) "same network" true (sl.Slice.net == net);
   Alcotest.(check bool) "same query" true (at' == at);
   let sl, _, _ = Reach.slice_query Reach.CoiMerge ~extra_clocks:[ z ] net at in
   Alcotest.(check bool) "sup slice is the identity" true sl.Slice.identity;
@@ -512,42 +512,13 @@ let gen_random_island_net =
        ~initial:0);
   return (Network.Builder.build b, nl)
 
-(* Concrete.random_walk fires any enabled edge; random nets have edges
-   into locations whose invariant then fails, which the symbolic
-   engine drops as empty zones — skip those, as test_par does. *)
-let safe_walk net ~seed ~steps ~max_step_delay =
-  let rng = Ita_util.Prng.create seed in
-  let fire c label =
-    match Concrete.apply net c (Concrete.Fire label) with
-    | c' -> Some c'
-    | exception Invalid_argument _ -> None
-  in
-  let rec go c k acc =
-    if k = 0 then List.rev acc
-    else
-      let dmax =
-        match Concrete.max_delay net c with
-        | None -> max_step_delay
-        | Some m -> min m max_step_delay
-      in
-      let d = if dmax > 0 then Ita_util.Prng.int rng (dmax + 1) else 0 in
-      let c = if d > 0 then Concrete.apply net c (Concrete.Delay d) else c in
-      let acc = if d > 0 then c :: acc else acc in
-      match List.filter_map (fire c) (Concrete.fireable net c) with
-      | [] -> if d = 0 then List.rev acc else go c (k - 1) acc
-      | succs ->
-          let c' = List.nth succs (Ita_util.Prng.int rng (List.length succs)) in
-          go c' (k - 1) (c' :: acc)
-  in
-  go (Concrete.initial net) steps []
-
 let test_random_island =
   QCheck2.Test.make ~count:60
     ~name:"sliced verdicts agree with unsliced and with concrete walks"
     QCheck2.Gen.(triple gen_random_island_net (int_range 0 10) (int_range 1 10_000))
     (fun ((net, nl), c, seed) ->
       let ok = ref true in
-      let walk = safe_walk net ~seed ~steps:40 ~max_step_delay:7 in
+      let walk = Models.safe_walk net ~seed ~steps:40 ~max_step_delay:7 in
       for l = 0 to nl - 1 do
         let at = Query.at net ~comp:"P" ~loc:(Printf.sprintf "L%d" l) in
         let q = Query.with_guard at (Guard.clock_ge 1 c) in

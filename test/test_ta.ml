@@ -141,8 +141,9 @@ let test_extrapolation_constants () =
   Alcotest.(check int) "original untouched" 0 net.Network.k.(y)
 
 (* A built network carries the classical constants as every location's
-   L and U row: the per-location tables come from the dataflow
-   analysis alone (test_flow checks them). *)
+   L and U row and every clock active everywhere: the per-location
+   tables come from the dataflow analysis alone (test_flow checks
+   them). *)
 let test_lu_rows_are_k () =
   List.iter
     (fun (name, (net : Network.t)) ->
@@ -152,7 +153,11 @@ let test_lu_rows_are_k () =
       Alcotest.(check bool) (name ^ ": L rows are k") true
         (rows_are_k net.Network.lloc);
       Alcotest.(check bool) (name ^ ": U rows are k") true
-        (rows_are_k net.Network.uloc))
+        (rows_are_k net.Network.uloc);
+      Alcotest.(check bool) (name ^ ": every clock active") true
+        (Array.for_all
+           (Array.for_all (Array.for_all Fun.id))
+           net.Network.active))
     [
       ("two-phase", (let net, _, _ = Models.two_phase () in net));
       ("urgent-gate", fst (Models.urgent_gate ()));
@@ -167,8 +172,9 @@ let test_lu_rows_are_k () =
 
 let test_initial_delay_closed () =
   let net, x, y = Models.two_phase () in
-  (* clock y is only observed by queries: unpinned it is normalized
-     away by active-clock reduction *)
+  (* clock y is only observed by queries: unpinned, the flow-refined
+     activity marks it inactive and the reduction normalizes it away *)
+  let net = Ita_analysis.Flow.refine_network net in
   let c = Semantics.initial net in
   Alcotest.(check bool) "x unbounded" true
     (Bound.is_infinity (Dbm.sup c.Semantics.zone x));

@@ -174,6 +174,7 @@ let test_fischer () =
           [ live1; live2 ];
         (* the protocol is also deadlock-free *)
         let dead = ref false in
+        let net = Ita_analysis.Flow.refine_network net in
         (match
            Ita_mc.Reach.explore net ~on_store:(fun cfg ->
                if Ita_ta.Semantics.successors net cfg = [] then dead := true)
