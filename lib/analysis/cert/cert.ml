@@ -7,8 +7,8 @@
    un-reduced: inactive clocks freed) zones plus the per-state LU
    vectors the engine pruned with.  The checker re-derives every
    obligation with the naive {!Reference} semantics — plain DBM
-   successor computation, [Dbm.le_lu] as the only shared primitive —
-   so a bug anywhere in the optimizing pipeline (flow refinement,
+   successor computation, coverage by [Dbm.subset] or else [Dbm.le_lu]
+   as the only shared primitives — so a bug anywhere in the optimizing pipeline (flow refinement,
    slicing, interning, packed keys, sharded exploration, Extra+LU
    extrapolation) cannot survive certification unless the independent
    replay reproduces it.
@@ -662,7 +662,12 @@ let dominated (mask : Reference.mask) env (e : entry) what obligation
       end)
     g.Guard.clocks
 
-let covered_by (e : entry) z = List.exists (fun w -> Dbm.le_lu e.l e.u z w) e.zones
+(* Inclusion implies a◁LU simulation, so the cheap pointwise
+   [Dbm.subset] scan runs first and decides no obligation differently:
+   [Dbm.le_lu] is only tried once no stored zone contains [z]. *)
+let covered_by (e : entry) z =
+  List.exists (fun w -> Dbm.subset z w) e.zones
+  || List.exists (fun w -> Dbm.le_lu e.l e.u z w) e.zones
 
 let check_consecution (net : Network.t) (mask : Reference.mask) entries index =
   let zone_count = ref 0 in

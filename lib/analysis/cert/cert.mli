@@ -13,8 +13,8 @@
       with exact successor computation.
 
     The checker is deliberately naive: {!Reference} semantics, plain
-    DBM operations, [Dbm.le_lu] as the only primitive shared with the
-    exploration path.  Its dune library declares dependencies on
+    DBM operations, and coverage by [Dbm.subset] or else [Dbm.le_lu]
+    as the only primitives shared with the exploration path.  Its dune library declares dependencies on
     [ita_dbm] and [ita_ta] only — no interning, packing, slicing or
     sharding code can leak into the trust base. *)
 
@@ -109,7 +109,7 @@ val check : Network.t -> goal:goal -> query_cert -> (stats, failure) result
     network.  For invariant verdicts this validates the mask and the
     stored antichain, then discharges initiation, consecution (invariant
     and guard constant domination, exact delay and discrete successor
-    coverage under [Dbm.le_lu], LU monotonicity along un-reset clocks)
-    and the verdict judgment.  For reachable verdicts it replays the
+    coverage under [Dbm.le_lu], tried after plain inclusion, LU
+    monotonicity along un-reset clocks) and the verdict judgment.  For reachable verdicts it replays the
     witness exactly.  Accepts only certificates that prove their
     verdict, regardless of producer. *)

@@ -1,31 +1,75 @@
+(* The bound encoding lives in this unit together with every loop that
+   combines encoded bounds.  Dune's default (dev) profile compiles each
+   module with [-opaque], so a [Bound] defined in a module of its own
+   turned every [add]/[lt_bound] in the O(n^3) closure into a real
+   cross-module call; here the [[@inline]] helpers below are inlined
+   into the loops under any profile. *)
+module Bound = struct
+  type t = int
+
+  (* Encoding: (c, <=) as [2c + 1], (c, <) as [2c], +oo as [max_int].
+     [max_int] is odd, so it must be special-cased before decoding, but
+     the integer order on encodings coincides with constraint strength,
+     which makes [min]/[compare] free. *)
+
+  let infinity = max_int
+  let[@inline] le c = (c lsl 1) lor 1
+  let[@inline] lt c = c lsl 1
+  let zero_le = le 0
+  let value b = b asr 1
+  let is_strict b = b = max_int || b land 1 = 0
+  let is_infinity b = b = max_int
+
+  let[@inline] add b1 b2 =
+    if b1 = max_int || b2 = max_int then max_int
+    else b1 + b2 - ((b1 lor b2) land 1)
+
+  let min (b1 : t) (b2 : t) = if b1 < b2 then b1 else b2
+  let compare (b1 : t) (b2 : t) = Stdlib.compare b1 b2
+  let lt_bound (b1 : t) (b2 : t) = b1 < b2
+
+  let[@inline] negate_weak b =
+    assert (b <> max_int);
+    if b land 1 = 1 then lt (-(value b)) else le (-(value b))
+
+  let sat d b =
+    if b = max_int then true
+    else if b land 1 = 1 then d <= value b
+    else d < value b
+
+  let pp ppf b =
+    if b = max_int then Format.pp_print_string ppf "<inf"
+    else if b land 1 = 1 then Format.fprintf ppf "<=%d" (value b)
+    else Format.fprintf ppf "<%d" (value b)
+end
+
 type t = { n : int; m : int array }
 (* [m] is a flat [n * n] array of encoded {!Bound.t}; entry [i*n + j]
    bounds [x_i - x_j].  Kept canonical: m.(i*n+j) <= m.(i*n+k) + m.(k*n+j)
    for all i j k, unless the zone is empty, which is flagged by a
-   negative diagonal entry at (0, 0). *)
+   negative diagonal entry at (0, 0).  The kernels below index [m]
+   directly and combine entries with the inlined [Bound] arithmetic. *)
 
 let dim z = z.n
 
 let zero n =
   let n = n + 1 in
-  { n; m = Array.make (n * n) (Bound.zero_le :> int) }
+  { n; m = Array.make (n * n) Bound.zero_le }
 
 let universal n =
   let n = n + 1 in
-  let inf = (Bound.infinity :> int) and z0 = (Bound.zero_le :> int) in
-  let m = Array.make (n * n) inf in
+  let m = Array.make (n * n) Bound.infinity in
   for j = 0 to n - 1 do
-    m.(j) <- z0;
+    m.(j) <- Bound.zero_le;
     (* row 0: -x_j <= 0 *)
-    m.((j * n) + j) <- z0
+    m.((j * n) + j) <- Bound.zero_le
   done;
   { n; m }
 
 let copy z = { z with m = Array.copy z.m }
-let is_empty z = z.m.(0) < (Bound.zero_le :> int)
-let get z i j : Bound.t = Bound.of_encoded z.m.((i * z.n) + j)
-let bset z i j (b : Bound.t) = z.m.((i * z.n) + j) <- (b :> int)
-let mark_empty z = z.m.(0) <- (Bound.lt 0 :> int)
+let is_empty z = z.m.(0) < Bound.zero_le
+let get z i j : Bound.t = z.m.((i * z.n) + j)
+let mark_empty z = z.m.(0) <- Bound.lt 0
 
 (* Full Floyd-Warshall closure; O(n^3).  Used after extrapolation and
    intersection; single-constraint updates use the O(n^2) incremental
@@ -34,85 +78,90 @@ let close z =
   let n = z.n and m = z.m in
   try
     for k = 0 to n - 1 do
+      let kn = k * n in
       for i = 0 to n - 1 do
-        let ik = m.((i * n) + k) in
-        if ik <> (Bound.infinity :> int) then
+        let row = i * n in
+        let ik = m.(row + k) in
+        if ik <> Bound.infinity then
           for j = 0 to n - 1 do
-            let v =
-              (Bound.add (Bound.of_encoded ik)
-                 (Bound.of_encoded m.((k * n) + j))
-                :> int)
-            in
-            if v < m.((i * n) + j) then m.((i * n) + j) <- v
+            let v = Bound.add ik m.(kn + j) in
+            if v < m.(row + j) then m.(row + j) <- v
           done
       done;
       for i = 0 to n - 1 do
-        if m.((i * n) + i) < (Bound.zero_le :> int) then raise Exit
+        if m.((i * n) + i) < Bound.zero_le then raise Exit
       done
     done
   with Exit -> mark_empty z
 
 let up z =
-  let inf = (Bound.infinity :> int) in
-  if not (is_empty z) then
-    for i = 1 to z.n - 1 do
-      z.m.(i * z.n) <- inf
+  if not (is_empty z) then begin
+    let n = z.n and m = z.m in
+    for i = 1 to n - 1 do
+      m.(i * n) <- Bound.infinity
     done
+  end
 
 let constrain z i j b =
-  if not (is_empty z) then
-    if Bound.lt_bound b (get z i j) then
-      if Bound.lt_bound (Bound.add b (get z j i)) Bound.zero_le then
-        mark_empty z
+  if not (is_empty z) then begin
+    let n = z.n and m = z.m in
+    if b < m.((i * n) + j) then
+      if Bound.add b m.((j * n) + i) < Bound.zero_le then mark_empty z
       else begin
-        bset z i j b;
-        let n = z.n and m = z.m in
+        m.((i * n) + j) <- b;
+        let jn = j * n in
         (* tighten every pair through the new edge (i, j) *)
         for p = 0 to n - 1 do
-          let pi = get z p i in
-          if not (Bound.is_infinity pi) then begin
-            let via = Bound.add pi b in
+          let pi = m.((p * n) + i) in
+          if pi <> Bound.infinity then begin
+            let via = Bound.add pi b and row = p * n in
             for q = 0 to n - 1 do
-              let cand = (Bound.add via (get z j q) :> int) in
-              if cand < m.((p * n) + q) then m.((p * n) + q) <- cand
+              let cand = Bound.add via m.(jn + q) in
+              if cand < m.(row + q) then m.(row + q) <- cand
             done
           end
         done
       end
+  end
 
 let reset z i v =
   assert (v >= 0);
   if not (is_empty z) then begin
-    let bv = Bound.le v and bnv = Bound.le (-v) in
-    for j = 0 to z.n - 1 do
+    let n = z.n and m = z.m in
+    let bv = Bound.le v and bnv = Bound.le (-v) and row = i * n in
+    for j = 0 to n - 1 do
       if j <> i then begin
-        bset z i j (Bound.add bv (get z 0 j));
-        bset z j i (Bound.add (get z j 0) bnv)
+        m.(row + j) <- Bound.add bv m.(j);
+        m.((j * n) + i) <- Bound.add m.(j * n) bnv
       end
     done;
-    bset z i i Bound.zero_le
+    m.(row + i) <- Bound.zero_le
   end
 
 let free z i =
   if not (is_empty z) then begin
-    for j = 0 to z.n - 1 do
+    let n = z.n and m = z.m in
+    let row = i * n in
+    for j = 0 to n - 1 do
       if j <> i then begin
-        bset z i j Bound.infinity;
-        bset z j i (get z j 0)
+        m.(row + j) <- Bound.infinity;
+        m.((j * n) + i) <- m.(j * n)
       end
     done;
-    bset z i 0 Bound.infinity;
-    bset z 0 i Bound.zero_le
+    m.(row) <- Bound.infinity;
+    m.(i) <- Bound.zero_le
   end
 
 let intersect z z' =
   assert (z.n = z'.n);
   if is_empty z' then mark_empty z
   else if not (is_empty z) then begin
+    let m = z.m and m' = z'.m in
     let changed = ref false in
-    for k = 0 to Array.length z.m - 1 do
-      if z'.m.(k) < z.m.(k) then begin
-        z.m.(k) <- z'.m.(k);
+    for k = 0 to Array.length m - 1 do
+      let b' = m'.(k) in
+      if b' < m.(k) then begin
+        m.(k) <- b';
         changed := true
       end
     done;
@@ -144,20 +193,24 @@ let hash z = if is_empty z then 0 else Hashtbl.hash z.m
 let extrapolate z k =
   assert (Array.length k = z.n && k.(0) = 0);
   if not (is_empty z) then begin
+    let n = z.n and m = z.m in
     let changed = ref false in
-    for i = 0 to z.n - 1 do
-      for j = 0 to z.n - 1 do
+    for i = 0 to n - 1 do
+      let row = i * n and ki = Bound.le k.(i) in
+      for j = 0 to n - 1 do
         if i <> j then begin
-          let b = get z i j in
-          if not (Bound.is_infinity b) then
-            if Bound.lt_bound (Bound.le k.(i)) b then begin
-              bset z i j Bound.infinity;
+          let b = m.(row + j) in
+          if b <> Bound.infinity then
+            if ki < b then begin
+              m.(row + j) <- Bound.infinity;
               changed := true
             end
-            else if Bound.lt_bound b (Bound.lt (-k.(j))) then begin
-              bset z i j (Bound.lt (-k.(j)));
-              changed := true
-            end
+            else
+              let kj = Bound.lt (-k.(j)) in
+              if b < kj then begin
+                m.(row + j) <- kj;
+                changed := true
+              end
         end
       done
     done;
@@ -173,29 +226,26 @@ let extrapolate z k =
    every bound involving [x_i] as minuend is dead; likewise a zone
    entirely above U(x_j) satisfies no upper-bound guard on [x_j].
    Sound for diagonal-free automata only (which {!Guard.t} enforces by
-   construction). *)
+   construction).  The first pass writes rows 1..n-1 only and the
+   second reads each row-0 entry before rewriting it, so every test
+   sees the original row 0 without a copy. *)
 let extrapolate_lu z l u =
   assert (Array.length l = z.n && Array.length u = z.n);
   assert (l.(0) = 0 && u.(0) = 0);
   if not (is_empty z) then begin
-    let n = z.n in
-    (* the conditions below read the *original* c_{0j} entries; row 0
-       itself is rewritten by the i = 0 case, so snapshot it first *)
-    let row0 = Array.sub z.m 0 n in
-    let above_l j = row0.(j) < (Bound.lt (-l.(j)) :> int) in
-    let above_u j = row0.(j) < (Bound.lt (-u.(j)) :> int) in
+    let n = z.n and m = z.m in
     let changed = ref false in
     for i = 1 to n - 1 do
+      let row = i * n and li = Bound.le l.(i) in
+      let above_l = m.(i) < Bound.lt (-l.(i)) in
       for j = 0 to n - 1 do
         if i <> j then begin
-          let b = get z i j in
+          let b = m.(row + j) in
           if
-            (not (Bound.is_infinity b))
-            && (Bound.lt_bound (Bound.le l.(i)) b
-               || above_l i
-               || (j > 0 && above_u j))
+            b <> Bound.infinity
+            && (li < b || above_l || (j > 0 && m.(j) < Bound.lt (-u.(j))))
           then begin
-            bset z i j Bound.infinity;
+            m.(row + j) <- Bound.infinity;
             changed := true
           end
         end
@@ -204,8 +254,9 @@ let extrapolate_lu z l u =
     for j = 1 to n - 1 do
       (* lower bounds of x_j relax to (< -U(x_j)) once the zone sits
          strictly above U(x_j) *)
-      if above_u j then begin
-        bset z 0 j (Bound.lt (-u.(j)));
+      let uj = Bound.lt (-u.(j)) in
+      if m.(j) < uj then begin
+        m.(j) <- uj;
         changed := true
       end
     done;
@@ -228,7 +279,28 @@ let extrapolate_lu z l u =
    proj_{x,y}(Z) ∩ { v y ≤ min (U y) (L x - c') } ∩ { v y - v x ≺'⁻ -c' }
    — a 3-node constraint graph whose only cycles through the two new
    edges (both leave node y, so no simple cycle uses both) are the four
-   sums tested below.  No mutation, no allocation. *)
+   sums tested below.  [lu_violation] is that test for one pair; a
+   top-level function, so [le_lu] allocates no closure. *)
+let lu_violation l u n m m' x y =
+  let zp = m'.((x * n) + y) in
+  zp <> Bound.infinity
+  &&
+  let nb' = Bound.negate_weak zp and zxy = m.((x * n) + y) in
+  (* (1) Z must genuinely exceed Z' at (x, y) *)
+  Bound.add nb' zxy >= Bound.zero_le
+  &&
+  let uy = u.(y) and lc = l.(x) - Bound.value zp in
+  let tb = Bound.le (if uy < lc then uy else lc) and z0y = m.(y) in
+  (* (2) some v y ≤ T is reachable within Z *)
+  Bound.add tb z0y >= Bound.zero_le
+  (* (3) cycle nb' + Z_{x0} + Z_{0y} *)
+  && Bound.add nb' (Bound.add m.(x * n) z0y) >= Bound.zero_le
+  (* (4) cycle tb + Z_{0x} + Z_{xy} *)
+  && Bound.add zxy (Bound.add tb m.(x)) >= Bound.zero_le
+
+(* The violation search is existential, so its order is free: the
+   pairs through the reference clock go first, because on the case
+   study they alone reject nearly every non-simulated pair. *)
 let le_lu l u z z' =
   assert (z.n = z'.n);
   assert (Array.length l = z.n && Array.length u = z.n);
@@ -236,33 +308,15 @@ let le_lu l u z z' =
   is_empty z
   || ((not (is_empty z'))
      &&
-     let n = z.n in
-     let feasible b = not (Bound.lt_bound b Bound.zero_le) in
+     let n = z.n and m = z.m and m' = z'.m in
      try
-       for x = 0 to n - 1 do
-         for y = 0 to n - 1 do
-           if x <> y then begin
-             let zp = get z' x y in
-             if not (Bound.is_infinity zp) then begin
-               let nb' = Bound.negate_weak zp in
-               (* (1) Z must genuinely exceed Z' at (x, y) *)
-               if feasible (Bound.add nb' (get z x y)) then begin
-                 let tb =
-                   Bound.le (Stdlib.min u.(y) (l.(x) - Bound.value zp))
-                 in
-                 if
-                   (* (2) some v y ≤ T is reachable within Z *)
-                   feasible (Bound.add tb (get z 0 y))
-                   (* (3) cycle nb' + Z_{x0} + Z_{0y} *)
-                   && feasible
-                        (Bound.add nb' (Bound.add (get z x 0) (get z 0 y)))
-                   (* (4) cycle tb + Z_{0x} + Z_{xy} *)
-                   && feasible
-                        (Bound.add (get z x y) (Bound.add tb (get z 0 x)))
-                 then raise Exit
-               end
-             end
-           end
+       for x = 1 to n - 1 do
+         if lu_violation l u n m m' x 0 || lu_violation l u n m m' 0 x then
+           raise_notrace Exit
+       done;
+       for x = 1 to n - 1 do
+         for y = 1 to n - 1 do
+           if x <> y && lu_violation l u n m m' x y then raise_notrace Exit
          done
        done;
        true

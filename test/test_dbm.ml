@@ -530,6 +530,317 @@ let prop_equal_hash =
     QCheck2.Gen.(tup2 gen_zone gen_zone)
     (fun (z1, z2) -> (not (Dbm.equal z1 z2)) || Dbm.hash z1 = Dbm.hash z2)
 
+(* ------------------------------------------------------------------ *)
+(* Kernel differential at the case study's dimensions                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference kernels: the DBM loops as they read before the bound
+   arithmetic was inlined into them, over a plain array of bounds and
+   [Bound]'s public functions only.  A zone is [(dim, entries)], the
+   row-major layout [Dbm.to_encoded] returns.  The engine's explored
+   counts and the certificates' bytes depend on these loops' exact
+   output, not only on the sets they denote, so the property below
+   compares entry for entry. *)
+module Ref = struct
+  let bound e : Bound.t =
+    if e = max_int then Bound.infinity
+    else if e land 1 = 1 then Bound.le (e asr 1)
+    else Bound.lt (e asr 1)
+
+  let of_encoded (n, m) = (n, Array.map bound m)
+  let to_encoded (n, m) = (n, Array.map (fun (b : Bound.t) -> (b :> int)) m)
+  let get (n, m) i j = m.((i * n) + j)
+  let set (n, m) i j b = m.((i * n) + j) <- b
+  let is_empty (_, m) = Bound.lt_bound m.(0) Bound.zero_le
+  let mark_empty (_, m) = m.(0) <- Bound.lt 0
+
+  let close ((n, _) as z) =
+    try
+      for k = 0 to n - 1 do
+        for i = 0 to n - 1 do
+          let ik = get z i k in
+          if not (Bound.is_infinity ik) then
+            for j = 0 to n - 1 do
+              let v = Bound.add ik (get z k j) in
+              if Bound.lt_bound v (get z i j) then set z i j v
+            done
+        done;
+        for i = 0 to n - 1 do
+          if Bound.lt_bound (get z i i) Bound.zero_le then raise Exit
+        done
+      done
+    with Exit -> mark_empty z
+
+  let up ((n, _) as z) =
+    if not (is_empty z) then
+      for i = 1 to n - 1 do
+        set z i 0 Bound.infinity
+      done
+
+  let constrain ((n, _) as z) i j b =
+    if not (is_empty z) then
+      if Bound.lt_bound b (get z i j) then
+        if Bound.lt_bound (Bound.add b (get z j i)) Bound.zero_le then
+          mark_empty z
+        else begin
+          set z i j b;
+          for p = 0 to n - 1 do
+            let pi = get z p i in
+            if not (Bound.is_infinity pi) then begin
+              let via = Bound.add pi b in
+              for q = 0 to n - 1 do
+                let cand = Bound.add via (get z j q) in
+                if Bound.lt_bound cand (get z p q) then set z p q cand
+              done
+            end
+          done
+        end
+
+  let reset ((n, _) as z) i v =
+    if not (is_empty z) then begin
+      let bv = Bound.le v and bnv = Bound.le (-v) in
+      for j = 0 to n - 1 do
+        if j <> i then begin
+          set z i j (Bound.add bv (get z 0 j));
+          set z j i (Bound.add (get z j 0) bnv)
+        end
+      done;
+      set z i i Bound.zero_le
+    end
+
+  let free ((n, _) as z) i =
+    if not (is_empty z) then begin
+      for j = 0 to n - 1 do
+        if j <> i then begin
+          set z i j Bound.infinity;
+          set z j i (get z j 0)
+        end
+      done;
+      set z i 0 Bound.infinity;
+      set z 0 i Bound.zero_le
+    end
+
+  let extrapolate ((n, _) as z) k =
+    if not (is_empty z) then begin
+      let changed = ref false in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if i <> j then begin
+            let b = get z i j in
+            if not (Bound.is_infinity b) then
+              if Bound.lt_bound (Bound.le k.(i)) b then begin
+                set z i j Bound.infinity;
+                changed := true
+              end
+              else if Bound.lt_bound b (Bound.lt (-k.(j))) then begin
+                set z i j (Bound.lt (-k.(j)));
+                changed := true
+              end
+          end
+        done
+      done;
+      if !changed then close z
+    end
+
+  let extrapolate_lu ((n, m) as z) l u =
+    if not (is_empty z) then begin
+      let row0 = Array.sub m 0 n in
+      let above_l j = Bound.lt_bound row0.(j) (Bound.lt (-l.(j))) in
+      let above_u j = Bound.lt_bound row0.(j) (Bound.lt (-u.(j))) in
+      let changed = ref false in
+      for i = 1 to n - 1 do
+        for j = 0 to n - 1 do
+          if i <> j then begin
+            let b = get z i j in
+            if
+              (not (Bound.is_infinity b))
+              && (Bound.lt_bound (Bound.le l.(i)) b
+                 || above_l i
+                 || (j > 0 && above_u j))
+            then begin
+              set z i j Bound.infinity;
+              changed := true
+            end
+          end
+        done
+      done;
+      for j = 1 to n - 1 do
+        if above_u j then begin
+          set z 0 j (Bound.lt (-u.(j)));
+          changed := true
+        end
+      done;
+      if !changed then close z
+    end
+
+  let le_lu l u ((n, _) as z) z' =
+    is_empty z
+    || ((not (is_empty z'))
+       &&
+       let feasible b = not (Bound.lt_bound b Bound.zero_le) in
+       try
+         for x = 0 to n - 1 do
+           for y = 0 to n - 1 do
+             if x <> y then begin
+               let zp = get z' x y in
+               if not (Bound.is_infinity zp) then begin
+                 let nb' = Bound.negate_weak zp in
+                 if feasible (Bound.add nb' (get z x y)) then begin
+                   let tb =
+                     Bound.le (Stdlib.min u.(y) (l.(x) - Bound.value zp))
+                   in
+                   if
+                     feasible (Bound.add tb (get z 0 y))
+                     && feasible
+                          (Bound.add nb' (Bound.add (get z x 0) (get z 0 y)))
+                     && feasible
+                          (Bound.add (get z x y) (Bound.add tb (get z 0 x)))
+                   then raise Exit
+                 end
+               end
+             end
+           done
+         done;
+         true
+       with Exit -> false)
+end
+
+(* One case: a clock count of 1 to 11 (the radionav networks have 10
+   and 11), two zones [z] and [z'] built by op sequences over that
+   many clocks with constants around the L/U values, every kernel's
+   arguments ([u] doubles as [extrapolate]'s [k]), and a raw unclosed
+   matrix for [close]. *)
+type kernel_case = {
+  nc : int;
+  ops : op list;  (* [z'] from the delayed origin *)
+  more : op list;  (* [z] from [z'] *)
+  atom : int * int * Bound.t;
+  clock : int;
+  value : int;
+  l : int array;
+  u : int array;
+  raw : int array;
+}
+
+let gen_kernel_case =
+  QCheck2.Gen.(
+    let* nc = int_range 1 11 in
+    let bound lo hi =
+      let* c = int_range lo hi in
+      let* strict = bool in
+      return (if strict then Bound.lt c else Bound.le c)
+    in
+    let op =
+      let* choice = int_range 0 3 in
+      match choice with
+      | 0 -> return Up
+      | 1 ->
+          let* i = int_range 0 nc in
+          let* j = int_range 0 nc in
+          let* b = bound (-14) 14 in
+          return (if i = j then Up else Constrain (i, j, b))
+      | 2 ->
+          let* i = int_range 1 nc in
+          let* c = int_range 0 6 in
+          return (Reset (i, c))
+      | _ ->
+          let* i = int_range 1 nc in
+          return (Free i)
+    in
+    (* the certificate's L/U vectors carry -1 for removed clocks *)
+    let lu =
+      array_size (return (nc + 1)) (int_range (-1) 12) >|= fun a ->
+      a.(0) <- 0;
+      a
+    in
+    let* ops = list_size (int_range 0 (3 * nc)) op in
+    let* more = list_size (int_range 0 3) op in
+    let* i = int_range 0 nc in
+    let* j = int_range 0 nc in
+    let j = if i = j then (j + 1) mod (nc + 1) else j in
+    let* b = bound (-14) 14 in
+    let* clock = int_range 1 nc in
+    let* value = int_range 0 6 in
+    let* l = lu in
+    let* u = lu in
+    let entry =
+      let* inf = int_range 0 3 in
+      if inf = 0 then return Bound.infinity else bound (-3) 20
+    in
+    let* raw = array_size (return ((nc + 1) * (nc + 1))) entry in
+    let* diag = bool in
+    let raw = Array.map (fun b -> (b : Bound.t :> int)) raw in
+    if diag then
+      for k = 0 to nc do
+        raw.((k * (nc + 1)) + k) <- (Bound.zero_le :> int)
+      done;
+    return { nc; ops; more; atom = (i, j, b); clock; value; l; u; raw })
+
+let print_kernel_case c =
+  let ints a = String.concat "; " (Array.to_list (Array.map string_of_int a)) in
+  let i, j, b = c.atom in
+  Printf.sprintf "clocks %d, atom (%d, %d, %d), reset x%d := %d, l [%s], u [%s]"
+    c.nc i j (b :> int) c.clock c.value (ints c.l) (ints c.u)
+
+let prop_kernels_match_reference =
+  QCheck2.Test.make ~count:1000 ~print:print_kernel_case
+    ~name:"kernels: entry for entry the reference loops, 1-11 clocks"
+    gen_kernel_case
+    (fun c ->
+      (* an op that would empty the zone is skipped: empty inputs are
+         trivial for every kernel *)
+      let build z ops =
+        List.fold_left
+          (fun z op ->
+            let z' = Dbm.copy z in
+            apply_op z' op;
+            if Dbm.is_empty z' then z else z')
+          z ops
+      in
+      let z0 = Dbm.zero c.nc in
+      Dbm.up z0;
+      let z' = build z0 c.ops in
+      let z = build z' c.more in
+      let same name got r =
+        let ok =
+          if Ref.is_empty r || Dbm.is_empty got then
+            Ref.is_empty r && Dbm.is_empty got
+          else Dbm.to_encoded got = Ref.to_encoded r
+        in
+        if not ok then QCheck2.Test.fail_reportf "%s differs" name
+      in
+      let check name dbm_op ref_op =
+        let got = Dbm.copy z in
+        dbm_op got;
+        let r = Ref.of_encoded (Dbm.to_encoded z) in
+        ref_op r;
+        same name got r
+      in
+      let n = c.nc + 1 in
+      let r = (n, Array.map Ref.bound c.raw) in
+      Ref.close r;
+      same "close" (Dbm.of_encoded n c.raw) r;
+      let i, j, b = c.atom in
+      check "constrain" (fun z -> Dbm.constrain z i j b) (fun r ->
+          Ref.constrain r i j b);
+      check "reset"
+        (fun z -> Dbm.reset z c.clock c.value)
+        (fun r -> Ref.reset r c.clock c.value);
+      check "free" (fun z -> Dbm.free z c.clock) (fun r -> Ref.free r c.clock);
+      check "up" Dbm.up Ref.up;
+      check "extrapolate" (fun z -> Dbm.extrapolate z c.u) (fun r ->
+          Ref.extrapolate r c.u);
+      check "extrapolate_lu"
+        (fun z -> Dbm.extrapolate_lu z c.l c.u)
+        (fun r -> Ref.extrapolate_lu r c.l c.u);
+      let enc z = Ref.of_encoded (Dbm.to_encoded z) in
+      List.iter
+        (fun (name, a, b) ->
+          if Dbm.le_lu c.l c.u a b <> Ref.le_lu c.l c.u (enc a) (enc b) then
+            QCheck2.Test.fail_reportf "le_lu differs on %s" name)
+        [ ("(z, z')", z, z'); ("(z', z)", z', z) ];
+      true)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -551,6 +862,7 @@ let () =
         prop_sup_bounds_members;
         prop_canonical_triangle;
         prop_equal_hash;
+        prop_kernels_match_reference;
       ]
   in
   Alcotest.run "dbm"
