@@ -341,7 +341,8 @@ let () =
       (fun c ->
         match c.cert with
         | Some cr ->
-            Printf.eprintf "  %s: emit %.1f ms + check %.1f ms vs explore %.1f ms\n"
+            Printf.eprintf
+              "  %s: emit %.1f ms + check %.1f ms vs explore %.1f ms\n"
               c.name cr.cert_emit_ms cr.cert_check_ms
               (cr.cert_explore_s *. 1000.)
         | None -> ())

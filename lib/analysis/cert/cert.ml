@@ -8,10 +8,10 @@
    vectors the engine pruned with.  The checker re-derives every
    obligation with the naive {!Reference} semantics — plain DBM
    successor computation, coverage by [Dbm.subset] or else [Dbm.le_lu]
-   as the only shared primitives — so a bug anywhere in the optimizing pipeline (flow refinement,
-   slicing, interning, packed keys, sharded exploration, Extra+LU
-   extrapolation) cannot survive certification unless the independent
-   replay reproduces it.
+   as the only shared primitives — so a bug anywhere in the optimizing
+   pipeline (flow refinement, slicing, interning, packed keys, sharded
+   exploration, Extra+LU extrapolation) cannot survive certification
+   unless the independent replay reproduces it.
 
    Soundness is self-contained: [check] accepts only certificates that
    prove their verdict for the given network and goal, regardless of

@@ -14,9 +14,10 @@
 
     The checker is deliberately naive: {!Reference} semantics, plain
     DBM operations, and coverage by [Dbm.subset] or else [Dbm.le_lu]
-    as the only primitives shared with the exploration path.  Its dune library declares dependencies on
-    [ita_dbm] and [ita_ta] only — no interning, packing, slicing or
-    sharding code can leak into the trust base. *)
+    as the only primitives shared with the exploration path.  Its dune
+    library declares dependencies on [ita_dbm] and [ita_ta] only — no
+    interning, packing, slicing or sharding code can leak into the
+    trust base. *)
 
 open Ita_ta
 module Dbm = Ita_dbm.Dbm
@@ -110,6 +111,6 @@ val check : Network.t -> goal:goal -> query_cert -> (stats, failure) result
     stored antichain, then discharges initiation, consecution (invariant
     and guard constant domination, exact delay and discrete successor
     coverage under [Dbm.le_lu], tried after plain inclusion, LU
-    monotonicity along un-reset clocks) and the verdict judgment.  For reachable verdicts it replays the
-    witness exactly.  Accepts only certificates that prove their
-    verdict, regardless of producer. *)
+    monotonicity along un-reset clocks) and the verdict judgment.  For
+    reachable verdicts it replays the witness exactly.  Accepts only
+    certificates that prove their verdict, regardless of producer. *)
