@@ -3,15 +3,14 @@
 
    A certificate for an unreachable / sup verdict is the explorer's
    final passed-list antichain translated back to the original
-   pre-slicing model: per discrete state the unextrapolated (and
-   un-reduced: inactive clocks freed) zones plus the per-state LU
-   vectors the engine pruned with.  The checker re-derives every
-   obligation with the naive {!Reference} semantics — plain DBM
-   successor computation, coverage by [Dbm.subset] or else [Dbm.le_lu]
-   as the only shared primitives — so a bug anywhere in the optimizing
-   pipeline (flow refinement, slicing, interning, packed keys, sharded
-   exploration, Extra+LU extrapolation) cannot survive certification
-   unless the independent replay reproduces it.
+   pre-slicing model: per discrete state its stored (Extra+LU
+   extrapolated, inactive clocks freed) zones.  The checker re-derives
+   every obligation with the naive {!Reference} semantics — exact DBM
+   successor computation, with coverage by [Dbm.subset] as the only
+   primitive shared with the explorer — so a bug anywhere in the
+   optimizing pipeline (flow refinement, slicing, interning, packed
+   keys, sharded exploration, Extra+LU extrapolation) cannot survive
+   certification unless the independent replay reproduces it.
 
    Soundness is self-contained: [check] accepts only certificates that
    prove their verdict for the given network and goal, regardless of
@@ -24,7 +23,7 @@
 open Ita_ta
 module Dbm = Ita_dbm.Dbm
 
-let version = 1
+let version = 2
 
 type goal = { comp_locs : (int * int) list; guard : Guard.t }
 type sup_kind = Attained | Approached
@@ -34,12 +33,7 @@ type verdict =
   | Sup of { clock : Guard.clock; value : int; kind : sup_kind }
   | Reachable of Semantics.label list
 
-type entry = {
-  st : Semantics.state;
-  l : int array;
-  u : int array;
-  zones : Dbm.t list;
-}
+type entry = { st : Semantics.state; zones : Dbm.t list }
 
 type query_cert = {
   index : int;
@@ -47,7 +41,6 @@ type query_cert = {
   frozen_comps : int list;
   removed_clocks : int list;
   frozen_vars : int list;
-  merged : (int * int) list;
   entries : entry list;
 }
 
@@ -135,8 +128,6 @@ let write_query buf (q : query_cert) =
   write_ints buf "mask-comps" q.frozen_comps;
   write_ints buf "mask-clocks" q.removed_clocks;
   write_ints buf "mask-vars" q.frozen_vars;
-  write_ints buf "merged"
-    (List.concat_map (fun (m, r) -> [ m; r ]) q.merged);
   bpf buf "states %d\n" (List.length q.entries);
   List.iter
     (fun e ->
@@ -147,8 +138,6 @@ let write_query buf (q : query_cert) =
       bpf buf " %d" (List.length env);
       List.iter (fun x -> bpf buf " %d" x) env;
       bpf buf "\n";
-      write_ints buf "lu"
-        (Array.to_list e.l @ Array.to_list e.u);
       bpf buf "zones %d\n" (List.length e.zones);
       List.iter
         (fun z ->
@@ -254,12 +243,6 @@ let parse (s : string) : (t, failure) result =
         if Array.length env <> nvars then
           parse_error "state: expected %d variables, got %d" nvars
             (Array.length env);
-        let lu = counted "lu" in
-        let nlu = List.length lu in
-        if nlu mod 2 <> 0 then parse_error "lu: odd vector length";
-        let half = nlu / 2 in
-        let lu = Array.of_list lu in
-        let l = Array.sub lu 0 half and u = Array.sub lu half half in
         let nz =
           match tagged "zones" with
           | [ n ] -> int_of n
@@ -277,7 +260,7 @@ let parse (s : string) : (t, failure) result =
                   Dbm.of_encoded dim m
               | [] -> parse_error "zone: empty line")
         in
-        { st = { Semantics.locs; env }; l; u; zones }
+        { st = { Semantics.locs; env }; zones }
     | [] -> parse_error "state: empty line"
   in
   let parse_query () =
@@ -308,15 +291,6 @@ let parse (s : string) : (t, failure) result =
     let frozen_comps = counted "mask-comps" in
     let removed_clocks = counted "mask-clocks" in
     let frozen_vars = counted "mask-vars" in
-    let merged_flat = counted "merged" in
-    if List.length merged_flat mod 2 <> 0 then
-      parse_error "merged: odd pair list";
-    let rec pairs = function
-      | [] -> []
-      | a :: b :: tl -> (a, b) :: pairs tl
-      | _ -> assert false
-    in
-    let merged = pairs merged_flat in
     let n_entries =
       match tagged "states" with
       | [ n ] -> int_of n
@@ -326,7 +300,7 @@ let parse (s : string) : (t, failure) result =
     (match next () with
     | [ "end-query" ] -> ()
     | _ -> parse_error "expected end-query");
-    { index; verdict; frozen_comps; removed_clocks; frozen_vars; merged; entries }
+    { index; verdict; frozen_comps; removed_clocks; frozen_vars; entries }
   in
   match
     let v =
@@ -591,20 +565,6 @@ let validate_entries (net : Network.t) (mask : Reference.mask) entries =
             fail Mask "%s: frozen variable %s away from its initial value"
               where net.Network.var_names.(v))
         e.st.Semantics.env;
-      if Array.length e.l <> ncl || Array.length e.u <> ncl then
-        fail Format "%s: LU vectors must have %d entries" where ncl;
-      if e.l.(0) <> 0 || e.u.(0) <> 0 then
-        fail Format "%s: LU vectors must be 0 at the reference clock" where;
-      for x = 1 to ncl - 1 do
-        if mask.Reference.removed_clocks.(x) then begin
-          if e.l.(x) <> -1 || e.u.(x) <> -1 then
-            fail Mask "%s: removed clock %s must carry -1 LU entries" where
-              net.Network.clock_names.(x)
-        end
-        else if e.l.(x) < 0 || e.u.(x) < 0 then
-          fail Format "%s: negative LU entry for kept clock %s" where
-            net.Network.clock_names.(x)
-      done;
       if e.zones = [] then fail Format "%s: no zones" where;
       List.iter
         (fun z ->
@@ -630,44 +590,10 @@ let validate_entries (net : Network.t) (mask : Reference.mask) entries =
 
 (* ---- the three obligations ---- *)
 
-(* [dominated] checks the guard/invariant constant-domination condition
-   of LU simulation: every lower-bound comparison against [c] needs
-   [l.(x) >= c], every upper-bound one [u.(x) >= c].  Removed clocks
-   are exempt (the whole certificate lives in the quotient that ignores
-   them; goal and invariants were validated not to test them). *)
-let dominated (mask : Reference.mask) env (e : entry) what obligation
-    (g : Guard.t) =
-  List.iter
-    (fun (at : Guard.atom) ->
-      let x = at.Guard.clock in
-      if not mask.Reference.removed_clocks.(x) then begin
-        let c = Expr.eval env at.Guard.bound in
-        let need_l =
-          match at.Guard.rel with
-          | Guard.Ge | Guard.Gt | Guard.Eq -> true
-          | Guard.Le | Guard.Lt -> false
-        and need_u =
-          match at.Guard.rel with
-          | Guard.Le | Guard.Lt | Guard.Eq -> true
-          | Guard.Ge | Guard.Gt -> false
-        in
-        if need_l && e.l.(x) < c then
-          fail obligation
-            "%s compares clock %d against %d, above the certified L bound %d"
-            what x c e.l.(x);
-        if need_u && e.u.(x) < c then
-          fail obligation
-            "%s compares clock %d against %d, above the certified U bound %d"
-            what x c e.u.(x)
-      end)
-    g.Guard.clocks
-
-(* Inclusion implies a◁LU simulation, so the cheap pointwise
-   [Dbm.subset] scan runs first and decides no obligation differently:
-   [Dbm.le_lu] is only tried once no stored zone contains [z]. *)
-let covered_by (e : entry) z =
-  List.exists (fun w -> Dbm.subset z w) e.zones
-  || List.exists (fun w -> Dbm.le_lu e.l e.u z w) e.zones
+(* The certified invariant is the union of the stored zones, so a
+   zone is covered exactly when one stored zone of its discrete state
+   includes it. *)
+let covered_by (e : entry) z = List.exists (fun w -> Dbm.subset z w) e.zones
 
 let check_consecution (net : Network.t) (mask : Reference.mask) entries index =
   let zone_count = ref 0 in
@@ -681,19 +607,8 @@ let check_consecution (net : Network.t) (mask : Reference.mask) entries index =
   List.iteri
     (fun k (e : entry) ->
       let st = e.st in
-      (* (I) invariant domination: the per-state vectors absorb every
-         invariant constant, so LU coverage cannot forget an invariant
-         a covered valuation is subject to *)
-      Array.iteri
-        (fun i l ->
-          if not mask.Reference.frozen_comps.(i) then
-            let a = net.Network.automata.(i) in
-            dominated mask st.Semantics.env e
-              (Printf.sprintf "state #%d: invariant of %s" k a.Automaton.name)
-              Consecution (Automaton.location a l).Automaton.invariant)
-        st.Semantics.locs;
-      (* (a) delay coverage: when the unmasked components permit delay,
-         the exact time elapse of every stored zone stays covered *)
+      (* delay coverage: when the unmasked components permit delay, the
+         exact time elapse of every stored zone stays covered *)
       if Reference.delay_allowed net mask st then
         List.iter
           (fun z ->
@@ -705,7 +620,8 @@ let check_consecution (net : Network.t) (mask : Reference.mask) entries index =
                   "state #%d: delay successor escapes the certified antichain"
                   k)
           e.zones;
-      (* discrete successors *)
+      (* discrete coverage: every exact successor of every stored zone
+         lands in a stored zone of its target state *)
       List.iter
         (fun (j : Reference.joint) ->
           (* a transition whose guards already contradict the invariants
@@ -721,22 +637,6 @@ let check_consecution (net : Network.t) (mask : Reference.mask) entries index =
             let what =
               Format.asprintf "state #%d: transition %a" k
                 (Semantics.pp_label net) j.Reference.label
-            in
-            (* (G) guard domination for every participant *)
-            List.iter
-              (fun (i, ei) ->
-                dominated mask st.Semantics.env e what Consecution
-                  (Automaton.edge net.Network.automata.(i) ei).Automaton.guard)
-              j.Reference.parts;
-            let resets =
-              List.concat_map
-                (fun (i, ei) ->
-                  List.filter_map
-                    (function
-                      | Update.Reset_clock (x, _) -> Some x
-                      | Update.Set_var _ -> None)
-                    (Automaton.edge net.Network.automata.(i) ei).Automaton.update)
-                j.Reference.parts
             in
             let target = ref None in
             List.iter
@@ -757,24 +657,6 @@ let check_consecution (net : Network.t) (mask : Reference.mask) entries index =
                                  antichain"
                                 what
                           in
-                          (* (M) monotone vectors: coverage at the
-                             successor must not promise less than the
-                             source vectors on clocks the step did not
-                             reset, or the simulation argument breaks
-                             between steps *)
-                          Array.iteri
-                            (fun x lx ->
-                              if
-                                x > 0
-                                && (not mask.Reference.removed_clocks.(x))
-                                && not (List.mem x resets)
-                              then
-                                if lx > e.l.(x) || e'.u.(x) > e.u.(x) then
-                                  fail Consecution
-                                    "%s: successor LU vectors exceed the \
-                                     source's on un-reset clock %d"
-                                    what x)
-                            e'.l;
                           target := Some e';
                           e'
                     in
@@ -810,12 +692,9 @@ let goal_entries goal entries =
       && Guard.data_holds e.st.Semantics.env goal.guard)
     entries
 
-let check_unreachable_judgment (mask : Reference.mask) goal entries =
+let check_unreachable_judgment goal entries =
   List.iter
     (fun (e : entry) ->
-      (* domination first: without it a covered valuation could satisfy
-         the goal's clock constraints while the stored zone does not *)
-      dominated mask e.st.Semantics.env e "the goal" Judgment goal.guard;
       List.iter
         (fun z ->
           let z = Dbm.copy z in
@@ -840,15 +719,6 @@ let check_sup_judgment (net : Network.t) (mask : Reference.mask) goal ~clock
   let best = ref None in
   List.iter
     (fun (e : entry) ->
-      dominated mask e.st.Semantics.env e "the goal" Judgment goal.guard;
-      (* the certified vectors must see past the claimed value on the
-         query clock, otherwise a covered valuation larger than the
-         stored ones could hide above the abstraction *)
-      if e.l.(clock) < value || e.u.(clock) < value then
-        fail Judgment
-          "goal state vectors do not dominate the claimed sup %d on clock %s"
-          value
-          net.Network.clock_names.(clock);
       List.iter
         (fun z ->
           let z = Dbm.copy z in
@@ -918,7 +788,7 @@ let check (net : Network.t) ~(goal : goal) (q : query_cert) :
            that breaks the verdict claim is reported as the verdict's
            failure even when it also breaks induction *)
         (match q.verdict with
-        | Unreachable -> check_unreachable_judgment mask goal q.entries
+        | Unreachable -> check_unreachable_judgment goal q.entries
         | Sup { clock; value; kind } ->
             check_sup_judgment net mask goal ~clock ~value ~kind q.entries
         | Reachable _ -> assert false);

@@ -4,20 +4,18 @@
     certificate that proves it without trusting the engine:
 
     - {b unreachable} and {b sup} verdicts carry the final passed-list
-      antichain — per discrete state the unextrapolated zones and the
-      per-state LU vectors — translated back to the original
-      pre-slicing model.  The checker verifies it is an inductive
-      invariant ({e initiation} + {e consecution}) that implies the
-      verdict ({e judgment});
+      antichain — per discrete state its stored zones — translated back
+      to the original pre-slicing model.  The checker verifies that
+      their union is an inductive invariant ({e initiation} +
+      {e consecution}) that implies the verdict ({e judgment});
     - {b reachable} verdicts carry the witness label sequence, replayed
       with exact successor computation.
 
     The checker is deliberately naive: {!Reference} semantics, plain
-    DBM operations, and coverage by [Dbm.subset] or else [Dbm.le_lu]
-    as the only primitives shared with the exploration path.  Its dune
-    library declares dependencies on [ita_dbm] and [ita_ta] only — no
-    interning, packing, slicing or sharding code can leak into the
-    trust base. *)
+    DBM operations, and coverage by [Dbm.subset] as the only primitive
+    shared with the exploration path.  Its dune library declares
+    dependencies on [ita_dbm] and [ita_ta] only — no interning,
+    packing, slicing or sharding code can leak into the trust base. *)
 
 open Ita_ta
 module Dbm = Ita_dbm.Dbm
@@ -40,15 +38,10 @@ type verdict =
   | Sup of { clock : Guard.clock; value : int; kind : sup_kind }
   | Reachable of Semantics.label list
 
-type entry = {
-  st : Semantics.state;
-  l : int array;
-  u : int array;
-  zones : Dbm.t list;
-}
-(** One antichain node: a discrete state, its LU vectors ([-1] on
-    clocks the certificate's mask removed), and its unextrapolated
-    zones. *)
+type entry = { st : Semantics.state; zones : Dbm.t list }
+(** One antichain node: a discrete state and the zones stored for it.
+    Any zone that includes the exact symbolic states reaching the
+    discrete state will do; the engine's are Extra+LU extrapolated. *)
 
 type query_cert = {
   index : int;  (** position of the query in the source file *)
@@ -56,10 +49,6 @@ type query_cert = {
   frozen_comps : int list;
   removed_clocks : int list;
   frozen_vars : int list;
-  merged : (int * int) list;
-      (** (merged, representative) clock pairs recorded by quasi-equal
-          merging; diagnostic only — merged clocks stay in the model
-          and need no special checker treatment. *)
   entries : entry list;
 }
 
@@ -108,9 +97,9 @@ val load : string -> (t, failure) result
 val check : Network.t -> goal:goal -> query_cert -> (stats, failure) result
 (** Verify one query's certificate against the (re-elaborated, original)
     network.  For invariant verdicts this validates the mask and the
-    stored antichain, then discharges initiation, consecution (invariant
-    and guard constant domination, exact delay and discrete successor
-    coverage under [Dbm.le_lu], tried after plain inclusion, LU
-    monotonicity along un-reset clocks) and the verdict judgment.  For
-    reachable verdicts it replays the witness exactly.  Accepts only
-    certificates that prove their verdict, regardless of producer. *)
+    stored antichain, then discharges initiation (the initial zone is
+    included in a stored zone), the verdict judgment and consecution
+    (the exact delay and discrete successors of every stored zone are
+    included in stored zones of their discrete states).  For reachable
+    verdicts it replays the witness exactly.  Accepts only certificates
+    that prove their verdict, regardless of producer. *)

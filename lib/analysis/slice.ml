@@ -12,16 +12,12 @@ type goal = {
 type t = {
   original : Network.t;
   net : Network.t;
-  mode : mode;
   identity : bool;
   comp_map : int option array;
   comp_unmap : int array;
-  edge_maps : int option array array;
   edge_unmaps : int array array;
   clock_map : int option array;
-  clock_unmap : int array;
   var_map : int option array;
-  var_unmap : int array;
   removed_comps : int list;
   removed_clocks : int list;
   removed_vars : int list;
@@ -101,31 +97,23 @@ let rewrite_guard clock_map var_map (g : Guard.t) =
 
 (* ---- identity slice (Off mode, or nothing to remove) ---- *)
 
-let identity_slice mode (net : Network.t) =
+let identity_slice (net : Network.t) =
   let nc = Array.length net.Network.automata in
   let ncl = Array.length net.Network.clock_names in
   let nv = Array.length net.Network.var_names in
   {
     original = net;
     net;
-    mode;
     identity = true;
     comp_map = Array.init nc (fun i -> Some i);
     comp_unmap = Array.init nc Fun.id;
-    edge_maps =
-      Array.map
-        (fun (a : Automaton.t) ->
-          Array.init (Array.length a.Automaton.edges) (fun i -> Some i))
-        net.Network.automata;
     edge_unmaps =
       Array.map
         (fun (a : Automaton.t) ->
           Array.init (Array.length a.Automaton.edges) Fun.id)
         net.Network.automata;
     clock_map = Array.init ncl (fun i -> Some i);
-    clock_unmap = Array.init ncl Fun.id;
     var_map = Array.init nv (fun i -> Some i);
-    var_unmap = Array.init nv Fun.id;
     removed_comps = [];
     removed_clocks = [];
     removed_vars = [];
@@ -173,7 +161,7 @@ let quasi_equal (net : Network.t) ~candidate ~edges =
   merged_into
 
 let make ?(mode = CoiMerge) ~fa (net : Network.t) (goal : goal) =
-  if mode = Off then identity_slice mode net
+  if mode = Off then identity_slice net
   else begin
     let nc = Array.length net.Network.automata in
     let ncl = Array.length net.Network.clock_names in
@@ -378,7 +366,7 @@ let make ?(mode = CoiMerge) ~fa (net : Network.t) (goal : goal) =
       && Array.for_all (fun r -> r < 0) merged_into
       && dropped_edges = [] && untouched_invariants
     in
-    if identity then identity_slice mode net
+    if identity then identity_slice net
     else begin
       (* ---- rebuild the reduced network ---- *)
       let b = Network.Builder.create () in
@@ -499,18 +487,6 @@ let make ?(mode = CoiMerge) ~fa (net : Network.t) (goal : goal) =
             inv)
           (Array.init !kept_count Fun.id)
       in
-      let ncl' = Array.length net'.Network.clock_names in
-      let clock_unmap = Array.make ncl' 0 in
-      for x = 0 to ncl - 1 do
-        match clock_map.(x) with
-        | Some x' when merged_into.(x) < 0 -> clock_unmap.(x') <- x
-        | _ -> ()
-      done;
-      let nv' = Array.length net'.Network.var_names in
-      let var_unmap = Array.make nv' 0 in
-      Array.iteri
-        (fun v m -> match m with Some v' -> var_unmap.(v') <- v | None -> ())
-        var_map;
       let removed_comps = ref [] and removed_clocks = ref [] in
       let removed_vars = ref [] and merged = ref [] in
       for ci = nc - 1 downto 0 do
@@ -526,16 +502,12 @@ let make ?(mode = CoiMerge) ~fa (net : Network.t) (goal : goal) =
       {
         original = net;
         net = net';
-        mode;
         identity = false;
         comp_map;
         comp_unmap;
-        edge_maps;
         edge_unmaps;
         clock_map;
-        clock_unmap;
         var_map;
-        var_unmap;
         removed_comps = !removed_comps;
         removed_clocks = !removed_clocks;
         removed_vars = !removed_vars;

@@ -72,23 +72,16 @@ type goal = {
 type t = {
   original : Network.t;
   net : Network.t;  (** the reduced network the engine should explore *)
-  mode : mode;
   identity : bool;
       (** nothing was removed or merged; [net == original] and every
           map is the identity *)
   comp_map : int option array;  (** original component -> sliced, [None] = removed *)
   comp_unmap : int array;  (** sliced component -> original *)
-  edge_maps : int option array array;
-      (** [edge_maps.(ci).(ei)]: original edge -> sliced edge of kept
-          component [ci] ([None] = dead edge dropped); empty array for
-          removed components *)
   edge_unmaps : int array array;  (** sliced (comp, edge) -> original edge *)
   clock_map : int option array;
       (** original clock -> sliced; merged clocks map to their
           representative's sliced index; index [0] maps to [0] *)
-  clock_unmap : int array;  (** sliced clock -> original representative *)
-  var_map : int option array;
-  var_unmap : int array;
+  var_map : int option array;  (** original variable -> sliced, [None] = removed *)
   removed_comps : int list;  (** ascending original indices *)
   removed_clocks : int list;  (** dropped entirely (merged-away not listed) *)
   removed_vars : int list;

@@ -125,9 +125,9 @@ val compare : t -> t -> int
 (** Total order on zones: dimension first, every empty zone below every
     non-empty one, then lexicographic on the encoded entries.  The
     bound encoding is value-monotone and process-independent, so the
-    order is stable across runs — certificate emission uses it to
-    produce byte-identical artifacts regardless of exploration
-    schedule. *)
+    order is stable across runs — certificate emission sorts with it,
+    so the same zones serialize in the same order whatever the
+    exploration schedule. *)
 
 val to_encoded : t -> int * int array
 (** [(dim, entries)] with [entries] a fresh flat row-major copy of the
@@ -173,7 +173,9 @@ val le_lu : int array -> int array -> t -> t -> bool
     {!extrapolate_lu}: whenever [subset (extrapolate_lu z)
     (extrapolate_lu z')] holds on copies, [le_lu l u z z'] holds on the
     originals.  Empty [z] is below everything; nothing non-empty is
-    below an empty [z']. *)
+    below an empty [z'].  No production code calls it: the explorer
+    and the certificate checker both cover by {!subset}.  It stays
+    for test_dbm's properties and the bench/perf kernel replay. *)
 
 val sup : t -> int -> Bound.t
 (** [sup z i] is the least upper bound of clock [i] over the zone

@@ -3,10 +3,10 @@
 
     An {!Reach.snapshot} (or the one {!Wcrt.sup} surfaces) is
     translated entry by entry to original-model terms: discrete states
-    and zones unmapped through the slice, per-state LU vectors resolved
-    against the explored network's flow-refined tables, and zones
-    re-widened on the clocks active-clock reduction had pinned to [0]
-    — the one normalization the naive checker could not reproduce.
+    and zones unmapped through the slice, and zones re-widened on the
+    clocks active-clock reduction had pinned to [0] — the one
+    normalization the naive checker could not reproduce.  Each entry
+    keeps every zone the passed list stored for its state.
 
     Everything exploration-specific stays on this side of the fence;
     [Ita_cert.Cert.check] consumes only the plain data produced here. *)
@@ -20,8 +20,11 @@ val of_snapshot :
   Ita_cert.Cert.query_cert
 (** Build one query's certificate from a completed exploration.
     [verdict] must be [Unreachable] or [Sup] (with the {e original}
-    clock index); the entries are emitted in the snapshot's sorted
-    order, so certificates are byte-stable across domain counts. *)
+    clock index).  Entries come in the snapshot's sorted order and each
+    entry's zones are sorted by [Dbm.compare], so at one domain the
+    certificate is byte-identical for a given order; at several domains
+    the passed list, and so the certificate, may hold different zones,
+    and it still checks. *)
 
 val of_witness :
   index:int -> Semantics.label list -> Ita_cert.Cert.query_cert

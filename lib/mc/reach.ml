@@ -517,8 +517,8 @@ let run ?(order = Bfs) ?(budget = no_budget) ?domains net ~goal ~on_store () =
 (* Everything certificate emission needs from a completed exploration:
    the slice that translates back to original index space, the network
    the engine actually explored (sliced, flow-refined, query-bumped —
-   the per-state LU vectors must come from {e these} tables), and the
-   sorted passed-list dump. *)
+   the activity tables the stored zones were normalized with are
+   {e these}), and the sorted passed-list dump. *)
 type snapshot = {
   snap_slice : Slice.t;
   snap_net : Network.t;

@@ -109,12 +109,13 @@ type outcome =
 
 type snapshot = {
   snap_slice : Ita_analysis.Slice.t;
-      (** translates states, zones and LU vectors back to the original
-          network's index space *)
+      (** translates states and zones back to the original network's
+          index space *)
   snap_net : Network.t;
       (** the network the engine actually explored: sliced,
-          flow-refined, clock bounds bumped with the query constants —
-          the tables per-state LU vectors must be resolved against *)
+          flow-refined, clock bounds bumped with the query constants.
+          Emission reads only its activity tables, to free the clocks
+          active-clock reduction pinned *)
   snap_passed : (Semantics.state * Semantics.Dbm.t list) list;
       (** the final passed list, sorted by discrete state with each
           antichain sorted by {!Ita_dbm.Dbm.compare} — byte-stable at
@@ -190,10 +191,9 @@ val explore :
     domain count, every zone the exploration generated is included in
     one of them.  The list itself is deterministic at one domain for a
     given order; across orders or domain counts its contents may
-    differ (see {!stats.stored}), which is why {!Cert_emit} prunes each
-    antichain to its a◁LU-maximal subset before writing a certificate.
-    Callers that slice themselves ({!Wcrt.sup}) assemble the full
-    {!snapshot} from it and the network they explored. *)
+    differ (see {!stats.stored}).  Callers that slice themselves
+    ({!Wcrt.sup}) assemble the full {!snapshot} from it and the network
+    they explored. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 val pp_witness : Network.t -> Format.formatter -> step list -> unit

@@ -11,12 +11,12 @@
    query-directed slice removed without knowing how the slicer decided:
    frozen components never move (their locations and variables are
    constants of the checked invariant), removed clocks are
-   unconstrained everywhere and excluded from guard-domination
-   obligations.  All mask handling is direction-checked: the masked
-   relation always has at least the transitions and delays of the real
-   projected system, so every obligation discharged against it also
-   holds for the real runs (the certificate checker validates the
-   isolation conditions that make the converse harmless). *)
+   unconstrained in every stored zone.  All mask handling is
+   direction-checked: the masked relation always has at least the
+   transitions and delays of the real projected system, so every
+   obligation discharged against it also holds for the real runs (the
+   certificate checker validates the isolation conditions that make the
+   converse harmless). *)
 
 module Dbm = Ita_dbm.Dbm
 
@@ -29,9 +29,8 @@ type mask = {
           moves; its location is pinned and its edges are not
           enumerated. *)
   removed_clocks : bool array;
-      (** [true]: the clock is unconstrained in every stored zone and
-          ignored by LU coverage; guard-domination obligations skip
-          it. *)
+      (** [true]: the clock is unconstrained in every stored zone;
+          the certified cone's invariants and the goal never test it. *)
   frozen_vars : bool array;
       (** [true]: the variable is outside the cone and held at its
           initial value. *)
@@ -130,9 +129,9 @@ let delay_allowed (net : Network.t) mask (st : state) =
     net.Network.channels;
   not !urgent
 
-(* Exact time elapse: up then the unmasked invariants, nothing else —
-   the certificate stores unextrapolated zones, so the checker never
-   abstracts. *)
+(* Exact time elapse: up then the unmasked invariants, nothing else.
+   The stored zones may be abstracted; the successors the checker
+   covers with them never are. *)
 let delay (net : Network.t) mask (st : state) z =
   let z = Dbm.copy z in
   Dbm.up z;

@@ -5,15 +5,15 @@
     extrapolation, no active-clock reduction, no interning, no slicing,
     no sharding — so an independent certificate checker
     ({!Ita_cert.Cert}) shares nothing with the optimized exploration
-    path beyond the model representation and [Dbm.le_lu].
+    path beyond the model representation and plain DBM operations.
 
     The {!mask} describes what a query-directed slice removed, without
     exposing how the slicer decided: frozen components never move,
-    removed clocks are unconstrained and exempt from guard-domination
-    obligations, frozen variables hold their initial values.  Every
-    masked operation over-approximates the corresponding real projected
-    behavior (more transitions, more permissive delay), which is the
-    direction certificate soundness needs. *)
+    removed clocks are unconstrained in every stored zone, frozen
+    variables hold their initial values.  Every masked operation
+    over-approximates the corresponding real projected behavior (more
+    transitions, more permissive delay), which is the direction
+    certificate soundness needs. *)
 
 module Dbm = Ita_dbm.Dbm
 

@@ -54,8 +54,7 @@ val lu_bounds : Network.t -> state -> int array * int array
     discrete state [st]: per-location maxima over the components
     ([Network.lloc]/[uloc]), floored by [lbase]/[ubase].  Freshly
     allocated; index [0] is [0].  These are the vectors the Extra+LU
-    extrapolation reads, and the ones certificates record per state
-    for the {!Dbm.le_lu} coverage test. *)
+    extrapolation reads. *)
 
 val initial : Network.t -> config
 (** The initial configuration, delay-closed and extrapolated. *)

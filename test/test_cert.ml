@@ -1,10 +1,10 @@
 (* Certificate tests: every verdict the engine emits must come with a
    certificate the independent checker accepts — at one domain and at
    four, on the model zoo, the shipped example files and the radionav
-   case study.  Invariant
-   certificates must additionally be byte-identical across domain
-   counts, and programmatically corrupted certificates must be
-   rejected with the right obligation named. *)
+   case study.  A small model whose passed list does not depend on the
+   domain count (test_par pins the zoo's) must get byte-identical
+   invariant certificates at both, and programmatically corrupted
+   certificates must be rejected with the right obligation named. *)
 
 open Ita_ta
 open Ita_mc
@@ -207,7 +207,7 @@ let test_radionav_certificates () =
             qc)
 
 (* ------------------------------------------------------------------ *)
-(* Byte stability: the same invariant certificate at any domain count  *)
+(* Byte stability: a schedule-independent passed list, the same bytes   *)
 (* ------------------------------------------------------------------ *)
 
 let test_domain_count_byte_equality () =
@@ -240,14 +240,22 @@ let test_domain_count_byte_equality () =
 let initial_locs (net : Network.t) =
   Array.map (fun (a : Automaton.t) -> a.Automaton.initial) net.Network.automata
 
-let expect_rejection name net ~goal qc expected =
+(* [reason], when given, must end the rejection message: it pins which
+   check of the obligation fired. *)
+let expect_rejection ?reason name net ~goal qc expected =
   match Cert.check net ~goal qc with
   | Ok _ -> Alcotest.failf "%s: corrupted certificate was ACCEPTED" name
   | Error f ->
       Alcotest.(check string)
         (name ^ ": rejection names the right obligation")
         (Cert.obligation_name expected)
-        (Cert.obligation_name f.Cert.obligation)
+        (Cert.obligation_name f.Cert.obligation);
+      Option.iter
+        (fun r ->
+          if not (String.ends_with ~suffix:r f.Cert.message) then
+            Alcotest.failf "%s: rejected with %S, expected it to end with %S"
+              name f.Cert.message r)
+        reason
 
 let wf_base () =
   let net = Models.wide_frontier () in
@@ -308,26 +316,33 @@ let test_mutation_widen_zone () =
     { qc with Cert.entries }
     Cert.Judgment
 
-let test_mutation_shrink_lu () =
+let test_mutation_narrow_zone () =
   let net, unreach, qc = wf_base () in
-  (* location B carries the invariant c0 <= 5: an entry there whose U
-     vector is shrunk below 5 can no longer dominate it, so the
-     abstraction the certificate claims is unsound — consecution *)
-  let shrunk = ref false in
+  (* P1 enters C only by edges that reset c1, and C does not constrain
+     c1.  Narrowing the one zone of an entry with P1 at C to c1 >= 1
+     keeps it closed under delay, but a predecessor's successor that
+     has just reset c1 no longer fits: consecution, through a discrete
+     step (dropping the entry instead fails the state lookup) *)
+  let p1 = Network.component_index net "P1" in
+  let c1 = Network.clock_index net "c1" in
+  let narrowed = ref false in
   let entries =
     List.map
       (fun (e : Cert.entry) ->
-        if (not !shrunk) && e.Cert.st.Semantics.locs.(0) = 1 then begin
-          shrunk := true;
-          let u = Array.copy e.Cert.u in
-          u.(1) <- 0;
-          { e with Cert.u = u }
-        end
-        else e)
+        match e.Cert.zones with
+        | [ z ] when (not !narrowed) && e.Cert.st.Semantics.locs.(p1) = 2 ->
+            narrowed := true;
+            let z = Dbm.copy z in
+            Guard.apply e.Cert.st.Semantics.env (Guard.clock_ge c1 1) z;
+            { e with Cert.zones = [ z ] }
+        | _ -> e)
       qc.Cert.entries
   in
-  Alcotest.(check bool) "shrink-lu: found a B entry" true !shrunk;
-  expect_rejection "shrink-lu" net
+  Alcotest.(check bool) "narrow-zone: found a one-zone entry with P1 at C"
+    true !narrowed;
+  expect_rejection
+    ~reason:"discrete successor escapes the certified antichain"
+    "narrow-zone" net
     ~goal:(Cert_emit.goal_of_query unreach)
     { qc with Cert.entries }
     Cert.Consecution
@@ -335,9 +350,9 @@ let test_mutation_shrink_lu () =
 let test_mutation_swap_state () =
   let net, unreach, qc = wf_base () in
   let init = initial_locs net in
-  (* exchange the discrete states of two stored entries (keeping
-     zones and LU vectors in place): both antichains now sit under the
-     wrong locations and consecution's coverage collapses *)
+  (* exchange the discrete states of two stored entries (keeping their
+     zones in place): both antichains now sit under the wrong locations
+     and consecution's coverage collapses *)
   let swappable =
     List.filter
       (fun (e : Cert.entry) ->
@@ -361,15 +376,16 @@ let test_mutation_swap_state () =
 let test_mutation_stale_version () =
   let net, _, qc = wf_base () in
   let s = Cert.to_string (Cert_emit.make net [ qc ]) in
-  let tag = "tamc-cert 1" in
+  let tag = Printf.sprintf "tamc-cert %d" Cert.version in
   Alcotest.(check bool) "stale-version: header present" true
     (String.length s > String.length tag
     && String.sub s 0 (String.length tag) = tag);
   let stale =
-    "tamc-cert 0" ^ String.sub s (String.length tag) (String.length s - String.length tag)
+    Printf.sprintf "tamc-cert %d" (Cert.version - 1)
+    ^ String.sub s (String.length tag) (String.length s - String.length tag)
   in
   match Cert.parse stale with
-  | Ok _ -> Alcotest.fail "stale-version: parsed a version-0 certificate"
+  | Ok _ -> Alcotest.fail "stale-version: parsed a previous-version certificate"
   | Error f ->
       Alcotest.(check string) "stale-version: rejection names format"
         (Cert.obligation_name Cert.Format)
@@ -400,8 +416,8 @@ let () =
             test_mutation_drop_state;
           Alcotest.test_case "widened zone -> judgment" `Quick
             test_mutation_widen_zone;
-          Alcotest.test_case "shrunk LU vector -> consecution" `Quick
-            test_mutation_shrink_lu;
+          Alcotest.test_case "narrowed zone -> consecution" `Quick
+            test_mutation_narrow_zone;
           Alcotest.test_case "swapped discrete state -> consecution" `Quick
             test_mutation_swap_state;
           Alcotest.test_case "stale version tag -> format" `Quick
