@@ -39,9 +39,9 @@ type verdict =
   | Reachable of Semantics.label list
 
 type entry = { st : Semantics.state; zones : Dbm.t list }
-(** One antichain node: a discrete state and the zones stored for it.
-    Any zone that includes the exact symbolic states reaching the
-    discrete state will do; the engine's are Extra+LU extrapolated. *)
+(** One antichain node: a discrete state and the zones stored for it,
+    whose union must include every valuation reachable there.  The
+    engine's zones are Extra+LU extrapolated. *)
 
 type query_cert = {
   index : int;  (** position of the query in the source file *)

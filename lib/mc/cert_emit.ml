@@ -29,8 +29,8 @@ let free_inactive (net : Network.t) (st : Semantics.state) z =
 (* Extra+LU only widens, and the passed list drops a zone only for one
    that includes it, so every exact successor of a stored zone is
    included in a stored zone: plain inclusion is all the checker needs.
-   Sorting makes an entry independent of the order in which workers
-   stored its zones. *)
+   Freeing and unmapping can reorder the snapshot's sorted antichain,
+   so the zones are sorted again. *)
 let entries_of_snapshot (snap : Reach.snapshot) : Cert.entry list =
   let sl = snap.Reach.snap_slice in
   let snet = snap.Reach.snap_net in

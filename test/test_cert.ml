@@ -207,7 +207,7 @@ let test_radionav_certificates () =
             qc)
 
 (* ------------------------------------------------------------------ *)
-(* Byte stability: a schedule-independent passed list, the same bytes   *)
+(* Byte stability: a schedule-independent passed list, the same bytes *)
 (* ------------------------------------------------------------------ *)
 
 let test_domain_count_byte_equality () =
