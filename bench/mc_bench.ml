@@ -7,10 +7,10 @@
    domains whose WCRT must be byte-identical, and the certificate
    column.
 
-   Every run has the engine's one zone abstraction (Extra+LU over the
-   flow-refined bounds) and its always-on query-directed slicing and
-   active-clock reduction; their differential oracles live in the test
-   suites (test_mc, test_slice, test_analysis).
+   Every run explores the query's whole network with the engine's one
+   zone abstraction (Extra+LU over the flow-refined bounds) and its
+   always-on active-clock reduction; their differential oracles live
+   in the test suites (test_mc, test_flow, test_analysis).
 
    Run with: dune exec bench/mc_bench.exe            (full suite)
              BENCH_QUICK=1 dune exec bench/mc_bench.exe   (CI smoke)

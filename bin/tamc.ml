@@ -217,8 +217,8 @@ let check_cmd =
    emitted certificate with the independent checker ([Ita_cert]).
    Exit codes: 0 = everything certified; 1 = I/O or usage errors; 3-9 =
    the first failed obligation ([Cert.exit_code]): format 3,
-   fingerprint 4, mask 5, initiation 6, consecution 7, judgment 8,
-   witness 9. *)
+   fingerprint 4, initiation 6, consecution 7, judgment 8, witness 9
+   (5 is unassigned). *)
 
 let run_certify path cert_path json =
   match load path with
@@ -494,8 +494,9 @@ let flow_cmd =
           per-location variable intervals and global ranges")
     Term.(const run_flow $ file_arg)
 
-(* slice: report what the query-directed reduction removes or merges,
-   each removal mapped back to its declaration's source position. *)
+(* slice: report each query's cone of influence — what lies outside it,
+   components mapped back to their declarations' source positions.  The
+   checker explores the whole network regardless. *)
 
 let run_slice path =
   let slicing = Reach.default_slicing () in
@@ -518,7 +519,7 @@ let run_slice path =
             match q with
             | E.Deadlock_q ->
                 Format.printf
-                  "query %d: deadlock — whole-network property, not sliced@." i
+                  "query %d: deadlock — a whole-network property, no cone@." i
             | E.Reach_q q ->
                 Format.printf "query %d: reach %a@." i (Ita_mc.Query.pp net) q;
                 let sl, _, _ = Reach.slice_query slicing net q in
@@ -539,9 +540,9 @@ let slice_cmd =
   Cmd.v
     (Cmd.info "slice"
        ~doc:
-         "report the query-directed model reduction: components, clocks \
-          and variables outside each query's cone of influence, \
-          quasi-equal clock merges and dead edges, with source positions")
+         "report each query's cone of influence: the components, clocks \
+          and variables outside it and the dead edges inside it, with \
+          source positions")
     Term.(const run_slice $ file_arg)
 
 let () =

@@ -2,28 +2,23 @@
    format, and the independent checker.
 
    A certificate for an unreachable / sup verdict is the explorer's
-   final passed-list antichain translated back to the original
-   pre-slicing model: per discrete state its stored (Extra+LU
+   final passed-list antichain: per discrete state its stored (Extra+LU
    extrapolated, inactive clocks freed) zones.  The checker re-derives
    every obligation with the naive {!Reference} semantics — exact DBM
    successor computation, with coverage by [Dbm.subset] as the only
    primitive shared with the explorer — so a bug anywhere in the
-   optimizing pipeline (flow refinement, slicing, interning, packed
-   keys, sharded exploration, Extra+LU extrapolation) cannot survive
+   optimizing pipeline (flow refinement, interning, packed keys,
+   sharded exploration, Extra+LU extrapolation) cannot survive
    certification unless the independent replay reproduces it.
 
    Soundness is self-contained: [check] accepts only certificates that
    prove their verdict for the given network and goal, regardless of
-   who produced them.  The mask-isolation validations exist exactly for
-   this — a certificate may declare components/clocks/variables outside
-   the certified cone, and the checker first proves the declaration
-   harmless (frozen components cannot write, synchronize into, or be
-   read by the cone) before trusting it. *)
+   who produced them. *)
 
 open Ita_ta
 module Dbm = Ita_dbm.Dbm
 
-let version = 2
+let version = 3
 
 type goal = { comp_locs : (int * int) list; guard : Guard.t }
 type sup_kind = Attained | Approached
@@ -35,21 +30,13 @@ type verdict =
 
 type entry = { st : Semantics.state; zones : Dbm.t list }
 
-type query_cert = {
-  index : int;
-  verdict : verdict;
-  frozen_comps : int list;
-  removed_clocks : int list;
-  frozen_vars : int list;
-  entries : entry list;
-}
+type query_cert = { index : int; verdict : verdict; entries : entry list }
 
 type t = { fingerprint : int; queries : query_cert list }
 
 type obligation =
   | Format
   | Fingerprint
-  | Mask
   | Initiation
   | Consecution
   | Judgment
@@ -62,18 +49,17 @@ type stats = { checked_states : int; checked_zones : int }
 let obligation_name = function
   | Format -> "format"
   | Fingerprint -> "fingerprint"
-  | Mask -> "mask"
   | Initiation -> "initiation"
   | Consecution -> "consecution"
   | Judgment -> "judgment"
   | Witness -> "witness"
 
 (* Stable exit codes for [tamc certify]; 1/2 stay free for usage and
-   I/O errors, as in the other subcommands. *)
+   I/O errors, as in the other subcommands, and 5 stays unassigned (it
+   named the slice mask of version-2 certificates). *)
 let exit_code = function
   | Format -> 3
   | Fingerprint -> 4
-  | Mask -> 5
   | Initiation -> 6
   | Consecution -> 7
   | Judgment -> 8
@@ -103,11 +89,6 @@ let fingerprint (net : Network.t) =
 
 let bpf = Printf.bprintf
 
-let write_ints buf tag xs =
-  bpf buf "%s %d" tag (List.length xs);
-  List.iter (fun x -> bpf buf " %d" x) xs;
-  bpf buf "\n"
-
 let write_label buf = function
   | Semantics.Internal { comp; edge } -> bpf buf "step internal %d %d\n" comp edge
   | Semantics.Sync { chan; sender = si, se; receivers } ->
@@ -125,9 +106,6 @@ let write_query buf (q : query_cert) =
   | Reachable labels ->
       bpf buf "verdict reachable %d\n" (List.length labels);
       List.iter (write_label buf) labels);
-  write_ints buf "mask-comps" q.frozen_comps;
-  write_ints buf "mask-clocks" q.removed_clocks;
-  write_ints buf "mask-vars" q.frozen_vars;
   bpf buf "states %d\n" (List.length q.entries);
   List.iter
     (fun e ->
@@ -195,16 +173,6 @@ let parse (s : string) : (t, failure) result =
     | t :: rest when t = tag -> rest
     | t :: _ -> parse_error "expected %S, got %S" tag t
     | [] -> parse_error "expected %S, got an empty line" tag
-  in
-  let counted tag =
-    match tagged tag with
-    | n :: rest ->
-        let n = int_of n in
-        let rest = ints rest in
-        if List.length rest <> n then
-          parse_error "%s: expected %d values, got %d" tag n (List.length rest);
-        rest
-    | [] -> parse_error "%s: missing count" tag
   in
   let parse_label = function
     | [ "internal"; c; e ] ->
@@ -288,9 +256,6 @@ let parse (s : string) : (t, failure) result =
           Reachable (List.init n (fun _ -> parse_label (tagged "step")))
       | _ -> parse_error "malformed verdict"
     in
-    let frozen_comps = counted "mask-comps" in
-    let removed_clocks = counted "mask-clocks" in
-    let frozen_vars = counted "mask-vars" in
     let n_entries =
       match tagged "states" with
       | [ n ] -> int_of n
@@ -300,7 +265,7 @@ let parse (s : string) : (t, failure) result =
     (match next () with
     | [ "end-query" ] -> ()
     | _ -> parse_error "expected end-query");
-    { index; verdict; frozen_comps; removed_clocks; frozen_vars; entries }
+    { index; verdict; entries }
   in
   match
     let v =
@@ -351,192 +316,20 @@ exception Fail of failure
 let fail obligation fmt =
   Format.kasprintf (fun message -> raise (Fail { obligation; message })) fmt
 
-let mask_of_query (net : Network.t) (q : query_cert) : Reference.mask =
-  let nc = Array.length net.Network.automata in
-  let ncl = Array.length net.Network.clock_names in
-  let nv = Array.length net.Network.var_names in
-  let mask = Reference.no_mask net in
-  let set tag arr n i =
-    if i < 0 || i >= n then fail Format "%s index %d out of range" tag i;
-    arr.(i) <- true
-  in
-  List.iter (set "mask component" mask.Reference.frozen_comps nc) q.frozen_comps;
-  List.iter (set "mask clock" mask.Reference.removed_clocks ncl) q.removed_clocks;
-  List.iter (set "mask variable" mask.Reference.frozen_vars nv) q.frozen_vars;
-  if mask.Reference.removed_clocks.(0) then
-    fail Format "the reference clock cannot be removed";
-  mask
-
-(* Environment canonicalization: frozen variables are invisible to the
-   certified cone (read isolation is validated below), so states are
-   matched with them pinned at their initial values. *)
-let canon_env (net : Network.t) (mask : Reference.mask) env =
-  let env = Array.copy env in
-  Array.iteri
-    (fun v frozen -> if frozen then env.(v) <- net.Network.var_init.(v))
-    mask.Reference.frozen_vars;
-  env
-
-(* ---- mask isolation: prove the declared mask harmless ---- *)
-
-(* Locations of [a] reachable from its initial location over its own
-   edges, ignoring guards — a sound over-approximation of where the
-   component can ever be inside the full product. *)
-let bfs_locs (a : Automaton.t) =
-  let n = Array.length a.Automaton.locations in
-  let seen = Array.make n false in
-  let rec go l =
-    if not seen.(l) then begin
-      seen.(l) <- true;
-      List.iter
-        (fun ei -> go (Automaton.edge a ei).Automaton.dst)
-        (Automaton.out_edges a l)
-    end
-  in
-  go a.Automaton.initial;
-  seen
-
-let validate_mask (net : Network.t) (mask : Reference.mask) =
-  let nc = Array.length net.Network.automata in
-  let frozen i = mask.Reference.frozen_comps.(i) in
-  let removed x = mask.Reference.removed_clocks.(x) in
-  let fvar v = mask.Reference.frozen_vars.(v) in
-  let comp_name i = net.Network.automata.(i).Automaton.name in
-  (* (1) write and synchronization isolation of frozen components *)
-  let unmasked_has_sync c role =
-    let rec go i =
-      i < nc
-      && (((not (frozen i))
-          && Array.exists
-               (fun (e : Automaton.edge) ->
-                 match (e.Automaton.sync, role) with
-                 | Automaton.Send c', `Send -> c' = c
-                 | Automaton.Recv c', `Recv -> c' = c
-                 | _ -> false)
-               net.Network.automata.(i).Automaton.edges)
-         || go (i + 1))
-    in
-    go 0
-  in
-  for i = 0 to nc - 1 do
-    if frozen i then begin
-      let a = net.Network.automata.(i) in
-      let reach = bfs_locs a in
-      Array.iteri
-        (fun _ei (e : Automaton.edge) ->
-          if reach.(e.Automaton.src) then begin
-            List.iter
-              (function
-                | Update.Set_var (v, _) ->
-                    if not (fvar v) then
-                      fail Mask
-                        "frozen component %s can write unmasked variable %s"
-                        (comp_name i) net.Network.var_names.(v)
-                | Update.Reset_clock (x, _) ->
-                    if not (removed x) then
-                      fail Mask
-                        "frozen component %s can reset unmasked clock %s"
-                        (comp_name i) net.Network.clock_names.(x))
-              e.Automaton.update;
-            match e.Automaton.sync with
-            | Automaton.NoSync -> ()
-            | Automaton.Send c ->
-                if unmasked_has_sync c `Recv then
-                  fail Mask
-                    "frozen component %s can send on %s, which unmasked \
-                     components receive"
-                    (comp_name i) net.Network.channels.(c).Channel.name
-            | Automaton.Recv c -> (
-                match net.Network.channels.(c).Channel.kind with
-                | Channel.Broadcast -> ()
-                  (* a broadcast receiver never blocks nor moves its
-                     sender; its own moves are covered by write
-                     isolation *)
-                | Channel.Binary ->
-                    if unmasked_has_sync c `Send then
-                      fail Mask
-                        "frozen component %s can complete binary %s for \
-                         unmasked senders"
-                        (comp_name i) net.Network.channels.(c).Channel.name)
-          end)
-        a.Automaton.edges
-    end
-  done;
-  (* (2) read isolation: the certified cone never reads frozen
-     variables, and invariants never test removed clocks *)
-  let check_no_frozen what vars =
-    List.iter
-      (fun v ->
-        if fvar v then
-          fail Mask "%s reads frozen variable %s" what net.Network.var_names.(v))
-      vars
-  in
-  let check_guard what ~invariant (g : Guard.t) =
-    check_no_frozen what (Expr.bvars g.Guard.data);
-    List.iter
-      (fun (at : Guard.atom) ->
-        check_no_frozen what (Expr.ivars at.Guard.bound);
-        if invariant && removed at.Guard.clock then
-          fail Mask "%s tests removed clock %s" what
-            net.Network.clock_names.(at.Guard.clock))
-      g.Guard.clocks
-  in
-  for i = 0 to nc - 1 do
-    if not (frozen i) then begin
-      let a = net.Network.automata.(i) in
-      Array.iter
-        (fun (l : Automaton.location) ->
-          check_guard
-            (Printf.sprintf "invariant of %s.%s" (comp_name i)
-               l.Automaton.loc_name)
-            ~invariant:true l.Automaton.invariant)
-        a.Automaton.locations;
-      Array.iter
-        (fun (e : Automaton.edge) ->
-          let what = Printf.sprintf "an edge of %s" (comp_name i) in
-          check_guard what ~invariant:false e.Automaton.guard;
-          List.iter
-            (function
-              | Update.Set_var (v, rhs) ->
-                  if not (fvar v) then check_no_frozen what (Expr.ivars rhs)
-              | Update.Reset_clock (x, rhs) ->
-                  if not (removed x) then check_no_frozen what (Expr.ivars rhs))
-            e.Automaton.update)
-        a.Automaton.edges
-    end
-  done
-
-let validate_goal (net : Network.t) (mask : Reference.mask) (goal : goal) =
+let validate_goal (net : Network.t) (goal : goal) =
   List.iter
     (fun (i, l) ->
       if i < 0 || i >= Array.length net.Network.automata then
         fail Format "goal component %d out of range" i;
       if l < 0 || l >= Array.length net.Network.automata.(i).Automaton.locations
-      then fail Format "goal location %d out of range" l;
-      if mask.Reference.frozen_comps.(i) then
-        fail Mask "goal watches frozen component %s"
-          net.Network.automata.(i).Automaton.name)
-    goal.comp_locs;
-  List.iter
-    (fun v ->
-      if mask.Reference.frozen_vars.(v) then
-        fail Mask "goal reads frozen variable %s" net.Network.var_names.(v))
-    (Expr.bvars goal.guard.Guard.data);
-  List.iter
-    (fun (at : Guard.atom) ->
-      if mask.Reference.removed_clocks.(at.Guard.clock) then
-        fail Mask "goal tests removed clock %s"
-          net.Network.clock_names.(at.Guard.clock);
-      List.iter
-        (fun v ->
-          if mask.Reference.frozen_vars.(v) then
-            fail Mask "goal reads frozen variable %s" net.Network.var_names.(v))
-        (Expr.ivars at.Guard.bound))
-    goal.guard.Guard.clocks
+      then fail Format "goal location %d out of range" l)
+    goal.comp_locs
 
 (* ---- structural validation of the stored antichain ---- *)
 
-let validate_entries (net : Network.t) (mask : Reference.mask) entries =
+let state_key (st : Semantics.state) = (st.Semantics.locs, st.Semantics.env)
+
+let validate_entries (net : Network.t) entries =
   let nc = Array.length net.Network.automata in
   let ncl = Array.length net.Network.clock_names in
   let nv = Array.length net.Network.var_names in
@@ -553,38 +346,19 @@ let validate_entries (net : Network.t) (mask : Reference.mask) entries =
           let a = net.Network.automata.(i) in
           if l < 0 || l >= Array.length a.Automaton.locations then
             fail Format "%s: location %d out of range for %s" where l
-              a.Automaton.name;
-          if mask.Reference.frozen_comps.(i) && l <> a.Automaton.initial then
-            fail Mask "%s: frozen component %s away from its initial location"
-              where a.Automaton.name)
+              a.Automaton.name)
         e.st.Semantics.locs;
-      Array.iteri
-        (fun v x ->
-          if mask.Reference.frozen_vars.(v) && x <> net.Network.var_init.(v)
-          then
-            fail Mask "%s: frozen variable %s away from its initial value"
-              where net.Network.var_names.(v))
-        e.st.Semantics.env;
       if e.zones = [] then fail Format "%s: no zones" where;
       List.iter
         (fun z ->
           if Dbm.dim z <> ncl then
             fail Format "%s: zone dimension %d, expected %d" where (Dbm.dim z)
               ncl;
-          if Dbm.is_empty z then fail Format "%s: empty stored zone" where;
-          let zf = Dbm.copy z in
-          for x = 1 to ncl - 1 do
-            if mask.Reference.removed_clocks.(x) then Dbm.free zf x
-          done;
-          if not (Dbm.equal z zf) then
-            fail Mask "%s: a stored zone constrains a removed clock" where)
+          if Dbm.is_empty z then fail Format "%s: empty stored zone" where)
         e.zones;
-      let key =
-        (e.st.Semantics.locs, canon_env net mask e.st.Semantics.env)
-      in
-      if Hashtbl.mem seen key then
+      if Hashtbl.mem seen (state_key e.st) then
         fail Format "%s: duplicate discrete state" where;
-      Hashtbl.add seen key k)
+      Hashtbl.add seen (state_key e.st) k)
     entries;
   seen
 
@@ -595,25 +369,24 @@ let validate_entries (net : Network.t) (mask : Reference.mask) entries =
    includes it. *)
 let covered_by (e : entry) z = List.exists (fun w -> Dbm.subset z w) e.zones
 
-let check_consecution (net : Network.t) (mask : Reference.mask) entries index =
+let check_consecution (net : Network.t) entries index =
   let zone_count = ref 0 in
   let earr = Array.of_list entries in
   let lookup st =
-    let key = (st.Semantics.locs, canon_env net mask st.Semantics.env) in
-    match Hashtbl.find_opt index key with
+    match Hashtbl.find_opt index (state_key st) with
     | Some k -> earr.(k)
     | None -> raise Not_found
   in
   List.iteri
     (fun k (e : entry) ->
       let st = e.st in
-      (* delay coverage: when the unmasked components permit delay, the
-         exact time elapse of every stored zone stays covered *)
-      if Reference.delay_allowed net mask st then
+      (* delay coverage: when time may elapse, the exact time elapse of
+         every stored zone stays covered *)
+      if Reference.delay_allowed net st then
         List.iter
           (fun z ->
             incr zone_count;
-            let d = Reference.delay net mask st z in
+            let d = Reference.delay net st z in
             if not (Dbm.is_empty d) then
               if not (covered_by e d) then
                 fail Consecution
@@ -627,7 +400,7 @@ let check_consecution (net : Network.t) (mask : Reference.mask) entries index =
           (* a transition whose guards already contradict the invariants
              (or each other) at this discrete state can never fire from
              any covered valuation: no obligations *)
-          let zfire = Reference.inv_zone net mask st in
+          let zfire = Reference.inv_zone net st in
           List.iter
             (fun (i, ei) ->
               let ed = Automaton.edge net.Network.automata.(i) ei in
@@ -642,7 +415,7 @@ let check_consecution (net : Network.t) (mask : Reference.mask) entries index =
             List.iter
               (fun z ->
                 incr zone_count;
-                match Reference.fire net mask st z j.Reference.parts with
+                match Reference.fire net st z j.Reference.parts with
                 | None -> ()
                 | Some (st', z') ->
                     let e' =
@@ -667,15 +440,14 @@ let check_consecution (net : Network.t) (mask : Reference.mask) entries index =
                         what)
               e.zones
           end)
-        (Reference.joint_transitions net mask st))
+        (Reference.joint_transitions net st))
     entries;
   !zone_count
 
-let check_initiation (net : Network.t) (mask : Reference.mask) entries index =
-  let st0, z0 = Reference.initial net mask in
+let check_initiation (net : Network.t) entries index =
+  let st0, z0 = Reference.initial net in
   if not (Dbm.is_empty z0) then begin
-    let key = (st0.Semantics.locs, canon_env net mask st0.Semantics.env) in
-    match Hashtbl.find_opt index key with
+    match Hashtbl.find_opt index (state_key st0) with
     | None -> fail Initiation "the initial state is not in the certified antichain"
     | Some k ->
         let e = List.nth entries k in
@@ -704,13 +476,14 @@ let check_unreachable_judgment goal entries =
         e.zones)
     (goal_entries goal entries)
 
-let check_sup_judgment (net : Network.t) (mask : Reference.mask) goal ~clock
-    ~value ~kind entries =
+(* Both tests read each goal-state zone intersected with the goal guard
+   and the state's invariants: the valuations a run can hold there.  The
+   bound then holds for every run; attainment needs a certified
+   valuation at the claimed bound, which a replayed run would have to
+   confirm. *)
+let check_sup_judgment (net : Network.t) goal ~clock ~value ~kind entries =
   if clock <= 0 || clock >= Array.length net.Network.clock_names then
     fail Format "sup clock %d out of range" clock;
-  if mask.Reference.removed_clocks.(clock) then
-    fail Mask "sup clock %s was removed by the mask"
-      net.Network.clock_names.(clock);
   let bound =
     match kind with
     | Attained -> Ita_dbm.Bound.le value
@@ -723,6 +496,7 @@ let check_sup_judgment (net : Network.t) (mask : Reference.mask) goal ~clock
         (fun z ->
           let z = Dbm.copy z in
           Guard.apply e.st.Semantics.env goal.guard z;
+          Reference.apply_invariants net e.st z;
           if not (Dbm.is_empty z) then begin
             let s = Dbm.sup z clock in
             if Ita_dbm.Bound.lt_bound bound s then
@@ -747,51 +521,47 @@ let check_sup_judgment (net : Network.t) (mask : Reference.mask) goal ~clock
 (* ---- witness replay ---- *)
 
 let check_witness (net : Network.t) goal labels =
-  let meets_goal (st, z) =
-    List.for_all (fun (i, l) -> st.Semantics.locs.(i) = l) goal.comp_locs
-    && Guard.data_holds st.Semantics.env goal.guard
-    &&
-    let z = Dbm.copy z in
-    Guard.apply st.Semantics.env goal.guard z;
-    not (Dbm.is_empty z)
-  in
-  let final =
+  let st, z =
     List.fold_left
-      (fun cfgs label ->
-        match Reference.step_exact net cfgs label with
-        | [] ->
+      (fun cfg label ->
+        match Reference.step_exact net cfg label with
+        | None ->
             fail Witness "witness step %a is not a real transition"
               (Semantics.pp_label net) label
-        | cfgs' -> cfgs')
-      [ Reference.initial_exact net ]
+        | Some cfg' -> cfg')
+      (Reference.initial_exact net)
       labels
   in
-  if not (List.exists meets_goal final) then
-    fail Witness "the replayed witness does not satisfy the goal"
+  let z = Dbm.copy z in
+  Guard.apply st.Semantics.env goal.guard z;
+  if
+    not
+      (List.for_all (fun (i, l) -> st.Semantics.locs.(i) = l) goal.comp_locs
+      && Guard.data_holds st.Semantics.env goal.guard
+      && not (Dbm.is_empty z))
+  then fail Witness "the replayed witness does not satisfy the goal"
 
 (* ---- entry point ---- *)
 
 let check (net : Network.t) ~(goal : goal) (q : query_cert) :
     (stats, failure) result =
   try
-    let mask = mask_of_query net q in
-    validate_mask net mask;
-    validate_goal net mask goal;
+    validate_goal net goal;
     match q.verdict with
     | Reachable labels ->
         check_witness net goal labels;
         Ok { checked_states = 0; checked_zones = 0 }
     | Unreachable | Sup _ ->
-        let index = validate_entries net mask q.entries in
-        check_initiation net mask q.entries index;
+        let index = validate_entries net q.entries in
+        check_initiation net q.entries index;
         (* judgment before consecution: it is cheap, and a mutation
            that breaks the verdict claim is reported as the verdict's
            failure even when it also breaks induction *)
         (match q.verdict with
         | Unreachable -> check_unreachable_judgment goal q.entries
         | Sup { clock; value; kind } ->
-            check_sup_judgment net mask goal ~clock ~value ~kind q.entries
+            check_sup_judgment net goal ~clock ~value ~kind q.entries
         | Reachable _ -> assert false);
-        let zones = check_consecution net mask q.entries index in
+        let zones = check_consecution net q.entries index in
         Ok { checked_states = List.length q.entries; checked_zones = zones }
   with Fail f -> Error f

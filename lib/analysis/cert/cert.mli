@@ -4,18 +4,18 @@
     certificate that proves it without trusting the engine:
 
     - {b unreachable} and {b sup} verdicts carry the final passed-list
-      antichain — per discrete state its stored zones — translated back
-      to the original pre-slicing model.  The checker verifies that
-      their union is an inductive invariant ({e initiation} +
-      {e consecution}) that implies the verdict ({e judgment});
+      antichain — per discrete state its stored zones.  The checker
+      verifies that their union is an inductive invariant
+      ({e initiation} + {e consecution}) that implies the verdict
+      ({e judgment});
     - {b reachable} verdicts carry the witness label sequence, replayed
       with exact successor computation.
 
     The checker is deliberately naive: {!Reference} semantics, plain
     DBM operations, and coverage by [Dbm.subset] as the only primitive
     shared with the exploration path.  Its dune library declares
-    dependencies on [ita_dbm] and [ita_ta] only — no interning,
-    packing, slicing or sharding code can leak into the trust base. *)
+    dependencies on [ita_dbm] and [ita_ta] only — no interning, packing,
+    flow analysis or sharding code can leak into the trust base. *)
 
 open Ita_ta
 module Dbm = Ita_dbm.Dbm
@@ -46,10 +46,7 @@ type entry = { st : Semantics.state; zones : Dbm.t list }
 type query_cert = {
   index : int;  (** position of the query in the source file *)
   verdict : verdict;
-  frozen_comps : int list;
-  removed_clocks : int list;
-  frozen_vars : int list;
-  entries : entry list;
+  entries : entry list;  (** empty for a reachable verdict *)
 }
 
 type t = { fingerprint : int; queries : query_cert list }
@@ -57,7 +54,6 @@ type t = { fingerprint : int; queries : query_cert list }
 type obligation =
   | Format  (** unparsable or structurally ill-formed certificate *)
   | Fingerprint  (** certificate was produced for a different model *)
-  | Mask  (** the declared slice mask is not provably harmless *)
   | Initiation  (** initial symbolic state not covered *)
   | Consecution  (** some successor escapes the antichain *)
   | Judgment  (** the invariant does not imply the claimed verdict *)
@@ -73,8 +69,10 @@ val obligation_name : obligation -> string
 (** Kebab-free lowercase name, stable for [--json] output. *)
 
 val exit_code : obligation -> int
-(** Process exit code [tamc certify] uses for a failed obligation
-    (3-9); [0] is success, [1]/[2] stay usage and I/O errors. *)
+(** Process exit code [tamc certify] uses for a failed obligation:
+    format 3, fingerprint 4, initiation 6, consecution 7, judgment 8,
+    witness 9 (5 is unassigned); [0] is success, [1]/[2] stay usage
+    and I/O errors. *)
 
 val fingerprint : Network.t -> int
 (** Structural hash of the elaborated network, stored in certificates
@@ -95,11 +93,17 @@ val load : string -> (t, failure) result
 (** Read and {!parse} a certificate file. *)
 
 val check : Network.t -> goal:goal -> query_cert -> (stats, failure) result
-(** Verify one query's certificate against the (re-elaborated, original)
-    network.  For invariant verdicts this validates the mask and the
-    stored antichain, then discharges initiation (the initial zone is
-    included in a stored zone), the verdict judgment and consecution
-    (the exact delay and discrete successors of every stored zone are
-    included in stored zones of their discrete states).  For reachable
-    verdicts it replays the witness exactly.  Accepts only certificates
-    that prove their verdict, regardless of producer. *)
+(** Verify one query's certificate against the re-elaborated network.
+    For invariant verdicts this validates the stored antichain, then
+    discharges initiation (the initial zone is included in a stored
+    zone), the verdict judgment and consecution (the exact delay and
+    discrete successors of every stored zone are included in stored
+    zones of their discrete states).  The sup judgment reads each
+    goal-state zone intersected with the goal and with the state's
+    invariants: no such valuation exceeds the claimed bound, and one
+    reaches it.  That proves the bound for every run; that a run
+    attains it would take a replayed run, which the checker does not
+    ask for (ROADMAP, Explainable WCRTs).  For reachable verdicts it
+    replays the witness exactly; each broadcast label must list every
+    component that can receive.  Accepts only certificates that prove
+    their verdict, regardless of producer. *)

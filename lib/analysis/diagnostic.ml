@@ -26,7 +26,6 @@ type pass =
   | Trivial_guard
   | Sync_write_race
   | Outside_cone
-  | Merged_query_clock
 
 type t = {
   pass : pass;
@@ -51,7 +50,6 @@ let pass_name = function
   | Trivial_guard -> "always-true-guard"
   | Sync_write_race -> "sync-write-race"
   | Outside_cone -> "outside-query-cone"
-  | Merged_query_clock -> "merged-query-clock"
 
 (* stable numeric pass id, part of the deterministic output order *)
 let pass_id = function
@@ -69,7 +67,6 @@ let pass_id = function
   | Trivial_guard -> 11
   | Sync_write_race -> 12
   | Outside_cone -> 13
-  | Merged_query_clock -> 14
 
 let severity_name = function
   | Hint -> "hint"

@@ -39,13 +39,9 @@ type pass =
   | Outside_cone
       (** component outside the backward cone of influence of the
           observed query — it can neither block, force nor retime
-          anything the query can see ({!Slice}); only emitted when
-          {!Lint.run} is given [observed_comps] *)
-  | Merged_query_clock
-      (** a clock the query observes that quasi-equal merging
-          ([CoiMerge]) folds into another clock with the identical
-          reset pattern; only emitted when {!Lint.run} is given
-          [observed_clocks] and the clock is not pinned *)
+          anything the query can see ({!Slice}), though the checker
+          still explores it; only emitted when {!Lint.run} is given
+          [observed_comps] *)
 
 type t = {
   pass : pass;

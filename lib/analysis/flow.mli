@@ -52,8 +52,6 @@ module Fixpoint : sig
       node (and all touched external state) unchanged. *)
 end
 
-type tri = T | F | U  (** three-valued truth *)
-
 type dead_reason =
   | Unreachable_source  (** no reachable valuation enters the source *)
   | Unsat_guard  (** guard unsatisfiable under the source intervals *)
@@ -103,18 +101,9 @@ val guard_data_trivial : t -> int -> int -> bool
 
 val races : t -> race list
 
-val eval3 : (int * int) array -> Expr.bexp -> tri
-(** Three-valued evaluation of a boolean expression under interval
-    bounds. *)
-
 val refine : (int * int) array -> Expr.bexp -> (int * int) array option
 (** Tighten intervals by the conjuncts of a data guard; [None] when
     the guard is definitely unsatisfiable. *)
-
-val clock_guard_unsat : (int * int) array -> Guard.t -> bool
-(** Definite clock-guard contradiction (e.g. [x >= 5 && x <= 3] after
-    interval evaluation of the bounds) — empties the zone under any
-    extrapolation. *)
 
 val refine_lu : t -> Network.t -> Network.t
 (** The one source of the per-location L/U clock bounds and of clock

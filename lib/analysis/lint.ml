@@ -621,11 +621,10 @@ let race_pass fa (net : Network.t) =
            net.Network.automata.(si).Automaton.name))
     (List.sort_uniq compare (Flow.races fa))
 
-(* ---- outside-query-cone (semantic, slice-powered) ---- *)
+(* ---- outside-query-cone (semantic, from the cone report) ---- *)
 
 (* Only meaningful when the caller names observed components: without a
-   query there is no cone.  Merging is irrelevant to the removal set,
-   so the cheaper [Coi] mode is enough. *)
+   query there is no cone. *)
 let cone_pass fa ~observed_comps ~observed_clocks ~observed_vars
     (net : Network.t) =
   if observed_comps = [] then []
@@ -637,7 +636,7 @@ let cone_pass fa ~observed_comps ~observed_clocks ~observed_vars
         g_vars = observed_vars;
       }
     in
-    let sl = Slice.make ~mode:Slice.Coi ~fa net goal in
+    let sl = Slice.cone ~fa net goal in
     List.map
       (fun ci ->
         mk
@@ -649,40 +648,6 @@ let cone_pass fa ~observed_comps ~observed_clocks ~observed_vars
            block, force or retime anything the observed components, clocks \
            or variables depend on")
       sl.Slice.removed_comps
-
-(* ---- merged-query-clock (syntactic mirror of Slice's CoiMerge) ---- *)
-
-(* Groups the unpinned clocks with {!Slice.quasi_equal}, as
-   {!Slice.make} does under [CoiMerge] — except over every edge of the
-   network rather than the kept live edges, so equal signatures here
-   imply equal signatures on any cone (a sound under-approximation:
-   the pass only fires when merging definitely folds the clock).  A
-   query clock that is a non-representative class member is answered
-   through the representative; correct, but worth a warning because
-   pinning the clock is the documented way to keep it distinct. *)
-let merge_pass ~observed (net : Network.t) =
-  if not (Array.exists Fun.id observed) then []
-  else
-    let merged_into =
-      Slice.quasi_equal net
-        ~candidate:(fun x -> not net.Network.pinned.(x))
-        ~edges:(fun _ _ -> true)
-    in
-    List.filter_map
-      (fun x ->
-        let r = merged_into.(x) in
-        if r < 0 || not observed.(x) then None
-        else
-          Some
-            (mk ~fix:"pin the clock (bump its clock bound)"
-               D.Merged_query_clock D.Warning (D.Clock_site x)
-               (sprintf
-                  "the query observes clock %s, but quasi-equal merging \
-                   folds it into %s (identical reset pattern on every \
-                   edge): verdicts are answered through the representative"
-                  net.Network.clock_names.(x)
-                  net.Network.clock_names.(r))))
-      (List.init (Array.length merged_into) Fun.id)
 
 (* ---- driver ---- *)
 
@@ -709,7 +674,6 @@ let run ?(observed_comps = []) ?(observed_clocks = []) ?(observed_vars = [])
          trivial_guard_pass fa net;
          race_pass fa net;
          cone_pass fa ~observed_comps ~observed_clocks ~observed_vars net;
-         merge_pass ~observed:obs_c net;
        ])
 
 (* Deterministic output order: findings with a source position first by

@@ -47,15 +47,9 @@
     - [outside-query-cone] (semantic, [Hint]): a component outside the
       backward cone of influence of the observed query ({!Slice}) —
       it cannot block, force or retime anything the observed
-      components, clocks or variables depend on, so the checker
-      removes it.  Only emitted when [observed_comps] is given;
-    - [merged-query-clock]: an observed clock that quasi-equal clock
-      merging ([Slice.CoiMerge]) folds into another clock with the
-      identical constant-reset pattern on every edge.  The verdict is
-      still correct — queries are rewritten onto the representative —
-      but pinning the clock ({!Network.bump_clock_bound}) is the way
-      to keep it a distinct zone dimension.  Only emitted when
-      [observed_clocks] is given and the clock is not pinned. *)
+      components, clocks or variables depend on, though the checker
+      still explores it.  Only emitted when [observed_comps] is
+      given. *)
 
 open Ita_ta
 
@@ -70,15 +64,7 @@ val run :
     from the unused/never-reset/dead passes, as are clocks already
     pinned by {!Network.bump_clock_bound}.  [observed_comps] are the
     components a query watches; when given, the [outside-query-cone]
-    pass reports components the slicer would remove for that query. *)
-
-val output_order :
-  ?pos:(Diagnostic.site -> (int * int) option) ->
-  Diagnostic.t list ->
-  Diagnostic.t list
-(** Deterministic print order: positioned findings first by
-    (line, col), the rest in component-major site order, ties broken
-    by the stable pass id. *)
+    pass reports the components outside that query's cone. *)
 
 val pp_report :
   ?resolve:(Diagnostic.site -> string option) ->
@@ -87,7 +73,7 @@ val pp_report :
   Format.formatter ->
   Diagnostic.t list ->
   unit
-(** One finding per line (in {!output_order}) followed by an
+(** One finding per line followed by an
     [N errors, N warnings, N info, N hints] summary line. *)
 
 val to_json :
@@ -98,5 +84,6 @@ val to_json :
   string
 (** Machine-readable report:
     [{"findings": [{"severity", "pass", "site", "position"?,
-    "message", "fix"?}, ...], "summary": {...}}], findings in
-    {!output_order}. *)
+    "message", "fix"?}, ...], "summary": {...}}].  Both reports print
+    positioned findings first by (line, col), the rest in
+    component-major site order, ties broken by the stable pass id. *)

@@ -278,8 +278,11 @@ let extrapolate_lu z l u =
    for each pair (x,y) with Z'_{xy} = (c',≺') finite, to feasibility of
    proj_{x,y}(Z) ∩ { v y ≤ min (U y) (L x - c') } ∩ { v y - v x ≺'⁻ -c' }
    — a 3-node constraint graph whose only cycles through the two new
-   edges (both leave node y, so no simple cycle uses both) are the four
-   sums tested below.  [lu_violation] is that test for one pair; a
+   edges (both leave node y, so no simple cycle uses both) are four
+   sums.  Z is canonical, so Z_{xy} <= Z_{x0} + Z_{0y} and
+   Z_{0y} <= Z_{0x} + Z_{xy}: the sums nb' + Z_{x0} + Z_{0y} and
+   T + Z_{0x} + Z_{xy} are at least those of (1) and (2) below, which
+   therefore decide alone.  [lu_violation] is that test for one pair; a
    top-level function, so [le_lu] allocates no closure. *)
 let lu_violation l u n m m' x y =
   let zp = m'.((x * n) + y) in
@@ -290,13 +293,8 @@ let lu_violation l u n m m' x y =
   Bound.add nb' zxy >= Bound.zero_le
   &&
   let uy = u.(y) and lc = l.(x) - Bound.value zp in
-  let tb = Bound.le (if uy < lc then uy else lc) and z0y = m.(y) in
   (* (2) some v y ≤ T is reachable within Z *)
-  Bound.add tb z0y >= Bound.zero_le
-  (* (3) cycle nb' + Z_{x0} + Z_{0y} *)
-  && Bound.add nb' (Bound.add m.(x * n) z0y) >= Bound.zero_le
-  (* (4) cycle tb + Z_{0x} + Z_{xy} *)
-  && Bound.add zxy (Bound.add tb m.(x)) >= Bound.zero_le
+  Bound.add (Bound.le (if uy < lc then uy else lc)) m.(y) >= Bound.zero_le
 
 (* The violation search is existential, so its order is free: the
    pairs through the reference clock go first, because on the case

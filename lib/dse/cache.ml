@@ -13,7 +13,7 @@ let create ~dir =
 
 (* bump when Job.result or the key fields change shape, or a job's
    answer for the same key changes: old entries become misses *)
-let version = "ita-dse-v12"
+let version = "ita-dse-v13"
 
 let job_key (spec : Job.spec) =
   let b = spec.Job.budget in

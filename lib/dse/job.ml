@@ -51,10 +51,6 @@ type measure =
   | No_response
   | Failed of string
 
-let measure_us = function
-  | Exact v | Lower v | Upper v -> Some v
-  | Unbounded | No_response | Failed _ -> None
-
 type result = { measure : measure; elapsed : float; explored : int }
 
 let run_mc spec =

@@ -31,8 +31,8 @@ type budget = {
 }
 
 val default_budget : budget
-(** Unlimited model checking under Extra+LU, with the engine's
-    always-on query-directed slicing, flow-refined bounds and
+(** Unlimited model checking of the query's whole network under
+    Extra+LU, with the engine's always-on flow-refined bounds and
     active-clock reduction; 5 simulation seeds of 30 s each. *)
 
 type spec = {
@@ -56,9 +56,6 @@ type measure =
   | Unbounded  (** mc: the measured clock is unbounded at the goal *)
   | No_response  (** the measured window never completes *)
   | Failed of string  (** diverged / budget exhausted with nothing seen *)
-
-val measure_us : measure -> int option
-(** The comparable value of [Exact]/[Lower]/[Upper]; [None] otherwise. *)
 
 type result = { measure : measure; elapsed : float; explored : int }
 (** [explored]: symbolic states (mc), samples (sim), fixpoint

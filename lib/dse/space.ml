@@ -35,17 +35,6 @@ let kbps_axis ~resource levels =
          ))
        levels)
 
-let policy_axis ~resource policies =
-  axis
-    (resource ^ "-policy")
-    (List.map
-       (fun (name, policy) ->
-         ( Printf.sprintf "%s=%s" resource name,
-           fun m ->
-             Sysmodel.with_resource m resource (fun r -> { r with Resource.policy })
-         ))
-       policies)
-
 let mapping_axis ~scenario ~step targets =
   axis
     (Printf.sprintf "%s.%d" scenario step)
@@ -54,15 +43,6 @@ let mapping_axis ~scenario ~step targets =
          ( Printf.sprintf "%s.%d@%s" scenario step resource,
            fun m -> Sysmodel.remap_step m ~scenario ~step ~resource ))
        targets)
-
-let trigger_axis ~scenario models =
-  axis
-    (scenario ^ "-trigger")
-    (List.map
-       (fun (name, ev) ->
-         ( Printf.sprintf "%s=%s" scenario name,
-           fun m -> Sysmodel.with_trigger m scenario ev ))
-       models)
 
 let queue_bound_axis bounds =
   axis "queue-bound"

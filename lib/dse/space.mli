@@ -26,16 +26,9 @@ val mips_axis : resource:string -> float list -> axis
 val kbps_axis : resource:string -> float list -> axis
 (** Vary a link's baud rate (labels like ["BUS=96kbps"]). *)
 
-val policy_axis : resource:string -> (string * Resource.policy) list -> axis
-(** Vary a resource's scheduling policy. *)
-
 val mapping_axis : scenario:string -> step:int -> string list -> axis
 (** Vary the resource one scenario step is deployed on — the paper's
     "move functionality between processors" alternative. *)
-
-val trigger_axis : scenario:string -> (string * Eventmodel.t) list -> axis
-(** Vary a scenario's environment event model (a Table 1 column
-    sweep as one axis of a larger space). *)
 
 val queue_bound_axis : int list -> axis
 (** Vary the generated pending-counter bound. *)

@@ -1,14 +1,12 @@
-(* Certificate emission: translate a completed exploration's snapshot
-   into the original-model terms the independent checker consumes.
+(* Certificate emission: turn a completed exploration's snapshot into
+   the plain states and zones the independent checker consumes.
 
-   This is the one place where explorer-side knowledge (the slice,
-   active-clock reduction) is allowed to shape the certificate; the
-   checker never sees any of it — it receives plain states and zones
-   and re-derives every obligation. *)
+   This is the one place where explorer-side knowledge (active-clock
+   reduction) is allowed to shape the certificate; the checker never
+   sees any of it and re-derives every obligation. *)
 
 open Ita_ta
 module Dbm = Ita_dbm.Dbm
-module Slice = Ita_analysis.Slice
 module Cert = Ita_cert.Cert
 
 (* Stored zones were normalized under active-clock reduction: clocks
@@ -29,47 +27,26 @@ let free_inactive (net : Network.t) (st : Semantics.state) z =
 (* Extra+LU only widens, and the passed list drops a zone only for one
    that includes it, so every exact successor of a stored zone is
    included in a stored zone: plain inclusion is all the checker needs.
-   Freeing and unmapping can reorder the snapshot's sorted antichain,
-   so the zones are sorted again. *)
-let entries_of_snapshot (snap : Reach.snapshot) : Cert.entry list =
-  let sl = snap.Reach.snap_slice in
-  let snet = snap.Reach.snap_net in
-  List.map
-    (fun (st, zones) ->
-      {
-        Cert.st = Slice.unmap_state sl st;
-        zones =
-          List.sort Dbm.compare
-            (List.map
-               (fun z -> Slice.unmap_zone sl (free_inactive snet st z))
-               zones);
-      })
-    snap.Reach.snap_passed
-
+   Freeing can reorder the snapshot's sorted antichain, so the zones
+   are sorted again. *)
 let of_snapshot ~index ~(verdict : Cert.verdict) (snap : Reach.snapshot) :
     Cert.query_cert =
-  let sl = snap.Reach.snap_slice in
+  let net = snap.Reach.snap_net in
   {
     Cert.index;
     verdict;
-    frozen_comps = sl.Slice.removed_comps;
-    removed_clocks = sl.Slice.removed_clocks;
-    frozen_vars = sl.Slice.removed_vars;
-    entries = entries_of_snapshot snap;
+    entries =
+      List.map
+        (fun (st, zones) ->
+          let zones = List.map (free_inactive net st) zones in
+          { Cert.st; zones = List.sort Dbm.compare zones })
+        snap.Reach.snap_passed;
   }
 
 (* A reachable verdict certifies by replay, not by invariant: only the
-   witness labels travel (already translated to original index space by
-   [Reach.reach]), with the trivial mask. *)
+   witness labels travel. *)
 let of_witness ~index (labels : Semantics.label list) : Cert.query_cert =
-  {
-    Cert.index;
-    verdict = Cert.Reachable labels;
-    frozen_comps = [];
-    removed_clocks = [];
-    frozen_vars = [];
-    entries = [];
-  }
+  { Cert.index; verdict = Cert.Reachable labels; entries = [] }
 
 let make (net : Network.t) queries : Cert.t =
   { Cert.fingerprint = Cert.fingerprint net; queries }

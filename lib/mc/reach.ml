@@ -10,7 +10,7 @@ let states n = { max_states = Some n; max_seconds = None }
 
 module Slice = Ita_analysis.Slice
 
-type slicing = Slice.mode = Off | Coi | CoiMerge
+type slicing = Whole_network
 
 type stats = {
   explored : int;
@@ -59,10 +59,7 @@ let default_domains () =
           cores)
   | Some _ | Option.None -> cores
 
-(* The model reduction every query runs under: cone-of-influence
-   slicing plus quasi-equal clock merging.  Exposed so replays of the
-   engine's slice ([tamc slice], benchmarks) use the same mode. *)
-let default_slicing () = CoiMerge
+let default_slicing () = Whole_network
 
 (* Discrete states are interned under a packed key: locations and
    variables bit-packed into a short int array, each variable in
@@ -515,12 +512,10 @@ let run ?(order = Bfs) ?(budget = no_budget) ?domains net ~goal ~on_store () =
   (result, dump)
 
 (* Everything certificate emission needs from a completed exploration:
-   the slice that translates back to original index space, the network
-   the engine actually explored (sliced, flow-refined, query-bumped —
+   the network the engine explored (flow-refined and query-bumped —
    the activity tables the stored zones were normalized with are
-   {e these}), and the sorted passed-list dump. *)
+   {e these}) and the sorted passed-list dump. *)
 type snapshot = {
-  snap_slice : Slice.t;
   snap_net : Network.t;
   snap_passed : (Semantics.state * Dbm.t list) list;
 }
@@ -542,39 +537,19 @@ let goal_of_query ~extra_clocks (q : Query.t) : Slice.goal =
           q.Query.guard.Guard.clocks;
   }
 
-(* The one dataflow analysis of a query: it slices the network, and the
-   same analysis refines the slice when it is the identity.  A rebuilt
-   slice is refined with its own analysis, whose intervals and live
-   edges are those of the reduced network. *)
-let slice_query mode ?(extra_clocks = []) net (q : Query.t) =
+(* One dataflow analysis serves the cone report and the refinement of
+   the network the engine explores. *)
+let slice_query Whole_network ?(extra_clocks = []) net (q : Query.t) =
   let fa = Ita_analysis.Flow.analyze net in
-  let sl = Slice.make ~mode ~fa net (goal_of_query ~extra_clocks q) in
-  let snet =
-    if sl.Slice.identity then Ita_analysis.Flow.refine_lu fa net
-    else Ita_analysis.Flow.refine_network sl.Slice.net
-  in
-  let q' =
-    if sl.Slice.identity then q
-    else
-      {
-        Query.comp_locs =
-          List.map
-            (fun (ci, li) ->
-              match Slice.map_comp sl ci with
-              | Some ci' -> (ci', li)
-              | Option.None -> assert false (* goal components are kept *))
-            q.Query.comp_locs;
-        guard = Slice.map_guard sl q.Query.guard;
-      }
-  in
-  (sl, snet, q')
+  ( Slice.cone ~fa net (goal_of_query ~extra_clocks q),
+    Ita_analysis.Flow.refine_lu fa net,
+    q )
 
 let reach ?order ?budget ?domains ?snap net (q : Query.t) =
-  let sl, net, q = slice_query (default_slicing ()) net q in
   let net =
     List.fold_left
       (fun net (x, c) -> Network.bump_clock_bound net x c)
-      net
+      (Ita_analysis.Flow.refine_network net)
       (Query.clock_constants net q)
   in
   let goal c =
@@ -583,22 +558,13 @@ let reach ?order ?budget ?domains ?snap net (q : Query.t) =
   match
     run ?order ?budget ?domains net ~goal ~on_store:(fun _ -> ()) ()
   with
-  | Goal_found (witness, gz, stats), _ ->
-      let witness =
-        List.map
-          (fun (st : step) ->
-            {
-              via = Option.map (Slice.unmap_label sl) st.via;
-              state = Slice.unmap_state sl st.state;
-            })
-          witness
-      in
-      Reachable { witness; goal_zone = Slice.unmap_zone sl gz; stats }
+  | Goal_found (witness, goal_zone, stats), _ ->
+      Reachable { witness; goal_zone; stats }
   | Space_exhausted stats, dump ->
       (* the verdict is an invariant claim: surface everything a
          certificate needs while the passed list is still alive *)
       (match snap with
-      | Some f -> f { snap_slice = sl; snap_net = net; snap_passed = dump () }
+      | Some f -> f { snap_net = net; snap_passed = dump () }
       | Option.None -> ());
       Unreachable stats
   | Out_of_budget stats, _ -> Budget_exhausted stats

@@ -9,30 +9,24 @@
     lower bounds — in state spaces too large to exhaust.
 
     The engine explores exactly the network it is given, with each
-    variable packed into exactly its declared range.  A query's
-    network comes from {!slice_query}, which runs the
-    abstract-interpretation dataflow analysis ({!Ita_analysis.Flow})
-    once: the analysis slices the network, and
-    {!Ita_analysis.Flow.refine_lu} computes over the live control flow
-    the per-location L/U clock bounds the extrapolation reads and the
-    clock activity the reduction reads.  The refinement rewrites only
-    those tables, never the classical constants [Network.k]; the test
-    suite's independent ExtraM reference explorer reads those to check
-    both the abstraction and the refinement. *)
+    variable packed into exactly its declared range.  {!reach} and
+    {!Wcrt.sup} explore the query's whole network, refined once by
+    {!Ita_analysis.Flow.refine_network}: the abstract-interpretation
+    dataflow analysis ({!Ita_analysis.Flow}) computes over the live
+    control flow the per-location L/U clock bounds the extrapolation
+    reads and the clock activity the reduction reads.  The refinement
+    rewrites only those tables, never the classical constants
+    [Network.k]; the test suite's independent ExtraM reference explorer
+    reads those to check both the abstraction and the refinement. *)
 
 open Ita_ta
 
 type order = Bfs | Dfs | Random_dfs of int  (** seed *)
 
-type slicing = Ita_analysis.Slice.mode = Off | Coi | CoiMerge
-    (** Query-directed model reduction modes (see
-        {!Ita_analysis.Slice}).  {!reach} and {!Wcrt.sup} always run
-        {!default_slicing}: components, variables and clocks outside
-        the query's backward cone of influence are removed and
-        quasi-equal clocks are merged, with byte-identical verdicts and
-        WCRTs.  [Coi] (no merging) and [Off] (the identity) remain for
-        {!slice_query} callers; the unsliced oracle is {!explore},
-        which never slices. *)
+type slicing = Whole_network
+    (** One value with no effect: the engine always explores the
+        query's whole network.  Kept because bench/perf passes it to
+        {!slice_query}. *)
 
 type budget = { max_states : int option; max_seconds : float option }
 
@@ -49,10 +43,7 @@ val default_domains : unit -> int
     — after a one-line stderr warning naming the valid values. *)
 
 val default_slicing : unit -> slicing
-(** The slicing mode {!reach} and {!Wcrt.sup} always use: the constant
-    [CoiMerge].  Exposed so the [tamc slice] report and benchmark
-    replays of the engine's slice pass the same mode to
-    {!slice_query}. *)
+(** [Whole_network]. *)
 
 val slice_query :
   slicing ->
@@ -60,16 +51,13 @@ val slice_query :
   Network.t ->
   Query.t ->
   Ita_analysis.Slice.t * Network.t * Query.t
-(** [slice_query mode net q] computes the query-directed reduction of
-    [net] (the cone is seeded with the query's components, tested
-    clocks and read variables, plus [extra_clocks] — e.g. a measured
-    sup clock) and returns the slice, the reduced network with its
-    flow-refined L/U and activity tables, and the query translated
-    into its index space.  It analyses [net] once, slices with that
-    analysis and refines an identity slice with it too; a rebuilt
-    slice is refined with its own analysis.  {!reach} and every
-    ceiling attempt of {!Wcrt.sup} explore the returned network;
-    exposed for the [tamc slice] report and the test suites. *)
+(** [slice_query Whole_network net q] analyses [net] once and returns
+    the query's cone-of-influence report (the cone is seeded with the
+    query's components, tested clocks and read variables, plus
+    [extra_clocks] — e.g. a measured sup clock), [net] with the
+    flow-refined L/U and activity tables {!reach} and {!Wcrt.sup}
+    explore, and [q] unchanged.  For the [tamc slice] report and
+    bench/perf's replay of the query prelude. *)
 
 val no_budget : budget
 val states : int -> budget
@@ -108,14 +96,11 @@ type outcome =
           NOT established. *)
 
 type snapshot = {
-  snap_slice : Ita_analysis.Slice.t;
-      (** translates states and zones back to the original network's
-          index space *)
   snap_net : Network.t;
-      (** the network the engine actually explored: sliced,
-          flow-refined, clock bounds bumped with the query constants.
-          Emission reads only its activity tables, to free the clocks
-          active-clock reduction pinned *)
+      (** the network the engine actually explored: flow-refined, clock
+          bounds bumped with the query constants.  Emission reads only
+          its activity tables, to free the clocks active-clock
+          reduction pinned *)
   snap_passed : (Semantics.state * Semantics.Dbm.t list) list;
       (** the final passed list, sorted by discrete state with each
           antichain sorted by {!Ita_dbm.Dbm.compare} — byte-stable at
@@ -138,14 +123,9 @@ val reach :
     valuation but may be coarser above the L/U constants (verdicts are
     unaffected).
 
-    The network is first reduced to the query's cone of influence
-    with {!default_slicing} and refined, both by {!slice_query}; the
-    verdict is unaffected.  Witnesses,
-    states and the goal zone are translated back to the original
-    network's index space: removed components are shown at their
-    initial location, removed variables at their initial value,
-    removed clocks unconstrained, merged clocks equal to their
-    representative.
+    The network is explored whole, refined by
+    {!Ita_analysis.Flow.refine_network}; witnesses, states and the goal
+    zone are in its own indices.
 
     [?snap] fires exactly when the verdict is [Unreachable] — the only
     verdict the passed list is an inductive invariant for — with the
@@ -173,9 +153,8 @@ val explore :
   [ `Complete of stats | `Budget_exhausted of stats ]
 (** Full exploration, calling [on_store] once per non-subsumed symbolic
     state; used by sup-style queries and state-space measurements.
-    It takes no query and never slices, so the tests use it as the
-    unsliced oracle for {!reach} and {!Wcrt.sup}.  It explores exactly
-    [net], with [net]'s own L/U and activity tables: a freshly built
+    It takes no query and explores exactly [net], with [net]'s own L/U
+    and activity tables: a freshly built
     network carries the builder's unreduced ones, so a caller that
     wants the refined tables passes
     [Ita_analysis.Flow.refine_network net], and a caller whose goal
@@ -191,9 +170,8 @@ val explore :
     domain count, every zone the exploration generated is included in
     one of them.  The list itself is deterministic at one domain for a
     given order; across orders or domain counts its contents may
-    differ (see {!stats.stored}).  Callers that slice themselves
-    ({!Wcrt.sup}) assemble the full {!snapshot} from it and the network
-    they explored. *)
+    differ (see {!stats.stored}).  {!Wcrt.sup} assembles the full
+    {!snapshot} from it and the network it explored. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 val pp_witness : Network.t -> Format.formatter -> step list -> unit

@@ -22,19 +22,9 @@ let sup ?order ?budget ?domains ?snap ?(max_ceiling = 1 lsl 40) net ~at
   (* the network fixes the first ceiling: the measured clock's own
      constant, which [Gen.generate] raises for its observer clock *)
   let first_ceiling = max 1 net.Network.k.(clock) in
-  (* slice and refine once, before the ceiling loop: the cone is
-     seeded with the goal plus the measured clock, so the sup is taken
-     over exactly the same runs — every attempt below explores the
-     reduced, refined network and only bumps the ceiling *)
-  let sl, net, at =
-    Reach.slice_query (Reach.default_slicing ()) ~extra_clocks:[ clock ] net
-      at
-  in
-  let clock =
-    match Ita_analysis.Slice.map_clock sl clock with
-    | Some c -> c
-    | None -> assert false (* the measured clock seeds the cone *)
-  in
+  (* refine once, before the ceiling loop: every attempt below
+     explores the refined network and only bumps the ceiling *)
+  let net = Ita_analysis.Flow.refine_network net in
   (* [collided]: the ceiling of the previous attempt, which the sup
      reached, so [goal && clock >= collided] is reachable *)
   let rec attempt ?collided ceiling =
@@ -91,12 +81,7 @@ let sup ?order ?budget ?domains ?snap ?(max_ceiling = 1 lsl 40) net ~at
                this (final) attempt is the certifiable invariant *)
             (match (snap, !last_passed) with
             | Some f, Some passed ->
-                f
-                  {
-                    Reach.snap_slice = sl;
-                    snap_net = bumped;
-                    snap_passed = passed;
-                  }
+                f { Reach.snap_net = bumped; snap_passed = passed }
             | _ -> ());
             Sup
               {

@@ -59,10 +59,9 @@ val sup :
     [?max_ceiling] (default [2^40]) caps the loop: a sup that still
     collides there is [Sup_unbounded].
 
-    The network is first reduced with {!Reach.default_slicing} to the
-    cone of the goal plus the measured clock and refined, once, by
-    {!Reach.slice_query}; every ceiling attempt explores that network
-    with only the ceiling bumped.  The supremum is unchanged.
+    The network is explored whole, refined once by
+    {!Ita_analysis.Flow.refine_network}; every ceiling attempt explores
+    that network with only the ceiling bumped.
 
     [?snap] fires exactly when the result is [Sup], with the final
     (below-ceiling) attempt's {!Reach.snapshot} for certificate

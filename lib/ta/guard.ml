@@ -9,7 +9,6 @@ type t = { clocks : atom list; data : Expr.bexp }
 let tt = { clocks = []; data = Expr.True }
 let clock_rel clock rel bound = { clocks = [ { clock; rel; bound } ]; data = Expr.True }
 let clock_le c v = clock_rel c Le (Expr.Int v)
-let clock_lt c v = clock_rel c Lt (Expr.Int v)
 let clock_ge c v = clock_rel c Ge (Expr.Int v)
 let clock_gt c v = clock_rel c Gt (Expr.Int v)
 let clock_eq c v = clock_rel c Eq (Expr.Int v)

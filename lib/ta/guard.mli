@@ -20,7 +20,6 @@ val tt : t
 
 val clock_rel : clock -> rel -> Expr.iexp -> t
 val clock_le : clock -> int -> t
-val clock_lt : clock -> int -> t
 val clock_ge : clock -> int -> t
 val clock_gt : clock -> int -> t
 val clock_eq : clock -> int -> t

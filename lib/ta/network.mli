@@ -17,7 +17,7 @@
     active everywhere.  The per-location L/U and activity tables the
     engine explores with come from one analysis,
     [Ita_analysis.Flow.refine_lu], which a query runs once on the
-    network it slices.  Queries that compare clocks against further
+    network it explores.  Queries that compare clocks against further
     constants must register them with {!bump_clock_bound}. *)
 
 type t = {

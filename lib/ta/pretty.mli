@@ -2,14 +2,6 @@
     counterpart of the paper's Figures 4 to 9, produced from the
     generated model so the encoding can be inspected and reviewed. *)
 
-val pp_automaton :
-  clock_names:string array ->
-  var_names:string array ->
-  channels:Channel.t array ->
-  Format.formatter ->
-  Automaton.t ->
-  unit
-
 val pp_network : Format.formatter -> Network.t -> unit
 (** Declarations (clocks, variables with ranges, channels) followed by
     every automaton. *)

@@ -30,8 +30,5 @@ val apply_env : ranges:(int * int) array -> int array -> t -> unit
 (** Variable assignments only (used by the checker's delay-free
     enabledness tests and by the simulator). *)
 
-val reset_values : int array -> t -> (Guard.clock * int) list
-(** The clock resets of [u] with their values under [env], in order. *)
-
 val pp : clock_names:string array -> var_names:string array ->
   Format.formatter -> t -> unit

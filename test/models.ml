@@ -168,8 +168,7 @@ let broadcast_pair () =
    so many discrete interleavings keep producing comparable zones for
    the same state and the antichain prunes heavily — the worst case
    for concurrent subsumed inserts.  Every location B carries an
-   invariant, so each component constrains time and a query's cone
-   keeps all three: its slices are the identity. *)
+   invariant, [c_i <= 5]. *)
 let wide_frontier () =
   let b = Network.Builder.create () in
   let clocks =
@@ -206,64 +205,6 @@ module Dbm = Ita_dbm.Dbm
    first ceiling. *)
 let with_ceiling ~clock ceiling net =
   Network.bump_clock_bound net clock ceiling
-
-(* The unsliced oracles for [Reach.reach] and [Wcrt.sup], which always
-   slice.  [Reach.explore] takes no query and never slices: explore the
-   whole network at one domain, with the flow-refined tables a query
-   explores with, the query's clock constants (and, for a sup, the
-   measured clock at [max_ceiling]) registered in the network, and
-   test every stored configuration against the goal.
-   Under subset subsumption every generated zone lies inside a stored
-   one, so the stored configurations meet the goal exactly when a
-   generated one does.  A sup is read off one exploration at
-   [max_ceiling]: [Wcrt.sup] reaches the same value through smaller
-   ceilings first. *)
-let unsliced_explore net bounds on_store =
-  let net =
-    List.fold_left (fun net (x, c) -> Network.bump_clock_bound net x c)
-      (Ita_analysis.Flow.refine_network net)
-      bounds
-  in
-  match Reach.explore ~domains:1 net ~on_store with
-  | `Complete stats -> stats
-  | `Budget_exhausted _ -> assert false (* no budget *)
-
-let goal_zone net (q : Query.t) c =
-  Semantics.zone_of_goal net c q.Query.guard ~comp_locs:q.Query.comp_locs
-
-(* [true] iff the goal of [q] is reachable *)
-let unsliced_reach net q =
-  let hit = ref false in
-  ignore
-    (unsliced_explore net (Query.clock_constants net q) (fun c ->
-         if goal_zone net q c <> None then hit := true));
-  !hit
-
-let unsliced_sup ?(max_ceiling = 1 lsl 40) net ~at ~clock =
-  let best = ref None in
-  let stats =
-    unsliced_explore net
-      ((clock, max_ceiling) :: Query.clock_constants net at)
-      (fun c ->
-        match goal_zone net at c with
-        | None -> ()
-        | Some z -> (
-            let b = Dbm.sup z clock in
-            match !best with
-            | Some b' when not (Bound.lt_bound b' b) -> ()
-            | _ -> best := Some b))
-  in
-  match !best with
-  | None -> Wcrt.Goal_unreachable stats
-  | Some b when Bound.is_infinity b || Bound.value b >= max_ceiling ->
-      Wcrt.Sup_unbounded { ceiling = max_ceiling; stats }
-  | Some b ->
-      Wcrt.Sup
-        {
-          value = Bound.value b;
-          kind = (if Bound.is_strict b then Wcrt.Approached else Wcrt.Attained);
-          stats;
-        }
 
 (* The paper's Property-1 search, the oracle for [Wcrt.sup]: the WCRT
    is the largest [C] with [seen && y >= C] reachable.  Doubling from
@@ -323,8 +264,8 @@ let binary_search ?budget ?(hi = 1_000_000) net ~at ~clock =
    and then extrapolated with classical maximal constants, the
    builder's [Network.k] (which flow refinement never rewrites) raised
    to [extra_bounds], under one [Dbm.subset] antichain per discrete
-   state.  It uses nothing from [Semantics], [Reach], [Wcrt], [Flow] or
-   [Slice]: no slicing, key packing or sharding.  Returns the final
+   state.  It uses nothing from [Semantics], [Reach], [Wcrt] or [Flow]:
+   no key packing or sharding.  Returns the final
    passed list; every generated zone lies inside one of its zones.
    With [~lu:true] it extrapolates with Extra+LU instead, over the
    network's per-state L/U tables (max over the components' [lloc] /
@@ -355,11 +296,10 @@ let reference_passed ?(lu = false) (net : Network.t) extra_bounds =
     end
     else Dbm.extrapolate z k
   in
-  let mask = Reference.no_mask net in
   let passed = Hashtbl.create 64 and waiting = Queue.create () in
   let add (st : Reference.state) z =
     let z =
-      if Reference.delay_allowed net mask st then Reference.delay net mask st z
+      if Reference.delay_allowed net st then Reference.delay net st z
       else z
     in
     if not (Dbm.is_empty z) then begin
@@ -373,16 +313,16 @@ let reference_passed ?(lu = false) (net : Network.t) extra_bounds =
       end
     end
   in
-  let st0, z0 = Reference.initial net mask in
+  let st0, z0 = Reference.initial net in
   add st0 z0;
   while not (Queue.is_empty waiting) do
     let st, z = Queue.pop waiting in
     List.iter
       (fun (j : Reference.joint) ->
-        match Reference.fire net mask st z j.Reference.parts with
+        match Reference.fire net st z j.Reference.parts with
         | Some (st', z') -> add st' z'
         | None -> ())
-      (Reference.joint_transitions net mask st)
+      (Reference.joint_transitions net st)
   done;
   Hashtbl.fold
     (fun (locs, env) zs acc -> ({ Reference.locs; env }, zs) :: acc)

@@ -244,62 +244,6 @@ let test_zeno_cycle () =
   let paced = Network.Builder.build b in
   check_no_pass "paced cycle" D.Zeno_cycle (Lint.run paced)
 
-(* ---- merged-query-clock ---- *)
-
-let test_merged_query_clock () =
-  (* x and y are reset together on every edge that resets either, so
-     CoiMerge folds y (the larger index) into x *)
-  let quasi ~split =
-    let b = Network.Builder.create () in
-    let x = Network.Builder.clock b "x" in
-    let y = Network.Builder.clock b "y" in
-    let edges =
-      [
-        edge 0 1 ~update:(Update.reset x @ Update.reset y);
-        edge 1 0 ~guard:(Guard.clock_ge x 2);
-      ]
-    in
-    let edges =
-      (* the extra x-only reset gives the clocks distinct signatures *)
-      if split then edges @ [ edge 1 0 ~update:(Update.reset x) ] else edges
-    in
-    Network.Builder.add_automaton b
-      (Automaton.make ~name:"P"
-         ~locations:[ loc "L0"; loc "L1" ]
-         ~edges ~initial:0);
-    (Network.Builder.build b, y)
-  in
-  let net, y = quasi ~split:false in
-  let findings = Lint.run ~observed_clocks:[ y ] net in
-  check_pass ~severity:D.Warning "merged observed clock" D.Merged_query_clock
-    findings;
-  (* merging is always on: the fix may only offer the pin, never a
-     slicing mode no surface accepts *)
-  List.iter
-    (fun (d : D.t) ->
-      let fix = Option.value d.D.fix ~default:"" in
-      let words =
-        String.lowercase_ascii fix
-        |> String.map (fun c -> if c >= 'a' && c <= 'z' then c else ' ')
-        |> String.split_on_char ' '
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "fix %S names no slicing mode" fix)
-        []
-        (List.filter
-           (fun w -> List.mem w [ "slicing"; "coi"; "coimerge"; "off" ])
-           words))
-    (D.by_pass D.Merged_query_clock findings);
-  (* without a query clock there is nothing to warn about *)
-  check_no_pass "no observation" D.Merged_query_clock (Lint.run net);
-  (* a pinned clock is never merged *)
-  check_no_pass "pinned"  D.Merged_query_clock
-    (Lint.run ~observed_clocks:[ y ] (Network.bump_clock_bound net y 8));
-  (* distinct reset signatures: no quasi-equality, no warning *)
-  let net, y = quasi ~split:true in
-  check_no_pass "distinct signatures" D.Merged_query_clock
-    (Lint.run ~observed_clocks:[ y ] net)
-
 (* ------------------------------------------------------------------ *)
 (* Clean baselines: the generated case study and the example models    *)
 (* ------------------------------------------------------------------ *)
@@ -708,8 +652,6 @@ let () =
           Alcotest.test_case "channel peer" `Quick test_channel_peer;
           Alcotest.test_case "committed cycle" `Quick test_committed_cycle;
           Alcotest.test_case "zeno cycle" `Quick test_zeno_cycle;
-          Alcotest.test_case "merged query clock" `Quick
-            test_merged_query_clock;
         ] );
       ( "baseline",
         [

@@ -231,10 +231,7 @@ let test_domain_count_byte_equality () =
 
 (* ------------------------------------------------------------------ *)
 (* Mutation rejection: corrupted certificates name the right
-   obligation.  The mutations must interact with the obligations, not
-   with the slice mask, so wf_base checks that the engine's slices of
-   both wide-frontier queries (reach, and sup over c0) are the
-   identity.                                                           *)
+   obligation.                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let initial_locs (net : Network.t) =
@@ -259,18 +256,9 @@ let expect_rejection ?reason name net ~goal qc expected =
 
 let wf_base () =
   let net = Models.wide_frontier () in
-  let at = Query.at net ~comp:"P0" ~loc:"B" in
-  let unreach = Query.with_guard at (Guard.clock_ge 1 7) in
-  let identity ?extra_clocks q =
-    let sl, _, _ =
-      Reach.slice_query (Reach.default_slicing ()) ?extra_clocks net q
-    in
-    sl.Ita_analysis.Slice.identity
+  let unreach =
+    Query.with_guard (Query.at net ~comp:"P0" ~loc:"B") (Guard.clock_ge 1 7)
   in
-  Alcotest.(check bool) "wide-frontier: reach slice is the identity" true
-    (identity unreach);
-  Alcotest.(check bool) "wide-frontier: sup slice is the identity" true
-    (identity ~extra_clocks:[ 1 ] at);
   let qc = Option.get (reach_cert net unreach) in
   (net, unreach, qc)
 
@@ -373,6 +361,57 @@ let test_mutation_swap_state () =
     { qc with Cert.entries }
     Cert.Consecution
 
+let test_mutation_over_claimed_sup () =
+  let net = Models.wide_frontier () in
+  let at = Query.at net ~comp:"P0" ~loc:"B" in
+  let c0 = Network.clock_index net "c0" in
+  let qc = Option.get (sup_cert net ~at ~clock:c0) in
+  Alcotest.(check bool) "over-claimed-sup: the sup of c0 at P0.B is 5" true
+    (qc.Cert.verdict = Cert.Sup { clock = c0; value = 5; kind = Cert.Attained });
+  (* raise the upper bound on c0 of every P0-at-B zone from 5 to 6 and
+     claim 6: no stored zone exceeds it and some reach it, but B's
+     invariant c0 <= 5 holds in every run, so no valuation a run can
+     hold there attains it *)
+  let widen z =
+    let n, m = Dbm.to_encoded z in
+    m.(c0 * n) <- (Ita_dbm.Bound.le 6 :> int);
+    Dbm.of_encoded n m
+  in
+  let entries =
+    List.map
+      (fun (e : Cert.entry) ->
+        if e.Cert.st.Semantics.locs.(0) = 1 then
+          { e with Cert.zones = List.map widen e.Cert.zones }
+        else e)
+      qc.Cert.entries
+  in
+  expect_rejection ~reason:"not attained by any certified state"
+    "over-claimed-sup" net
+    ~goal:(Cert_emit.goal_of_query at)
+    {
+      qc with
+      Cert.verdict = Cert.Sup { clock = c0; value = 6; kind = Cert.Attained };
+      entries;
+    }
+    Cert.Judgment
+
+let test_mutation_omitted_receiver () =
+  let net = Models.broadcast_pair () in
+  let q = Query.at net ~comp:"S" ~loc:"P1" in
+  (* S reaches P1 by broadcasting on bc, which REN (ok = 1) must
+     receive: a label that leaves REN out is not a transition *)
+  let labels =
+    match (Option.get (reach_cert net q)).Cert.verdict with
+    | Cert.Reachable
+        [ Semantics.Sync ({ receivers = [ (1, _) ]; _ } as s) ] ->
+        [ Semantics.Sync { s with receivers = [] } ]
+    | _ -> Alcotest.fail "omitted-receiver: expected one broadcast to REN"
+  in
+  expect_rejection ~reason:"is not a real transition" "omitted-receiver" net
+    ~goal:(Cert_emit.goal_of_query q)
+    (Cert_emit.of_witness ~index:0 labels)
+    Cert.Witness
+
 let test_mutation_stale_version () =
   let net, _, qc = wf_base () in
   let s = Cert.to_string (Cert_emit.make net [ qc ]) in
@@ -420,6 +459,10 @@ let () =
             test_mutation_narrow_zone;
           Alcotest.test_case "swapped discrete state -> consecution" `Quick
             test_mutation_swap_state;
+          Alcotest.test_case "over-claimed sup -> judgment" `Quick
+            test_mutation_over_claimed_sup;
+          Alcotest.test_case "omitted broadcast receiver -> witness" `Quick
+            test_mutation_omitted_receiver;
           Alcotest.test_case "stale version tag -> format" `Quick
             test_mutation_stale_version;
         ] );

@@ -397,8 +397,8 @@ let coverage_suite =
 (* The engine against the ExtraM reference explorer
    ([Models.reference_reach] / [Models.reference_sup]), which shares
    none of the engine's exploration code: Extra+LU over the
-   flow-refined bounds, slicing and active-clock reduction must never
-   change a reachability verdict or a WCRT value.                      *)
+   flow-refined bounds and active-clock reduction must never change a
+   reachability verdict or a WCRT value.                               *)
 (* ------------------------------------------------------------------ *)
 
 let verdict = function

@@ -1,15 +1,14 @@
-(* Query-directed model reduction (Slice): unit tests of the cone and
-   the quasi-equal merge on hand-built networks, and differential
-   suites showing that the engine's always-on slicing changes no
-   verdict and no WCRT — on the model zoo, on the shipped example
-   models, on the radionav case study and on random automata checked
-   against a concrete-walk oracle — at 1 and 4 worker domains.  The
-   unsliced oracles are Models.unsliced_reach and Models.unsliced_sup. *)
+(* The cone-of-influence report (Slice) on hand-built networks, and
+   the engine, which explores a query's whole network, on networks with
+   parts outside the query's cone — the model zoo with its island, the
+   station family, the shipped example models — and on the radionav
+   case study, against the ExtraM reference explorer
+   (Models.reference_reach / Models.reference_sup) at 1 and 4 worker
+   domains. *)
 
 open Ita_ta
 open Ita_mc
 module Slice = Ita_analysis.Slice
-module Dbm = Ita_dbm.Dbm
 module R = Ita_casestudy.Radionav
 module E = Ita_tafmt.Elaborate
 
@@ -21,31 +20,35 @@ let verdict = function
   | Reach.Unreachable _ -> "unreachable"
   | Reach.Budget_exhausted _ -> "budget"
 
-let unsliced_verdict net q =
-  if Models.unsliced_reach net q then "reachable" else "unreachable"
+let reference_verdict net q =
+  if Models.reference_reach net q then "reachable" else "unreachable"
 
-let fp_of_sup = function
-  | Wcrt.Sup { value; kind; _ } ->
-      Printf.sprintf "sup %d %s" value
-        (match kind with
-        | Wcrt.Attained -> "attained"
-        | Wcrt.Approached -> "approached")
-  | Wcrt.Goal_unreachable _ -> "unreachable"
-  | Wcrt.Sup_budget_exhausted _ -> "budget"
-  | Wcrt.Sup_unbounded _ -> "unbounded"
+let sup_name = function
+  | `Sup (v, Wcrt.Attained) -> Printf.sprintf "sup %d" v
+  | `Sup (v, Wcrt.Approached) -> Printf.sprintf "sup %d (approached)" v
+  | `Unreachable -> "unreachable"
+  | `Unbounded -> "unbounded"
+  | `Budget -> "budget"
 
-let sup_fp ?(initial_ceiling = 64) ?(max_ceiling = 256) ?domains net ~at ~clock
-    () =
-  fp_of_sup
-    (Wcrt.sup ?domains ~max_ceiling
-       (Models.with_ceiling ~clock initial_ceiling net)
-       ~at ~clock)
+(* Small ceilings: the zoo's and the examples' model constants are all
+   well below 64.  The engine reaches 256 through smaller ceilings; the
+   reference takes it at once. *)
+let sup_fp ?domains net ~at ~clock () =
+  sup_name
+    (match
+       Wcrt.sup ?domains ~max_ceiling:256
+         (Models.with_ceiling ~clock 64 net)
+         ~at ~clock
+     with
+    | Wcrt.Sup { value; kind; _ } -> `Sup (value, kind)
+    | Wcrt.Goal_unreachable _ -> `Unreachable
+    | Wcrt.Sup_budget_exhausted _ -> `Budget
+    | Wcrt.Sup_unbounded _ -> `Unbounded)
 
-let unsliced_sup_fp ?(max_ceiling = 256) net ~at ~clock =
-  fp_of_sup (Models.unsliced_sup ~max_ceiling net ~at ~clock)
+let reference_sup_fp net ~at ~clock =
+  sup_name (Models.reference_sup ~ceiling:256 net ~at ~clock)
 
-(* the domain counts every differential compares against the unsliced
-   oracle *)
+(* the domain counts every differential runs the engine at *)
 let configs = [ 1; 4 ]
 let config_name d = Printf.sprintf "d=%d" d
 
@@ -55,8 +58,8 @@ let config_name d = Printf.sprintf "d=%d" d
 
 (* P (queried) handshakes with R; Q is an island — Normal locations,
    no invariants, no synchronization, its own clock and variable — so
-   the cone must remove Q, its clock and its variable while keeping
-   the sync peer R. *)
+   Q, its clock and its variable are outside the cone, and the sync
+   peer R is inside it. *)
 let island_net () =
   let b = Network.Builder.create () in
   let x = Network.Builder.clock b "x" in
@@ -92,44 +95,29 @@ let island_net () =
        ~locations:[ loc "M0"; loc "M1" ]
        ~edges:[ edge 0 1 ~sync:(Automaton.Recv c); edge 1 0 ]
        ~initial:0);
-  (Network.Builder.build b, x, z, v)
+  (Network.Builder.build b, z, v)
 
 let test_island_cone () =
-  let net, x, z, v = island_net () in
+  let net, z, v = island_net () in
   let at = Query.at net ~comp:"P" ~loc:"L2" in
-  let sl, snet, _ = Reach.slice_query Reach.CoiMerge net at in
-  Alcotest.(check (list int)) "Q removed" [ 1 ] sl.Slice.removed_comps;
-  Alcotest.(check (list int)) "z removed" [ z ] sl.Slice.removed_clocks;
-  Alcotest.(check (list int)) "v removed" [ v ] sl.Slice.removed_vars;
-  Alcotest.(check bool) "not identity" false sl.Slice.identity;
-  let sl_off, _, _ = Reach.slice_query Reach.Off net at in
-  Alcotest.(check bool) "mode Off is the identity" true sl_off.Slice.identity;
-  Alcotest.(check (option int)) "P mapped" (Some 0) (Slice.map_comp sl 0);
-  Alcotest.(check (option int)) "Q unmapped" None (Slice.map_comp sl 1);
-  Alcotest.(check (option int)) "R mapped" (Some 1) (Slice.map_comp sl 2);
-  Alcotest.(check (option int)) "x kept" (Some 1) (Slice.map_clock sl x);
-  Alcotest.(check (option int)) "z dropped" None (Slice.map_clock sl z);
-  Alcotest.(check int) "two automata left" 2
+  let sl, snet, at' = Reach.slice_query (Reach.default_slicing ()) net at in
+  Alcotest.(check (list int)) "Q outside" [ 1 ] sl.Slice.removed_comps;
+  Alcotest.(check (list int)) "z outside" [ z ] sl.Slice.removed_clocks;
+  Alcotest.(check (list int)) "v outside" [ v ] sl.Slice.removed_vars;
+  Alcotest.(check bool) "no dead edge" true (sl.Slice.dead_edges = []);
+  (* the report changes nothing: the explored network is the whole
+     one, and the query keeps its indices *)
+  Alcotest.(check int) "three automata explored" 3
     (Array.length snet.Network.automata);
-  Alcotest.(check int) "one clock left" 2
-    (Array.length snet.Network.clock_names);
-  (* the verdict and the unmapped witness must look like the original
-     network's: full-width location vector, Q frozen at its initial
-     location, goal zone at the original DBM dimension *)
-  Alcotest.(check string) "unsliced oracle" "reachable"
-    (unsliced_verdict net at);
+  Alcotest.(check bool) "same query" true (at' == at);
   match Reach.reach net at with
-  | Reach.Reachable { witness; goal_zone; _ } ->
+  | Reach.Reachable { witness; _ } ->
       let last = List.nth witness (List.length witness - 1) in
-      let locs = last.Reach.state.Semantics.locs in
-      Alcotest.(check int) "witness width" 3 (Array.length locs);
-      Alcotest.(check int) "P at L2" 2 locs.(0);
-      Alcotest.(check int) "Q frozen at K0" 0 locs.(1);
-      Alcotest.(check int) "goal zone dimension" 3 (Dbm.dim goal_zone)
+      Alcotest.(check int) "P at L2" 2 last.Reach.state.Semantics.locs.(0)
   | _ -> Alcotest.fail "goal should be reachable"
 
 let test_island_lint_cone () =
-  let net, _, _, _ = island_net () in
+  let net, _, _ = island_net () in
   let module D = Ita_analysis.Diagnostic in
   let module Lint = Ita_analysis.Lint in
   let cone_findings fs = D.by_pass D.Outside_cone fs in
@@ -145,9 +133,8 @@ let test_island_lint_cone () =
       Alcotest.(check bool) "at Q" true (d.D.site = D.Automaton_site 1)
   | _ -> assert false
 
-(* A single component whose clocks x and y are always reset together:
-   CoiMerge must merge y into x (one DBM dimension less) and change
-   neither verdicts nor sups. *)
+(* A single component whose clocks x and y are always reset
+   together, so they are always equal. *)
 let twin_net () =
   let b = Network.Builder.create () in
   let x = Network.Builder.clock b "x" in
@@ -165,35 +152,8 @@ let twin_net () =
        ~initial:0);
   (Network.Builder.build b, x, y)
 
-let test_twin_merge () =
-  let net, x, y = twin_net () in
-  let at = Query.at net ~comp:"M" ~loc:"C" in
-  let sl, snet, _ = Reach.slice_query Reach.CoiMerge ~extra_clocks:[ y ] net at in
-  Alcotest.(check bool) "y merged into x" true (sl.Slice.merged = [ (y, x) ]);
-  Alcotest.(check int) "one clock left" 2
-    (Array.length snet.Network.clock_names);
-  Alcotest.(check (option int)) "y maps to x's slot" (Slice.map_clock sl x)
-    (Slice.map_clock sl y);
-  (* Coi alone must not merge *)
-  let sl', _, _ = Reach.slice_query Reach.Coi ~extra_clocks:[ y ] net at in
-  Alcotest.(check bool) "coi keeps both" true (sl'.Slice.merged = []);
-  (* sup over the merged-away clock still answers, identically *)
-  Alcotest.(check string) "sup y unchanged"
-    (unsliced_sup_fp net ~at ~clock:y)
-    (sup_fp net ~at ~clock:y ());
-  (* the unmapped goal zone must pin the merged clocks equal *)
-  match Reach.reach net at with
-  | Reach.Reachable { goal_zone; _ } ->
-      Alcotest.(check int) "goal zone dimension" 3 (Dbm.dim goal_zone);
-      Alcotest.(check bool) "x = y in the unmapped zone" true
-        (Dbm.get goal_zone x y = Ita_dbm.Bound.le 0
-        && Dbm.get goal_zone y x = Ita_dbm.Bound.le 0)
-  | _ -> Alcotest.fail "C should be reachable"
-
-(* A measured server with a quasi-equal clock pair plus sporadic
-   clients outside the cone: the slice's strict win, pinned as a test.
-   Same sup as the unsliced oracle, strictly fewer explored states,
-   strictly fewer clocks. *)
+(* A measured server with two always-equal clocks plus sporadic
+   clients outside the cone of any query on the server. *)
 let station_net n =
   let b = Network.Builder.create () in
   let y = Network.Builder.clock b "y" in
@@ -229,67 +189,12 @@ let station_net n =
   done;
   Network.Builder.build b
 
-let test_station_strict_win () =
-  let net = station_net 3 in
-  let at = Query.at net ~comp:"Station" ~loc:"Done" in
-  let clock = 1 (* y *) in
-  let value_explored = function
-    | Wcrt.Sup { value; stats; _ } -> (value, stats.Reach.explored)
-    | _ -> Alcotest.fail "expected a finite sup"
-  in
-  (* both explorations extrapolate the measured clock at the engine's
-     final ceiling: it starts at y's constant 10, which the sup (10)
-     reaches, and settles at 40 *)
-  let v_off, n_off =
-    value_explored (Models.unsliced_sup ~max_ceiling:40 net ~at ~clock)
-  in
-  let v_on, n_on = value_explored (Wcrt.sup ~domains:1 net ~at ~clock) in
-  Alcotest.(check int) "same WCRT" v_off v_on;
-  Alcotest.(check bool)
-    (Printf.sprintf "strictly fewer states (%d < %d)" n_on n_off)
-    true (n_on < n_off);
-  let sl, snet, _ = Reach.slice_query Reach.CoiMerge ~extra_clocks:[ clock ] net at in
-  Alcotest.(check int) "all clients removed" 3
-    (List.length sl.Slice.removed_comps);
-  Alcotest.(check bool) "y2 merged" true (sl.Slice.merged = [ (2, 1) ]);
-  Alcotest.(check int) "clocks 6 -> 2" 2
-    (Array.length snet.Network.clock_names)
-
-(* Every component of the handshake is in the cone of a query on S
-   (R is S's binary peer), so the slice must be the identity — same
-   network, same exploration, byte-identical stats. *)
-let test_identity () =
-  let net, z = Models.handshake () in
-  let at = Query.at net ~comp:"S" ~loc:"P1" in
-  let sl, _, at' = Reach.slice_query Reach.CoiMerge net at in
-  Alcotest.(check bool) "identity" true sl.Slice.identity;
-  Alcotest.(check bool) "same network" true (sl.Slice.net == net);
-  Alcotest.(check bool) "same query" true (at' == at);
-  let sl, _, _ = Reach.slice_query Reach.CoiMerge ~extra_clocks:[ z ] net at in
-  Alcotest.(check bool) "sup slice is the identity" true sl.Slice.identity;
-  (* one sup attempt at ceiling 64 on each side: the engine's sliced
-     exploration and the oracle's unsliced one must be the same run *)
-  let counts = function
-    | Wcrt.Sup { stats; _ }
-    | Wcrt.Goal_unreachable stats
-    | Wcrt.Sup_budget_exhausted { stats; _ }
-    | Wcrt.Sup_unbounded { stats; _ } ->
-        (stats.Reach.explored, stats.Reach.stored, stats.Reach.transitions)
-  in
-  Alcotest.(check (triple int int int))
-    "byte-identical exploration"
-    (counts (Models.unsliced_sup ~max_ceiling:64 net ~at ~clock:z))
-    (counts
-       (Wcrt.sup ~domains:1 ~max_ceiling:64
-          (Models.with_ceiling ~clock:z 64 net)
-          ~at ~clock:z))
-
-(* pp_report smoke: the report must mention the removals and carry the
-   resolver's provenance prefix *)
+(* pp_report smoke: the report must name what lies outside the cone
+   and carry the resolver's provenance prefix *)
 let test_report () =
-  let net, _, _, _ = island_net () in
+  let net, _, _ = island_net () in
   let at = Query.at net ~comp:"P" ~loc:"L2" in
-  let sl, _, _ = Reach.slice_query Reach.CoiMerge net at in
+  let sl, _, _ = Reach.slice_query (Reach.default_slicing ()) net at in
   let resolve = function
     | Ita_analysis.Diagnostic.Automaton_site i ->
         Some (Printf.sprintf "model.ta:%d:1" (i + 1))
@@ -309,10 +214,16 @@ let test_report () =
       Alcotest.(check bool)
         (Printf.sprintf "report mentions %S" needle)
         true (has needle))
-    [ "model.ta:2:1"; "Q"; "z"; "v" ]
+    [
+      "model.ta:2:1: component Q is outside the query's cone";
+      "clock z is outside the query's cone";
+      "variable v is outside the query's cone";
+      "the query's cone: 2/3 components, 1/2 clocks, 0/1 variables";
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential: the model zoo, at 1 and 4 domains                     *)
+(* Differential: the model zoo, at 1 and 4 domains, against the
+   reference explorer                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let zoo () =
@@ -322,7 +233,7 @@ let zoo () =
     ("committed-gate", fst (Models.committed_gate ()));
     ("handshake", fst (Models.handshake ()));
     ("broadcast", Models.broadcast_pair ());
-    ("island", (let net, _, _, _ = island_net () in net));
+    ("island", (let net, _, _ = island_net () in net));
     ("twin", (let net, _, _ = twin_net () in net));
   ]
 
@@ -339,7 +250,7 @@ let check_net_differential name net =
             List.iter
               (fun c ->
                 let q = Query.with_guard at (Guard.clock_ge x c) in
-                let base = unsliced_verdict net q in
+                let base = reference_verdict net q in
                 List.iter
                   (fun domains ->
                     Alcotest.(check string)
@@ -351,7 +262,7 @@ let check_net_differential name net =
                       (verdict (Reach.reach ~domains net q)))
                   configs)
               [ 1; 7 ];
-            let base = unsliced_sup_fp net ~at ~clock:x in
+            let base = reference_sup_fp net ~at ~clock:x in
             List.iter
               (fun domains ->
                 Alcotest.(check string)
@@ -391,7 +302,7 @@ let test_examples_differential () =
         (fun i q ->
           match q with
           | E.Reach_q q ->
-              let base = unsliced_verdict net q in
+              let base = reference_verdict net q in
               List.iter
                 (fun domains ->
                   Alcotest.(check string)
@@ -401,17 +312,14 @@ let test_examples_differential () =
                     (verdict (Reach.reach ~domains net q)))
                 configs
           | E.Sup_q { clock; at } ->
-              let base =
-                unsliced_sup_fp ~max_ceiling:(1 lsl 40) net ~at ~clock
-              in
+              let base = reference_sup_fp net ~at ~clock in
               List.iter
                 (fun domains ->
                   Alcotest.(check string)
                     (Printf.sprintf "%s sup query %d [%s]" file i
                        (config_name domains))
                     base
-                    (sup_fp ~initial_ceiling:1_000_000 ~max_ceiling:(1 lsl 40)
-                       ~domains net ~at ~clock ()))
+                    (sup_fp ~domains net ~at ~clock ()))
                 configs
           | E.Deadlock_q -> ())
         queries)
@@ -434,17 +342,18 @@ let test_radionav_differential () =
       in
       let obs = Option.get gen.Core.Gen.observer in
       (* the measured clock is pinned active, so at a 2^40 ceiling the
-         oracle's single exploration would tell its values apart across
-         periods; use a 1 s ceiling, which both WCRTs stay below *)
+         reference's single exploration would tell its values apart
+         across periods; use a 1 s ceiling, which both WCRTs stay
+         below *)
       (match
-         Models.unsliced_sup ~max_ceiling:1_000_000 gen.Core.Gen.net
+         Models.reference_sup ~ceiling:1_000_000 gen.Core.Gen.net
            ~at:obs.Core.Gen.seen ~clock:obs.Core.Gen.obs_clock
        with
-      | Wcrt.Sup { value; _ } ->
+      | `Sup (value, _) ->
           Alcotest.(check int)
-            (Printf.sprintf "%s/%s: unsliced oracle" scen req)
+            (Printf.sprintf "%s/%s: reference explorer" scen req)
             expected value
-      | _ -> Alcotest.failf "%s/%s: oracle expected a finite sup" scen req);
+      | _ -> Alcotest.failf "%s/%s: reference expected a finite sup" scen req);
       List.iter
         (fun domains ->
           match
@@ -459,93 +368,6 @@ let test_radionav_differential () =
         configs)
     [ ("AddressLookup", "E2E", 79_075); ("HandleTMC", "TMC", 172_106) ]
 
-(* ------------------------------------------------------------------ *)
-(* Random automata: a queried component plus a removable island, with
-   a concrete-walk oracle on the ORIGINAL network — any goal the walk
-   hits must be reachable in the sliced exploration too.               *)
-(* ------------------------------------------------------------------ *)
-
-let gen_random_island_net =
-  let open QCheck2.Gen in
-  let gen_atom clock =
-    let* rel = oneofl [ Guard.Lt; Guard.Le; Guard.Ge; Guard.Gt; Guard.Eq ] in
-    let* c = int_range 0 8 in
-    return (Guard.clock_rel clock rel (Expr.Int c))
-  in
-  let* nl = int_range 2 4 in
-  let* invariants =
-    list_repeat nl
-      (let* inv = bool in
-       let* c = int_range 1 8 in
-       return (if inv then Guard.clock_le 1 c else Guard.tt))
-  in
-  let* n_edges = int_range nl (2 * nl) in
-  let* p_edges =
-    list_repeat n_edges
-      (let* src = int_range 0 (nl - 1) and* dst = int_range 0 (nl - 1) in
-       let* use_g = bool in
-       let* g = gen_atom 1 in
-       let* reset = bool in
-       return
-         (edge src dst
-            ~guard:(if use_g then g else Guard.tt)
-            ~update:(if reset then Update.reset 1 else [])))
-  in
-  (* the island: self-loops over its own clock, Normal locations only,
-     so it is provably outside any cone rooted at P *)
-  let* q_edges =
-    let* lo = int_range 1 5 in
-    return [ edge 0 0 ~guard:(Guard.clock_ge 2 lo) ~update:(Update.reset 2) ]
-  in
-  let b = Network.Builder.create () in
-  let _x = Network.Builder.clock b "x" in
-  let _z = Network.Builder.clock b "z" in
-  let locations =
-    List.mapi
-      (fun i inv -> loc (Printf.sprintf "L%d" i) ~invariant:inv)
-      invariants
-  in
-  Network.Builder.add_automaton b
-    (Automaton.make ~name:"P" ~locations ~edges:p_edges ~initial:0);
-  Network.Builder.add_automaton b
-    (Automaton.make ~name:"Q" ~locations:[ loc "K0" ] ~edges:q_edges
-       ~initial:0);
-  return (Network.Builder.build b, nl)
-
-let test_random_island =
-  QCheck2.Test.make ~count:60
-    ~name:"sliced verdicts agree with unsliced and with concrete walks"
-    QCheck2.Gen.(triple gen_random_island_net (int_range 0 10) (int_range 1 10_000))
-    (fun ((net, nl), c, seed) ->
-      let ok = ref true in
-      let walk = Models.safe_walk net ~seed ~steps:40 ~max_step_delay:7 in
-      for l = 0 to nl - 1 do
-        let at = Query.at net ~comp:"P" ~loc:(Printf.sprintf "L%d" l) in
-        let q = Query.with_guard at (Guard.clock_ge 1 c) in
-        let base = unsliced_verdict net q in
-        List.iter
-          (fun domains ->
-            if verdict (Reach.reach ~domains net q) <> base then
-              ok := false)
-          configs;
-        (* the oracle: a concrete state of the ORIGINAL network hitting
-           the goal forces the sliced verdict to be reachable *)
-        let concretely_hit =
-          List.exists
-            (fun (cc : Concrete.t) ->
-              cc.Concrete.locs.(0) = l && cc.Concrete.clocks.(1) >= c)
-            walk
-        in
-        if concretely_hit && verdict (Reach.reach net q) <> "reachable" then
-          ok := false
-      done;
-      (* the island must actually be sliced away whenever the query
-         does not observe it *)
-      let at = Query.at net ~comp:"P" ~loc:"L0" in
-      let sl, _, _ = Reach.slice_query Reach.CoiMerge net at in
-      if sl.Slice.removed_comps <> [ 1 ] then ok := false;
-      !ok)
-
 let () =
   Alcotest.run "slice"
     [
@@ -553,10 +375,6 @@ let () =
         [
           Alcotest.test_case "island cone" `Quick test_island_cone;
           Alcotest.test_case "island lint pass" `Quick test_island_lint_cone;
-          Alcotest.test_case "quasi-equal merge" `Quick test_twin_merge;
-          Alcotest.test_case "station strict win" `Quick
-            test_station_strict_win;
-          Alcotest.test_case "identity fast path" `Quick test_identity;
           Alcotest.test_case "report provenance" `Quick test_report;
         ] );
       ( "differential",
@@ -569,6 +387,4 @@ let () =
           Alcotest.test_case "radionav cells" `Slow
             test_radionav_differential;
         ] );
-      ( "random",
-        [ QCheck_alcotest.to_alcotest test_random_island ] );
     ]
