@@ -388,3 +388,113 @@ let pp ppf z =
     done;
     if !first then Format.pp_print_string ppf "true"
   end
+
+(* Rows.  Once every clock outside [live] has been reset to 0, as
+   active-clock reduction does, a reset clock's row is row 0 and its
+   column is column 0, so the entries among the reference clock and the
+   live clocks determine the whole matrix.  A row lists exactly those
+   entries: word 0 is left to the caller, then the box, (x, 0) and
+   (0, x) for each live x in turn, then (x, y) for every ordered pair
+   of distinct live clocks, and last (0, 0), which is (<=, 0) on every
+   non-empty zone.  The empty zone's row holds [min_int] everywhere
+   after word 0: it is below every row, and no non-empty row is below
+   it, even over no live clock at all. *)
+let row_length p = 2 + (p * (p + 1))
+
+let to_row z live =
+  let p = Array.length live in
+  let len = row_length p in
+  if is_empty z then begin
+    let r = Array.make len min_int in
+    r.(0) <- 0;
+    r
+  end
+  else begin
+    let n = z.n and m = z.m in
+    let r = Array.make len 0 in
+    for a = 0 to p - 1 do
+      let x = live.(a) in
+      r.(1 + (2 * a)) <- m.(x * n);
+      r.(2 + (2 * a)) <- m.(x)
+    done;
+    let k = ref (1 + (2 * p)) in
+    for a = 0 to p - 1 do
+      let row = live.(a) * n in
+      for b = 0 to p - 1 do
+        if a <> b then begin
+          r.(!k) <- m.(row + live.(b));
+          incr k
+        end
+      done
+    done;
+    r.(len - 1) <- m.(0);
+    r
+  end
+
+let of_row nc live row =
+  let n = nc + 1 and p = Array.length live in
+  let len = row_length p in
+  if Array.length row <> len then invalid_arg "Dbm.of_row: length mismatch";
+  let z = { n; m = Array.make (n * n) Bound.zero_le } in
+  if row.(len - 1) < Bound.zero_le then mark_empty z
+  else begin
+    let m = z.m in
+    for a = 0 to p - 1 do
+      let x = live.(a) in
+      m.(x * n) <- row.(1 + (2 * a));
+      m.(x) <- row.(2 + (2 * a))
+    done;
+    let k = ref (1 + (2 * p)) in
+    for a = 0 to p - 1 do
+      let r = live.(a) * n in
+      for b = 0 to p - 1 do
+        if a <> b then begin
+          m.(r + live.(b)) <- row.(!k);
+          incr k
+        end
+      done
+    done;
+    (* a reset clock copies row 0 and column 0 against every live
+       clock; against the reference and other reset clocks its entries
+       stay (<=, 0) *)
+    let next = ref 0 in
+    for x = 1 to n - 1 do
+      if !next < p && live.(!next) = x then incr next
+      else
+        for a = 0 to p - 1 do
+          let y = live.(a) in
+          m.((x * n) + y) <- m.(y);
+          m.((y * n) + x) <- m.(y * n)
+        done
+    done
+  end;
+  z
+
+type row_order = Same | Below | Above | Apart
+
+(* Both inclusions hold up to the first entry where the rows differ;
+   that entry rules one out, and the scan goes on for the other alone
+   until it fails too.  The box comes first, so most incomparable pairs
+   are told apart within a few entries. *)
+let row_compare (r : int array) (r' : int array) =
+  let len = Array.length r in
+  if Array.length r' <> len then invalid_arg "Dbm.row_compare: length mismatch";
+  let k = ref 1 in
+  while !k < len && r.(!k) = r'.(!k) do
+    incr k
+  done;
+  if !k = len then Same
+  else if r.(!k) < r'.(!k) then begin
+    incr k;
+    while !k < len && r.(!k) <= r'.(!k) do
+      incr k
+    done;
+    if !k = len then Below else Apart
+  end
+  else begin
+    incr k;
+    while !k < len && r'.(!k) <= r.(!k) do
+      incr k
+    done;
+    if !k = len then Above else Apart
+  end

@@ -195,3 +195,41 @@ val delay_ordered : t -> int array -> int -> int array option
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable conjunction of the non-trivial constraints. *)
+
+(** {2 Rows}
+
+    A compact, lossless form for zones whose clocks outside a known set
+    were all reset to [0], as active-clock reduction leaves them: such
+    a clock's row is row 0 and its column is column 0, so the entries
+    among the reference clock and the live clocks determine the rest.
+    The explorer's passed list keeps its zones as rows. *)
+
+val to_row : t -> int array -> int array
+(** [to_row z live] is [z]'s row over the clocks [live], listed in
+    increasing order; every clock outside [live] must have been reset
+    to [0] in [z].  Word 0 is [0] and left to the caller: no function
+    here reads it.  Then come the box, [(x, 0)] and [(0, x)] for each
+    live [x] in turn, the entries [(x, y)] for every ordered pair of
+    distinct live clocks, and last [(0, 0)], [(<=, 0)] on every
+    non-empty zone.  The row of an empty zone holds [min_int] after
+    word 0. *)
+
+val of_row : int -> int array -> int array -> t
+(** [of_row n live row] decodes a {!to_row} row over [live] into a zone
+    over [n] clocks, with every clock outside [live] reset to [0]: a
+    fresh zone, entry for entry the one projected (any empty zone when
+    that one was empty).  @raise Invalid_argument when [row]'s length
+    does not fit [live]. *)
+
+type row_order =
+  | Same  (** both zones are equal *)
+  | Below  (** the first zone is strictly included in the second *)
+  | Above  (** the second zone is strictly included in the first *)
+  | Apart  (** neither includes the other *)
+
+val row_compare : int array -> int array -> row_order
+(** [row_compare r r'] decides both inclusions between the zones of two
+    rows over the same live clocks in one pass over their entries:
+    inclusion is the entrywise order, as for {!subset} on the decoded
+    zones.  It reads the box first and stops once both inclusions
+    fail.  @raise Invalid_argument when the rows differ in length. *)

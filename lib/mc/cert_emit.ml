@@ -16,13 +16,12 @@ module Cert = Ita_cert.Cert
    freed antichain is still inductive — and necessary, or consecution
    would reject every certificate, the reduction being always on.  The
    query's clocks are pinned always-active, so judgment bounds are
-   never weakened. *)
+   never weakened.  The clocks are freed in the snapshot's own zones:
+   each dump decodes them fresh, and no engine structure shares them. *)
 let free_inactive (net : Network.t) (st : Semantics.state) z =
-  let z = Dbm.copy z in
   for x = 1 to Array.length net.Network.clock_names - 1 do
     if not (Network.live_clock net st.Semantics.locs x) then Dbm.free z x
-  done;
-  z
+  done
 
 (* Extra+LU only widens, and the passed list drops a zone only for one
    that includes it, so every exact successor of a stored zone is
@@ -38,7 +37,7 @@ let of_snapshot ~index ~(verdict : Cert.verdict) (snap : Reach.snapshot) :
     entries =
       List.map
         (fun (st, zones) ->
-          let zones = List.map (free_inactive net st) zones in
+          List.iter (free_inactive net st) zones;
           { Cert.st; zones = List.sort Dbm.compare zones })
         snap.Reach.snap_passed;
   }

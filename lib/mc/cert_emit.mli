@@ -23,7 +23,12 @@ val of_snapshot :
     snapshot's sorted order and each entry's zones are sorted by
     [Dbm.compare], so at one domain the certificate is byte-identical
     for a given order; at several domains the passed list, and so the
-    certificate, may hold different zones, and it still checks. *)
+    certificate, may hold different zones, and it still checks.
+
+    Emission consumes the snapshot: it frees the inactive clocks in the
+    snapshot's own zones, which the certificate then shares, instead of
+    copying each zone.  Emit once per snapshot, and read its zones
+    before emitting. *)
 
 val of_witness :
   index:int -> Semantics.label list -> Ita_cert.Cert.query_cert

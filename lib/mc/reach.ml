@@ -128,76 +128,101 @@ let make_packer (net : Network.t) =
     done;
     out
 
-(* One zone of the passed list.  [pruned] is set when the antichain
-   drops the slot, so a waiting node can tell in O(1) whether its zone
-   is still stored.  The pop-time probe reads it without the shard
-   lock: a stale read can only let an already-pruned zone be expanded
-   once more, which costs redundant work but never soundness (its
-   successors are subsumed by the pruner's). *)
-type slot = { zone : Dbm.t; mutable pruned : bool }
-
-let dead_slot = { zone = Dbm.zero 0; pruned = true }
-
 (* The passed list stores, per discrete state, the antichain of maximal
-   zones seen so far under DBM inclusion, in a growable array scanned
+   zones seen so far under inclusion, in a growable array scanned
    without allocating.  [canon] is the interned discrete state: every
    later configuration with an equal state is rewritten to share it
    physically, so one hash lookup per successor replaces the former
-   find-per-probe pattern. *)
+   find-per-probe pattern.
+
+   [live] lists the clocks {!Network.live_clock} accepts at [canon]'s
+   locations, computed once when the entry is created.  Active-clock
+   reduction resets every other clock to 0 in each zone the semantics
+   produces there, so a zone is kept as its row over [live]
+   ({!Dbm.to_row}): lossless, a fifth to a third of the full matrix
+   on the case study, and ordered entrywise exactly as the zones are
+   by inclusion.
+   Word 0 of a row is its pruned flag, set when the antichain drops
+   the row, so a waiting node can tell in O(1) whether its zone is
+   still stored.  The pop-time probe reads it without the shard lock:
+   a stale read can only let an already-pruned zone be expanded once
+   more, which costs redundant work but never soundness (its
+   successors are subsumed by the pruner's).  Apart from that flag a
+   row never changes once stored, so a node decodes it without the
+   lock too. *)
 type entry = {
   canon : Semantics.state;
-  mutable slots : slot array;
+  live : int array;
+  mutable rows : int array array;
   mutable len : int;
 }
 
-let entry_of passed key (st : Semantics.state) =
+let pruned (row : int array) = row.(0) <> 0
+let prune (row : int array) = row.(0) <- 1
+let no_row : int array = [||]
+
+let live_clocks (net : Network.t) (st : Semantics.state) =
+  let live = ref [] in
+  for x = Network.n_clocks net downto 1 do
+    if Network.live_clock net st.Semantics.locs x then live := x :: !live
+  done;
+  Array.of_list !live
+
+let entry_of net passed key (st : Semantics.state) =
   match H.find_opt passed key with
   | Some e -> e
   | None ->
-      let e = { canon = st; slots = [||]; len = 0 } in
+      let e = { canon = st; live = live_clocks net st; rows = [||]; len = 0 } in
       H.add passed key e;
       e
 
-let subsumed_in e (z : Dbm.t) =
-  let i = ref 0 and hit = ref false in
-  while (not !hit) && !i < e.len do
-    if Dbm.subset z e.slots.(!i).zone then hit := true;
+(* Cover and prune in one pass over the entry's rows: [row] is covered
+   when a stored row includes it; otherwise it drops every stored row
+   it includes and is appended.  Rows of an antichain are pairwise
+   incomparable, so no stored row can be below [row] when another is
+   above it: the pass has dropped nothing by the time it meets a
+   cover.  Returns whether [row] was stored; [resident] tracks the true
+   passed-list population for the final stats. *)
+let cover_or_store e (row : int array) resident =
+  let rows = e.rows and len = e.len in
+  let i = ref 0 and keep = ref 0 and covered = ref false in
+  while (not !covered) && !i < len do
+    let r = rows.(!i) in
+    (match Dbm.row_compare row r with
+    | Dbm.Same | Dbm.Below ->
+        assert (!keep = !i);
+        covered := true
+    | Dbm.Above ->
+        prune r;
+        decr resident
+    | Dbm.Apart ->
+        (* shift left only once a row was dropped *)
+        if !keep < !i then rows.(!keep) <- r;
+        incr keep);
     incr i
   done;
-  !hit
+  if !covered then false
+  else begin
+    let keep = !keep in
+    if keep = Array.length rows then begin
+      let grown = Array.make (max 4 (2 * keep)) no_row in
+      Array.blit rows 0 grown 0 keep;
+      e.rows <- grown
+    end;
+    e.rows.(keep) <- row;
+    (* release the pruned rows *)
+    if keep < len then Array.fill e.rows (keep + 1) (len - keep - 1) no_row;
+    e.len <- keep + 1;
+    incr resident;
+    true
+  end
 
-(* Insert [z], pruning stored zones it subsumes.  [resident] tracks the
-   true passed-list population for the final stats. *)
-let store_in e (z : Dbm.t) resident =
-  let keep = ref 0 in
-  for i = 0 to e.len - 1 do
-    let s = e.slots.(i) in
-    if Dbm.subset s.zone z then begin
-      s.pruned <- true;
-      decr resident
-    end
-    else begin
-      e.slots.(!keep) <- s;
-      incr keep
-    end
-  done;
-  e.len <- !keep;
-  let s = { zone = z; pruned = false } in
-  if e.len = Array.length e.slots then begin
-    let cap = max 4 (2 * e.len) in
-    let slots = Array.make cap s in
-    Array.blit e.slots 0 slots 0 e.len;
-    e.slots <- slots
-  end;
-  e.slots.(e.len) <- s;
-  e.len <- e.len + 1;
-  incr resident;
-  s
-
-let dump_table passed acc =
+(* Each dump decodes fresh zones: no engine structure shares them. *)
+let dump_table nc passed acc =
   H.fold
     (fun _ e acc ->
-      (e.canon, List.init e.len (fun i -> e.slots.(i).zone)) :: acc)
+      (e.canon, List.init e.len (fun i -> Dbm.of_row nc e.live e.rows.(i)))
+      :: acc)
     passed acc
 
 (* Certificates and differential tests need the dumped passed list to
@@ -279,27 +304,16 @@ end
 
 type shard = { s_lock : Mutex.t; s_table : entry H.t; s_resident : int ref }
 
-(* Waiting nodes carry parent pointers, so witness reconstruction needs
-   no synchronisation and a node stays alive only while it waits or a
-   live node descends from it. *)
-type node = {
-  config : Semantics.config;
-  parent : node option;
-  via : Semantics.label option;
-  slot : slot;  (* the stored zone backing this waiting node *)
-}
-
-let path_to n =
-  let rec go n acc =
-    match n with
-    | Option.None -> acc
-    | Some n ->
-        go n.parent ({ via = n.via; state = n.config.Semantics.state } :: acc)
-  in
-  go (Some n) []
+(* A waiting node holds its zone's stored row, shared with the passed
+   list, and decodes it only when popped.  Its trail is the witness
+   back to the initial state, newest step first: steps hold states and
+   labels only, and the trails of siblings share their common prefix,
+   so reconstructing a witness needs no synchronisation and keeps no
+   ancestor's zone alive. *)
+type node = { entry : entry; row : int array; trail : step list }
 
 type stop =
-  | Found of node * Dbm.t
+  | Found of step list * Dbm.t
   | Over_budget
   | Failed of exn * Printexc.raw_backtrace
 
@@ -319,8 +333,8 @@ let shard_of key = (Packed_key.hash key lsr 24) land (n_shards - 1)
 
 (* The exploration engine.  The passed list is split into [n_shards]
    shards keyed by the packed-state hash, each a mutex-protected
-   antichain table with its own resident counter; the subsumption probe
-   and the insert happen under one lock acquisition, so two domains
+   antichain table with its own resident counter; a successor's
+   cover-and-prune pass runs under one lock acquisition, so two domains
    racing on comparable zones can never both store (which would
    double-count [stored] and leave a non-antichain passed list).
 
@@ -337,9 +351,10 @@ let shard_of key = (Packed_key.hash key lsr 24) land (n_shards - 1)
    for [Bfs], a stack otherwise.
 
    States enter the passed list when pushed (not when popped): later
-   duplicates are subsumed away before they ever occupy a deque.  A
-   pushed state whose zone got pruned by a larger newcomer is skipped
-   at pop time — the newcomer covers its successors.  Goal checking
+   duplicates are subsumed away before they ever occupy a deque, and a
+   waiting node shares the row its zone was stored as.  A pushed state
+   whose zone got pruned by a larger newcomer is skipped at pop time —
+   the newcomer covers its successors.  Goal checking
    happens at state creation, so counterexamples are found as early as
    possible (UPPAAL does the same).
 
@@ -356,6 +371,7 @@ let run ?(order = Bfs) ?(budget = no_budget) ?domains net ~goal ~on_store () =
   in
   let t0 = Unix.gettimeofday () in
   let pack = make_packer net in
+  let nc = Network.n_clocks net in
   (* small shard tables: most queries are tiny (a DSE sweep runs
      thousands of them), and together the shards start with 4096
      buckets *)
@@ -387,25 +403,33 @@ let run ?(order = Bfs) ?(budget = no_budget) ?domains net ~goal ~on_store () =
        | Some s -> Unix.gettimeofday () -. t0 > s
        | None -> false
   in
-  let add w via parent (c : Semantics.config) =
+  let add w via trail (c : Semantics.config) =
     match goal c with
-    | Some gz ->
-        halt (Found ({ config = c; parent; via; slot = dead_slot }, gz))
+    | Some gz -> halt (Found ({ via; state = c.Semantics.state } :: trail, gz))
     | None ->
         let key = pack c.Semantics.state in
         let sh = shards.(shard_of key) in
         Mutex.lock sh.s_lock;
-        let e = entry_of sh.s_table key c.Semantics.state in
-        if subsumed_in e c.Semantics.zone then Mutex.unlock sh.s_lock
-        else begin
+        let e = entry_of net sh.s_table key c.Semantics.state in
+        let row = Dbm.to_row c.Semantics.zone e.live in
+        let stored =
+          (* a failed antichain assertion must not leave the shard
+             locked for the other workers *)
+          match cover_or_store e row sh.s_resident with
+          | stored ->
+              Mutex.unlock sh.s_lock;
+              stored
+          | exception ex ->
+              Mutex.unlock sh.s_lock;
+              raise ex
+        in
+        if stored then begin
           (* intern the discrete state: revisits of this entry now share
              it physically, so equality short-circuits on [==] *)
           let c =
             if c.Semantics.state == e.canon then c
             else { c with Semantics.state = e.canon }
           in
-          let s = store_in e c.Semantics.zone sh.s_resident in
-          Mutex.unlock sh.s_lock;
           Mutex.lock cb_lock;
           (match on_store c with
           | () -> Mutex.unlock cb_lock
@@ -413,19 +437,24 @@ let run ?(order = Bfs) ?(budget = no_budget) ?domains net ~goal ~on_store () =
               Mutex.unlock cb_lock;
               raise ex);
           Atomic.incr pending;
-          Deque.push deques.(w) { config = c; parent; via; slot = s }
+          Deque.push deques.(w)
+            { entry = e; row; trail = { via; state = e.canon } :: trail }
         end
   in
   let process w rng (n : node) =
-    if not n.slot.pruned then begin
+    if not (pruned n.row) then begin
       let e = 1 + Atomic.fetch_and_add explored 1 in
       if over_budget e then halt Over_budget;
-      let succs = Array.of_list (Semantics.successors net n.config) in
+      let zone = Dbm.of_row nc n.entry.live n.row in
+      let succs =
+        Array.of_list
+          (Semantics.successors net { Semantics.state = n.entry.canon; zone })
+      in
       (match rng with Some g -> Prng.shuffle g succs | None -> ());
       Array.iter
         (fun (label, c') ->
           transitions.(w) <- transitions.(w) + 1;
-          add w (Some label) (Some n) c')
+          add w (Some label) n.trail c')
         succs
     end
   in
@@ -480,7 +509,7 @@ let run ?(order = Bfs) ?(budget = no_budget) ?domains net ~goal ~on_store () =
         ignore
           (Atomic.compare_and_set stop Option.None (Some (Failed (ex, bt))))
   in
-  (try add 0 Option.None Option.None (Semantics.initial net) with Halt -> ());
+  (try add 0 Option.None [] (Semantics.initial net) with Halt -> ());
   if Atomic.get stop = Option.None then begin
     let doms =
       Array.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
@@ -500,12 +529,12 @@ let run ?(order = Bfs) ?(budget = no_budget) ?domains net ~goal ~on_store () =
   in
   let dump () =
     sorted_dump
-      (Array.fold_left (fun acc sh -> dump_table sh.s_table acc) [] shards)
+      (Array.fold_left (fun acc sh -> dump_table nc sh.s_table acc) [] shards)
   in
   let result =
     match Atomic.get stop with
     | Some (Failed (e, bt)) -> Printexc.raise_with_backtrace e bt
-    | Some (Found (n, gz)) -> Goal_found (path_to n, gz, stats ())
+    | Some (Found (trail, gz)) -> Goal_found (List.rev trail, gz, stats ())
     | Some Over_budget -> Out_of_budget (stats ())
     | None -> Space_exhausted (stats ())
   in

@@ -1,9 +1,11 @@
 (** Forward symbolic reachability: the model checker's engine.
 
     Explores the Extra+LU zone graph ({!Semantics}) with a passed list
-    keyed on the discrete state (zone lists with inclusion subsumption)
-    and one waiting deque per worker domain, each taken from in the
-    search order.  [Bfs] gives shortest counterexamples at one domain;
+    keyed on the discrete state (antichains of zones under inclusion,
+    each zone kept as its row over the state's live clocks, see
+    {!Ita_dbm.Dbm.to_row}) and one waiting deque per worker domain,
+    each taken from in the search order.  [Bfs] gives shortest
+    counterexamples at one domain;
     [Dfs] and [Random_dfs] are the paper's "structured testing" modes
     ("df" / "rdf" in Table 1) for finding counterexamples — hence WCRT
     lower bounds — in state spaces too large to exhaust.
@@ -104,7 +106,9 @@ type snapshot = {
   snap_passed : (Semantics.state * Semantics.Dbm.t list) list;
       (** the final passed list, sorted by discrete state with each
           antichain sorted by {!Ita_dbm.Dbm.compare} — byte-stable at
-          one domain for a given order (see {!explore}) *)
+          one domain for a given order (see {!explore}).  Its zones are
+          decoded fresh for the snapshot and shared with nothing else;
+          certificate emission consumes them, freeing clocks in place *)
 }
 (** Everything certificate emission ({!Cert_emit}) needs from a
     completed exploration. *)
@@ -166,7 +170,8 @@ val explore :
 
     [?snap] fires on [`Complete] with the final passed list: per
     interned discrete state, the antichain of zones still stored for
-    it, sorted as in {!snapshot.snap_passed}.  Whatever the order or
+    it, decoded fresh and sorted as in {!snapshot.snap_passed}.
+    Whatever the order or
     domain count, every zone the exploration generated is included in
     one of them.  The list itself is deterministic at one domain for a
     given order; across orders or domain counts its contents may

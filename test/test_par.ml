@@ -173,12 +173,58 @@ let test_radionav_wcrt () =
         [ 1; 2; 4 ])
     [ ("AddressLookup", "E2E", 79_075); ("HandleTMC", "TMC", 172_106) ]
 
-let test_radionav_antichains () =
+(* the measured network of the al/po HandleTMC cell *)
+let radionav_al_po () =
   let sys = R.system R.Al_tmc R.Po in
   let scenario = Ita_core.Sysmodel.scenario sys "HandleTMC" in
   let req = Ita_core.Scenario.requirement scenario "TMC" in
-  let gen = Ita_core.Gen.generate ~measure:("HandleTMC", req) sys in
-  check_antichains "radionav al/po" gen.Ita_core.Gen.net
+  (Ita_core.Gen.generate ~measure:("HandleTMC", req) sys).Ita_core.Gen.net
+
+let test_radionav_antichains () =
+  check_antichains "radionav al/po" (radionav_al_po ())
+
+(* The passed list keeps each zone as its row over the state's live
+   clocks.  The projection must lose nothing: every zone of the final
+   passed list equals, entry for entry, a zone [on_store] was handed
+   for the same state. *)
+let check_snapshot_zones_stored name net =
+  let net = Ita_analysis.Flow.refine_network net in
+  List.iter
+    (fun d ->
+      let handed = Hashtbl.create 64 and passed = ref [] in
+      let key (st : Semantics.state) = (st.Semantics.locs, st.Semantics.env) in
+      (match
+         Reach.explore ~domains:d
+           ~snap:(fun p -> passed := p)
+           net
+           ~on_store:(fun (c : Semantics.config) ->
+             let k = key c.Semantics.state in
+             let zs = Option.value ~default:[] (Hashtbl.find_opt handed k) in
+             Hashtbl.replace handed k (Dbm.copy c.Semantics.zone :: zs))
+       with
+      | `Complete _ -> ()
+      | `Budget_exhausted _ -> Alcotest.fail "exploration should complete");
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: snapshot not empty (d=%d)" name d)
+        true (!passed <> []);
+      List.iter
+        (fun ((st : Semantics.state), zones) ->
+          let stored =
+            Option.value ~default:[] (Hashtbl.find_opt handed (key st))
+          in
+          List.iter
+            (fun z ->
+              if not (List.exists (Dbm.equal z) stored) then
+                Alcotest.failf "%s (d=%d): a snapshot zone at %a was never stored"
+                  name d (Semantics.pp_state net) st)
+            zones)
+        !passed)
+    [ 1; 4 ]
+
+let test_snapshot_zones_stored () =
+  List.iter
+    (fun (name, net) -> check_snapshot_zones_stored name net)
+    (("radionav al/po", radionav_al_po ()) :: zoo ())
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: random automata — 4 domains vs one vs the concrete oracle
@@ -345,6 +391,8 @@ let () =
           Alcotest.test_case "radionav WCRT cells" `Slow test_radionav_wcrt;
           Alcotest.test_case "radionav antichains" `Slow
             test_radionav_antichains;
+          Alcotest.test_case "snapshot zones were stored" `Quick
+            test_snapshot_zones_stored;
         ] );
       ( "random",
         [ QCheck_alcotest.to_alcotest test_random_nets_par_agree ] );
