@@ -35,6 +35,10 @@ let n_steps s = List.length s.steps
 let requirement s name =
   List.find (fun r -> r.req_name = name) s.requirements
 
+let in_window ~from_step ~to_step k =
+  let lo = match from_step with None -> 0 | Some f -> f + 1 in
+  lo <= k && k <= to_step
+
 let validate ~resources s =
   let ( let* ) r f = Result.bind r f in
   let* () = Eventmodel.validate s.trigger in

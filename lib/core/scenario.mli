@@ -50,6 +50,11 @@ val n_steps : t -> int
 val requirement : t -> string -> requirement
 (** @raise Not_found on an unknown requirement name. *)
 
+val in_window : from_step:int option -> to_step:int -> int -> bool
+(** [in_window ~from_step ~to_step k]: step [k] lies in the window a
+    requirement measures, from [from_step]'s completion (the event's
+    arrival when [None]) to [to_step]'s completion. *)
+
 val validate : resources:Resource.t list -> t -> (unit, string) result
 (** Steps reference known resources of the right kind; requirement
     indices are in range and ordered. *)

@@ -37,8 +37,9 @@ let step_duration_us m st =
       assert false
 
 let uncontended_us m s ~from_step ~to_step =
-  let lo = match from_step with None -> 0 | Some f -> f + 1 in
-  List.filteri (fun i _ -> i >= lo && i <= to_step) s.Scenario.steps
+  List.filteri
+    (fun i _ -> Scenario.in_window ~from_step ~to_step i)
+    s.Scenario.steps
   |> List.fold_left (fun acc st -> acc + step_duration_us m st) 0
 
 let jobs_on m r =

@@ -1,30 +1,9 @@
-type t = {
-  eval_fn : int -> int;
-  bp_fn : horizon:int -> int list;
-  cache : (int, int) Hashtbl.t;
-}
-(* Derived curves (leftover, sums, ...) evaluate their
-   operands at many repeated abscissae; the per-curve cache turns the
-   nested compositions built by the GPC layer from exponential into
-   linear work. *)
+type t = { eval_fn : int -> int; bp_fn : horizon:int -> int list }
 
-let eval c d =
-  let d = max 0 d in
-  match Hashtbl.find_opt c.cache d with
-  | Some v -> v
-  | None ->
-      let v = c.eval_fn d in
-      Hashtbl.add c.cache d v;
-      v
-
-let raw eval_fn bp_fn = { eval_fn; bp_fn; cache = Hashtbl.create 256 }
-
-let dedup_sorted l =
-  let rec go = function
-    | a :: b :: rest -> if a = b then go (b :: rest) else a :: go (b :: rest)
-    | l -> l
-  in
-  go l
+(* An [eval] walks the composition once: each [Minplus.leftover] level
+   materialised its corner prefix maxima when it was built, so it
+   evaluates its operands once per call (see curve.mli). *)
+let eval c d = c.eval_fn (max 0 d)
 
 (* Each raw breakpoint also contributes its predecessor and successor,
    so that one-sided limits of staircases are sampled. *)
@@ -37,10 +16,10 @@ let widen ~horizon pts =
 
 let breakpoints c ~horizon = widen ~horizon (c.bp_fn ~horizon)
 
-let make ~eval ~breakpoints = raw (fun d -> eval (max 0 d)) breakpoints
-let zero = raw (fun _ -> 0) (fun ~horizon:_ -> [])
-let constant k = raw (fun _ -> k) (fun ~horizon:_ -> [])
-let rate r = raw (fun d -> r * d) (fun ~horizon:_ -> [])
+let make ~eval ~breakpoints = { eval_fn = eval; bp_fn = breakpoints }
+let zero = make ~eval:(fun _ -> 0) ~breakpoints:(fun ~horizon:_ -> [])
+let constant k = make ~eval:(fun _ -> k) ~breakpoints:(fun ~horizon:_ -> [])
+let rate r = make ~eval:(fun d -> r * d) ~breakpoints:(fun ~horizon:_ -> [])
 
 let upper_pjd ~period ~jitter ~dmin =
   (* closed-window convention: alpha(0) is the instantaneous burst, so
@@ -48,11 +27,9 @@ let upper_pjd ~period ~jitter ~dmin =
      half-open convention would silently serve one time unit before the
      burst lands) *)
   let eval_fn d =
-    if d < 0 then 0
-    else
-      let periodic = ((d + jitter) / period) + 1 in
-      let by_sep = if dmin > 0 then (d / dmin) + 1 else max_int in
-      min periodic by_sep
+    let periodic = ((d + jitter) / period) + 1 in
+    let by_sep = if dmin > 0 then (d / dmin) + 1 else max_int in
+    min periodic by_sep
   in
   let bp_fn ~horizon =
     let rec steps k acc =
@@ -71,17 +48,13 @@ let upper_pjd ~period ~jitter ~dmin =
     in
     steps 0 [] @ sep_steps
   in
-  raw eval_fn bp_fn
+  make ~eval:eval_fn ~breakpoints:bp_fn
 
-let scale c k = raw (fun d -> k * eval c d) c.bp_fn
+let scale c k = make ~eval:(fun d -> k * eval c d) ~breakpoints:c.bp_fn
 
-let merge_bps c1 c2 ~horizon =
-  List.merge compare
-    (List.sort compare (c1.bp_fn ~horizon))
-    (List.sort compare (c2.bp_fn ~horizon))
-  |> dedup_sorted
-
+(* [breakpoints] widens, sorts and deduplicates, so a sum need only
+   concatenate its operands' raw breakpoints. *)
 let add c1 c2 =
-  raw
-    (fun d -> eval c1 d + eval c2 d)
-    (fun ~horizon -> merge_bps c1 c2 ~horizon)
+  make
+    ~eval:(fun d -> eval c1 d + eval c2 d)
+    ~breakpoints:(fun ~horizon -> c1.bp_fn ~horizon @ c2.bp_fn ~horizon)

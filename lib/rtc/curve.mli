@@ -19,7 +19,11 @@
 type t
 
 val eval : t -> int -> int
-(** Monotone; [eval c d = eval c 0] for [d <= 0]. *)
+(** Monotone (a {!Minplus.leftover} only up to its horizon);
+    [eval c d = eval c 0] for [d <= 0].  Nothing is memoised: a call
+    walks [c]'s composition once, through the rival sums {!Gpc} builds
+    and at most two {!Minplus.leftover} levels (three on TDMA
+    resources), each of which evaluates its operands once. *)
 
 val breakpoints : t -> horizon:int -> int list
 (** Sorted candidate abscissae in [[0, horizon]], always including 0

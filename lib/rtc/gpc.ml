@@ -215,12 +215,12 @@ let analyze (sys : Sysmodel.t) =
 let wcrt t sys ~scenario ~requirement =
   let s = Sysmodel.scenario sys scenario in
   let req = Scenario.requirement s requirement in
-  let lo = match req.Scenario.from_step with None -> 0 | Some f -> f + 1 in
   List.fold_left
     (fun acc step ->
       if
-        step.scenario = scenario && step.step_index >= lo
-        && step.step_index <= req.Scenario.to_step
+        step.scenario = scenario
+        && Scenario.in_window ~from_step:req.Scenario.from_step
+             ~to_step:req.Scenario.to_step step.step_index
       then acc + step.delay
       else acc)
     0 t.steps

@@ -71,6 +71,152 @@ let prop_leftover_bounded =
       let v = Curve.eval left x in
       0 <= v && v <= x)
 
+(* The operators against brute force over every integer window.  A
+   demand is one or two scaled staircases; a service is a rate, or its
+   leftover after a rival staircase.  [leftover] and
+   [vertical_deviation] must be exact over [[0, horizon]];
+   [horizontal_deviation] must be exact when every catch-up ends inside
+   the horizon, and otherwise an upper bound on the catch-ups of the
+   true (unhorizoned) service. *)
+
+type stair = { period : int; jitter : int; dmin : int; scale : int }
+
+type minplus_case = {
+  horizon : int;
+  demand : stair * stair option;
+  rate : int;
+  rival : stair option;
+}
+
+let gen_stair =
+  QCheck2.Gen.(
+    let+ period = int_range 1 40
+    and+ jitter = int_range 0 59
+    and+ dmin = int_range 0 5
+    and+ scale = int_range 1 5 in
+    { period; jitter; dmin; scale })
+
+let gen_minplus_case =
+  QCheck2.Gen.(
+    let+ horizon = int_range 50 299
+    and+ first = gen_stair
+    and+ second = opt ~ratio:0.5 gen_stair
+    and+ rate = int_range 1 3
+    and+ rival = opt ~ratio:0.5 gen_stair in
+    { horizon; demand = (first, second); rate; rival })
+
+let print_minplus_case c =
+  let stair s =
+    Printf.sprintf "%d*pjd(%d,%d,%d)" s.scale s.period s.jitter s.dmin
+  in
+  let opt f = function None -> "-" | Some s -> f s in
+  let first, second = c.demand in
+  Printf.sprintf "horizon %d, demand %s + %s, rate %d, rival %s" c.horizon
+    (stair first) (opt stair second) c.rate (opt stair c.rival)
+
+let stair_curve s =
+  Curve.scale
+    (Curve.upper_pjd ~period:s.period ~jitter:s.jitter ~dmin:s.dmin)
+    s.scale
+
+let stair_at s =
+  let a = Curve.upper_pjd ~period:s.period ~jitter:s.jitter ~dmin:s.dmin in
+  fun d -> s.scale * Curve.eval a d
+
+(* [prefix_sup n f].(d) = max (0, sup_{0 <= l <= d} f l) *)
+let prefix_sup n f =
+  let best = ref 0 in
+  Array.init n (fun d ->
+      best := max !best (f d);
+      !best)
+
+let prop_minplus_brute_force =
+  QCheck2.Test.make ~count:2000 ~name:"operators equal brute force"
+    ~print:print_minplus_case gen_minplus_case (fun c ->
+      let h = c.horizon in
+      let first, second = c.demand in
+      let demand =
+        match second with
+        | None -> stair_curve first
+        | Some s -> Curve.add (stair_curve first) (stair_curve s)
+      in
+      let service =
+        match c.rival with
+        | None -> Curve.rate c.rate
+        | Some r ->
+            Minplus.leftover ~horizon:h ~service:(Curve.rate c.rate)
+              ~demand:(stair_curve r)
+      in
+      (* brute force over [0, 2h]: the deviations look up to a horizon
+         past their last candidate *)
+      let n = (2 * h) + 1 in
+      let dem =
+        let first_at = stair_at first in
+        match second with
+        | None -> Array.init n first_at
+        | Some s ->
+            let second_at = stair_at s in
+            Array.init n (fun d -> first_at d + second_at d)
+      in
+      let svc =
+        match c.rival with
+        | None -> Array.init n (fun d -> c.rate * d)
+        | Some r ->
+            let rival_at = stair_at r in
+            prefix_sup n (fun d -> (c.rate * d) - rival_at d)
+      in
+      let agree what f expected =
+        for d = 0 to h do
+          let got = f d in
+          if got <> expected.(d) then
+            QCheck2.Test.fail_reportf "%s at %d: %d, brute force %d" what d
+              got expected.(d)
+        done
+      in
+      agree "service" (Curve.eval service) svc;
+      agree "leftover"
+        (Curve.eval (Minplus.leftover ~horizon:h ~service ~demand))
+        (prefix_sup n (fun d -> svc.(d) - dem.(d)));
+      let backlog = ref 0 in
+      for x = 0 to h do
+        backlog := max !backlog (dem.(x) - svc.(x))
+      done;
+      let vd = Minplus.vertical_deviation ~horizon:h ~demand ~service in
+      if vd <> !backlog then
+        QCheck2.Test.fail_reportf "vertical deviation %d, brute force %d" vd
+          !backlog;
+      (* least y in [x, limit] with svc y >= dem x *)
+      let catch_up ~limit x =
+        let rec go y =
+          if y > limit then None
+          else if svc.(y) >= dem.(x) then Some (y - x)
+          else go (y + 1)
+        in
+        go x
+      in
+      let worst ~limit =
+        List.fold_left
+          (fun acc x ->
+            match (acc, catch_up ~limit:(limit x) x) with
+            | Some w, Some tau -> Some (max w tau)
+            | _ -> None)
+          (Some 0)
+          (List.init (h + 1) Fun.id)
+      in
+      let hd = Minplus.horizontal_deviation ~horizon:h ~demand ~service in
+      match worst ~limit:(fun _ -> h) with
+      | Some w ->
+          hd = w
+          || QCheck2.Test.fail_reportf "horizontal deviation %d, brute force %d"
+               hd w
+      | None -> (
+          match worst ~limit:(fun x -> x + h) with
+          | Some w ->
+              hd >= w
+              || QCheck2.Test.fail_reportf
+                   "horizontal deviation %d below the true delay %d" hd w
+          | None -> hd = max_int))
+
 (* ------------------------------------------------------------------ *)
 (* GPC on systems with known answers                                   *)
 (* ------------------------------------------------------------------ *)
@@ -131,6 +277,42 @@ let test_gpc_backlog () =
         (st.Gpc.backlog >= 0 && st.Gpc.backlog <= 8))
     t.Gpc.steps
 
+(* Table 2's MPA column and the bus-bandwidth sweep's rtc figures,
+   pinned exactly.  Each system is analysed once and every requirement
+   is read off that one analysis. *)
+let check_wcrts label sys cells =
+  let t = Gpc.analyze sys in
+  List.iter
+    (fun (scenario, requirement, expected) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s %s/%s" label scenario requirement)
+        expected
+        (Gpc.wcrt t sys ~scenario ~requirement))
+    cells
+
+let test_gpc_table2 () =
+  let module R = Ita_casestudy.Radionav in
+  check_wcrts "cv pno" (R.system R.Cv_tmc R.Pno)
+    [
+      ("HandleTMC", "TMC", 390_080);
+      ("ChangeVolume", "K2A", 153_106);
+      ("ChangeVolume", "A2V", 62_639);
+    ];
+  check_wcrts "al pno" (R.system R.Al_tmc R.Pno)
+    [ ("HandleTMC", "TMC", 265_847); ("AddressLookup", "E2E", 84_064) ]
+
+let test_gpc_bus_sweep () =
+  let space =
+    Ita_dse.Spaces.radionav ~rad_mips:[ 11.0 ]
+      ~bus_kbps:[ 48.0; 60.0; 72.0; 96.0; 120.0 ] ()
+  in
+  List.iter2
+    (fun (c : Ita_dse.Space.candidate) expected ->
+      check_wcrts (Ita_dse.Space.label c) c.Ita_dse.Space.sys
+        [ ("HandleTMC", "TMC", expected) ])
+    (Ita_dse.Space.candidates space)
+    [ 284_073; 273_135; 265_847; 256_735; 251_273 ]
+
 let () =
   Alcotest.run "rtc"
     [
@@ -146,11 +328,14 @@ let () =
             test_horizontal_deviation;
           Alcotest.test_case "leftover" `Quick test_leftover;
           QCheck_alcotest.to_alcotest prop_leftover_bounded;
+          QCheck_alcotest.to_alcotest prop_minplus_brute_force;
         ] );
       ( "gpc",
         [
           Alcotest.test_case "solo" `Quick test_gpc_solo;
           Alcotest.test_case "two bands" `Quick test_gpc_two_bands;
           Alcotest.test_case "backlog sanity" `Quick test_gpc_backlog;
+          Alcotest.test_case "table 2 mpa column" `Quick test_gpc_table2;
+          Alcotest.test_case "bus sweep" `Quick test_gpc_bus_sweep;
         ] );
     ]
