@@ -601,9 +601,8 @@ let analyze (net : Network.t) =
    over the {e live} part of the control-flow graph with guard/reset
    constants evaluated under the flow-refined intervals — the second
    instantiation of {!Fixpoint}.  A flow-unreachable location keeps
-   the bottom row: every bound 0, every clock inactive.
-   [lbase]/[ubase] floors (query constants), [pinned] and the
-   classical [k] are untouched. *)
+   the bottom row: every bound 0, every clock inactive.  The [floor]
+   (query constants), [pinned] and the classical [k] are untouched. *)
 
 let refine_lu fa (net : Network.t) =
   let n_clocks = Array.length net.Network.clock_names in

@@ -114,8 +114,8 @@ val refine_lu : t -> Network.t -> Network.t
     rows); no entry exceeds its clock's [k].  A clock is active at a
     location when a live path from it tests the clock, through a guard
     or an invariant, before resetting it.  [k], [pinned] and the
-    [lbase]/[ubase] floors are untouched.  [fa] must be the analysis
-    of the same network. *)
+    [floor] are untouched.  [fa] must be the analysis of the same
+    network. *)
 
 val refine_network : Network.t -> Network.t
 (** [refine_lu (analyze net) net]. *)

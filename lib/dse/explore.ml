@@ -209,9 +209,17 @@ let row_wcrt_us row =
   | Some v, _, _ | None, Some v, _ | None, None, Some v -> Some v
   | None, None, None -> None
 
+(* an unbounded response misses every deadline, as in
+   [Analyze.outcome_verdict] *)
+let unbounded c =
+  match c.status with
+  | Done { Job.measure = Job.Unbounded; _ } -> true
+  | _ -> false
+
 let feasibility ~deadline_us row =
   match deadline_us with
   | None -> `Unknown
+  | Some _ when List.exists unbounded row.cells -> `Infeasible
   | Some deadline_us -> (
       let exact, upper, lower = figures row in
       match Analyze.deadline_verdict ~deadline_us ?exact ?upper ?lower () with

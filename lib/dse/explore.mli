@@ -69,7 +69,10 @@ val feasibility :
     {!Ita_core.Analyze.deadline_verdict} over the row's figures (its
     exact value, tightest upper and largest lower bound): [`Feasible]
     needs an exact value or upper bound below the deadline,
-    [`Infeasible] an exact value or lower bound at or beyond it. *)
+    [`Infeasible] an exact value or lower bound at or beyond it, or an
+    [Unbounded] cell, which {!Ita_core.Analyze.outcome_verdict} also
+    reads as a violation.  An [Unbounded] cell gives no figure to
+    {!row_wcrt_us} or {!frontier}. *)
 
 val frontier : report -> row list
 (** Pareto-optimal rows over (WCRT, {!Space.cost}), restricted to

@@ -5,16 +5,7 @@ type t = { eval_fn : int -> int; bp_fn : horizon:int -> int list }
    evaluates its operands once per call (see curve.mli). *)
 let eval c d = c.eval_fn (max 0 d)
 
-(* Each raw breakpoint also contributes its predecessor and successor,
-   so that one-sided limits of staircases are sampled. *)
-let widen ~horizon pts =
-  List.concat_map (fun p -> [ p - 1; p; p + 1 ]) pts
-  |> List.filter (fun p -> p >= 0 && p <= horizon)
-  |> List.cons 0
-  |> List.cons horizon
-  |> List.sort_uniq compare
-
-let breakpoints c ~horizon = widen ~horizon (c.bp_fn ~horizon)
+let breakpoints c ~horizon = c.bp_fn ~horizon
 
 let make ~eval ~breakpoints = { eval_fn = eval; bp_fn = breakpoints }
 let zero = make ~eval:(fun _ -> 0) ~breakpoints:(fun ~horizon:_ -> [])
@@ -52,8 +43,7 @@ let upper_pjd ~period ~jitter ~dmin =
 
 let scale c k = make ~eval:(fun d -> k * eval c d) ~breakpoints:c.bp_fn
 
-(* [breakpoints] widens, sorts and deduplicates, so a sum need only
-   concatenate its operands' raw breakpoints. *)
+(* A sum's corners are its operands' corners. *)
 let add c1 c2 =
   make
     ~eval:(fun d -> eval c1 d + eval c2 d)

@@ -9,12 +9,11 @@
     The module holds what {!Gpc} builds its curves from: constant,
     rate and upper staircase curves, scaling and sums.
 
-    Representation: an evaluation function plus a breakpoint
-    generator.  All min-plus operators in {!Minplus} evaluate extrema
-    over the union of the operands' breakpoints, which is exact for
-    the staircase and piecewise-linear curves this library builds
-    (extrema of differences of such curves occur at their corners —
-    we include each corner and its immediate neighbours). *)
+    Representation: an evaluation function plus a generator of the
+    curve's raw corners.  The operators in {!Minplus} widen the
+    corners of their operands into candidate windows and evaluate
+    extrema there, which is exact for the staircase and
+    piecewise-linear curves this library builds. *)
 
 type t
 
@@ -26,8 +25,12 @@ val eval : t -> int -> int
     resources), each of which evaluates its operands once. *)
 
 val breakpoints : t -> horizon:int -> int list
-(** Sorted candidate abscissae in [[0, horizon]], always including 0
-    and [horizon]. *)
+(** The raw corners in [[0, horizon]]: the steps of a staircase, the
+    concatenated corners of a sum's operands, and for a
+    {!Minplus.leftover} its operands' corners (not the points where
+    its service catches up with a past maximum, which no operator
+    samples).  Neither sorted, nor deduplicated, nor widened; a
+    constant or a rate has none. *)
 
 val make : eval:(int -> int) -> breakpoints:(horizon:int -> int list) -> t
 

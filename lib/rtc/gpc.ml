@@ -1,22 +1,13 @@
 open Ita_core
 
-type step_report = {
-  scenario : string;
-  step_index : int;
-  step_name : string;
-  resource : string;
-  wcet : int;
-  delay : int;
-  backlog : int;
-}
-
-type t = { steps : step_report list; iterations : int; horizon : int }
+(* worst-case delay of each step, keyed by (scenario name, step index) *)
+type t = (string * int, int) Hashtbl.t
 
 exception Diverged of string
 
-(* One global round: each step's arrival curve is its trigger curve
-   shifted by the accumulated upstream delay; resources serve High
-   demand from full service, Low demand from the leftover. *)
+(* One global round: each step's arrival curve is its trigger curve;
+   resources serve High demand from full service, Low demand from the
+   leftover. *)
 let round sys ~horizon pendings spreads =
   let arrival (s : Scenario.t) _k =
     (* step activations happen at the trigger rate: the chain is FIFO,
@@ -65,7 +56,7 @@ let round sys ~horizon pendings spreads =
         in
         let analyze_band service band_jobs =
           List.iter
-            (fun (((s : Scenario.t), k, st) as j) ->
+            (fun (((s : Scenario.t), k, _) as j) ->
               (* Rivals within the band steal service too.  Same-chain
                  rivals are precedence-ordered with the victim
                  (cf. Busywindow.rival_count): downstream steps only
@@ -109,25 +100,9 @@ let round sys ~horizon pendings spreads =
               let my_service =
                 Minplus.leftover ~horizon ~service ~demand:rivals
               in
-              let demand = demand_of j in
-              let delay =
-                Minplus.horizontal_deviation ~horizon ~demand
-                  ~service:my_service
-              in
-              let backlog =
-                let events = arrival s k in
-                let served_events =
-                  (* service in work units over wcet *)
-                  Curve.make
-                    ~eval:(fun d ->
-                      Curve.eval my_service d / Sysmodel.step_duration_us sys st)
-                    ~breakpoints:(fun ~horizon:h ->
-                      Curve.breakpoints my_service ~horizon:h)
-                in
-                Minplus.vertical_deviation ~horizon ~demand:events
-                  ~service:served_events
-              in
-              Hashtbl.replace next (s.Scenario.name, k) (delay, backlog))
+              Hashtbl.replace next (s.Scenario.name, k)
+                (Minplus.horizontal_deviation ~horizon ~demand:(demand_of j)
+                   ~service:my_service))
             band_jobs
         in
         analyze_band full high;
@@ -174,7 +149,7 @@ let analyze (sys : Sysmodel.t) =
       let changed = ref false in
       let overflow = ref false in
       Hashtbl.iter
-        (fun key (delay, _) ->
+        (fun key delay ->
           if delay = max_int then overflow := true
           else if Hashtbl.find_opt delays key <> Some delay then begin
             changed := true;
@@ -183,56 +158,27 @@ let analyze (sys : Sysmodel.t) =
         next;
       if !overflow then `Grow
       else if !changed then go (i + 1)
-      else `Done (next, i)
+      else `Done next
     in
     match go 1 with
     | `Grow ->
         if horizon > 1 lsl 34 then raise (Diverged "horizon exploded");
         with_horizon (horizon * 4)
-    | `Done (final, iterations) -> (final, iterations, horizon)
+    | `Done final -> final
   in
-  let final, iterations, horizon = with_horizon base_horizon in
-  let steps =
-    List.concat_map
-      (fun (s : Scenario.t) ->
-        List.mapi
-          (fun k st ->
-            let delay, backlog = Hashtbl.find final (s.Scenario.name, k) in
-            {
-              scenario = s.Scenario.name;
-              step_index = k;
-              step_name = Scenario.step_name st;
-              resource = Scenario.step_resource st;
-              wcet = Sysmodel.step_duration_us sys st;
-              delay;
-              backlog;
-            })
-          s.Scenario.steps)
-      sys.Sysmodel.scenarios
-  in
-  { steps; iterations; horizon }
+  with_horizon base_horizon
 
 let wcrt t sys ~scenario ~requirement =
-  let s = Sysmodel.scenario sys scenario in
-  let req = Scenario.requirement s requirement in
-  List.fold_left
-    (fun acc step ->
+  let req = Scenario.requirement (Sysmodel.scenario sys scenario) requirement in
+  Hashtbl.fold
+    (fun (name, k) delay acc ->
       if
-        step.scenario = scenario
+        name = scenario
         && Scenario.in_window ~from_step:req.Scenario.from_step
-             ~to_step:req.Scenario.to_step step.step_index
-      then acc + step.delay
+             ~to_step:req.Scenario.to_step k
+      then acc + delay
       else acc)
-    0 t.steps
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>MPA: %d rounds, horizon %d@," t.iterations t.horizon;
-  List.iter
-    (fun st ->
-      Format.fprintf ppf "%-14s %-16s on %-4s C=%-7d delay=%-7d backlog=%d@,"
-        st.scenario st.step_name st.resource st.wcet st.delay st.backlog)
-    t.steps;
-  Format.fprintf ppf "@]"
+    t 0
 
 let wcrt_bound sys ~scenario ~requirement =
   match analyze sys with

@@ -9,27 +9,22 @@
       sharing in RTC);
     - within a band, rival demand is subtracted from the service a
       component sees (FIFO pessimism, as in the SymTA/S baseline);
+    - a TDMA resource offers the leftover of a unit-rate server after
+      its periodic blackout instead of the full rate;
     - the worst-case delay through a component is the horizontal
-      deviation between its demand curve and its service curve, and
-      its output event stream is the input arrival curve shifted by
-      that delay (jitter propagation);
+      deviation between its demand curve and the service left to it.
+      A component is activated at its scenario's trigger rate;
+      upstream delays enter through the rival terms only: a chain's
+      pending backlog, and other scenarios' triggers widened by their
+      chains' response spread, iterated to a fixpoint;
     - end-to-end bounds add per-component delays — the loss of
       inter-resource correlation that makes MPA conservative
       (paper Section 5: the "phase shift disappears" in the interval
       domain, so MPA cannot profit from known offsets and always
       reports pno-style bounds). *)
 
-type step_report = {
-  scenario : string;
-  step_index : int;
-  step_name : string;
-  resource : string;
-  wcet : int;
-  delay : int;  (** worst-case delay through this component, us *)
-  backlog : int;  (** backlog bound in events *)
-}
-
-type t = { steps : step_report list; iterations : int; horizon : int }
+type t
+(** The worst-case delay of every scenario step. *)
 
 exception Diverged of string
 
@@ -52,5 +47,3 @@ val wcrt_bound :
 (** [analyze] + [wcrt] in one exception-free call — the batch-job
     entry point: divergence comes back as [Error] instead of escaping
     a sweep. *)
-
-val pp : Format.formatter -> t -> unit

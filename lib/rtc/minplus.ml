@@ -1,6 +1,14 @@
+(* The one place corners are widened: each raw corner of either
+   operand with its predecessor and successor, so that one-sided limits
+   of staircases are sampled, plus 0 and the horizon; sorted, in
+   [[0, horizon]]. *)
 let candidates ~horizon c1 c2 =
-  List.sort_uniq compare
-    (Curve.breakpoints c1 ~horizon @ Curve.breakpoints c2 ~horizon)
+  Curve.breakpoints c1 ~horizon @ Curve.breakpoints c2 ~horizon
+  |> List.concat_map (fun p -> [ p - 1; p; p + 1 ])
+  |> List.filter (fun p -> p >= 0 && p <= horizon)
+  |> List.cons 0
+  |> List.cons horizon
+  |> List.sort_uniq compare
 
 let horizontal_deviation ~horizon ~demand ~service =
   let cands = candidates ~horizon demand service in
@@ -26,12 +34,6 @@ let horizontal_deviation ~horizon ~demand ~service =
       | None -> overflow := true)
     cands;
   if !overflow then max_int else !worst
-
-let vertical_deviation ~horizon ~demand ~service =
-  let cands = candidates ~horizon demand service in
-  List.fold_left
-    (fun acc x -> max acc (Curve.eval demand x - Curve.eval service x))
-    0 cands
 
 (* sup_{0 <= l <= d} (service l - demand l), clamped at 0.  Both curves
    are piecewise linear between their corners, so the sup over [0, d]
@@ -63,5 +65,8 @@ let leftover ~horizon ~service ~demand =
     let at_d = Curve.eval service d - Curve.eval demand d in
     max 0 (max at_corner at_d)
   in
+  (* its operands' raw corners: where [service] catches up with a past
+     maximum is a corner too, but no operator samples it, since a delay
+     or leftover over a monotone service peaks at corners of the demand *)
   Curve.make ~eval ~breakpoints:(fun ~horizon:h ->
-      List.filter (fun p -> p <= h) (Array.to_list cands))
+      Curve.breakpoints service ~horizon:h @ Curve.breakpoints demand ~horizon:h)

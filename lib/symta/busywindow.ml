@@ -21,12 +21,7 @@ type task = {
 
 type discipline = Preemptive | Nonpreemptive
 
-type response = {
-  task : task;
-  r_min : int;
-  r_max : int;
-  busy_windows : int;
-}
+type response = { task : task; r_max : int }
 
 exception Unschedulable of string
 
@@ -108,10 +103,9 @@ let analyze discipline tasks =
         let response = w - Evstream.delta_min bunched q in
         let worst = max worst response in
         if Evstream.eta_plus i.stream w > q then windows (q + 1) worst
-        else (worst, q)
+        else worst
       end
     in
-    let r_max, busy_windows = windows 1 0 in
-    { task = i; r_min = i.wcet; r_max; busy_windows }
+    { task = i; r_max = windows 1 0 }
   in
   List.map analyze_task tasks

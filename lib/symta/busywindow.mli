@@ -63,12 +63,7 @@ type task = {
 
 type discipline = Preemptive | Nonpreemptive
 
-type response = {
-  task : task;
-  r_min : int;  (** best case: the bare WCET *)
-  r_max : int;
-  busy_windows : int;  (** activations examined before the window closed *)
-}
+type response = { task : task; r_max : int }
 
 exception Unschedulable of string
 (** Raised when a busy window keeps growing (utilization at or above

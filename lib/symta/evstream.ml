@@ -15,18 +15,8 @@ let eta_plus s delta =
     let by_sep = if s.dmin > 0 then ((delta - 1) / s.dmin) + 1 else max_int in
     min periodic by_sep
 
-let eta_minus s delta =
-  if delta <= s.jitter then 0 else (delta - s.jitter) / s.period
-
 let delta_min s q =
   assert (q >= 1);
   let by_period = max 0 (((q - 1) * s.period) - s.jitter) in
   let by_sep = (q - 1) * s.dmin in
   max by_period by_sep
-
-let propagate s ~response_min ~response_max =
-  assert (response_max >= response_min);
-  { s with jitter = s.jitter + (response_max - response_min); dmin = 0 }
-
-let pp ppf s =
-  Format.fprintf ppf "(P=%d, J=%d, D=%d)" s.period s.jitter s.dmin

@@ -1,35 +1,21 @@
 (** Standard event streams in the (P, J, D) parametrization, as used by
     SymTA/S-style compositional scheduling analysis.
 
-    The arrival functions bound how many events can fall in any
+    The arrival function bounds how many events can fall in any
     half-open window of length [delta]:
-
-    - upper: [eta_plus delta = min(ceil((delta + J) / P),
-      floor((delta - 1) / D) + 1)] (second term only when [D > 0]);
-    - lower: [eta_minus delta = max(0, floor((delta - J) / P))].
-
-    Output streams of an analyzed task inherit the input period with
-    jitter increased by the response-time spread (jitter
-    propagation). *)
+    [eta_plus delta = min(ceil((delta + J) / P),
+    floor((delta - 1) / D) + 1)] (second term only when [D > 0]). *)
 
 type t = { period : int; jitter : int; dmin : int }
 
 val of_eventmodel : Ita_core.Eventmodel.t -> t
 
 val eta_plus : t -> int -> int
-(** [eta_plus s delta] for [delta >= 0]; [eta_plus s 0] is the maximal
-    burst that can arrive "at once" (within an epsilon window). *)
-
-val eta_minus : t -> int -> int
+(** [eta_plus s delta] for [delta >= 0]; [eta_plus s 0 = 0], and
+    [eta_plus s 1] is the maximal burst that can arrive "at once"
+    (within an epsilon window). *)
 
 val delta_min : t -> int -> int
 (** [delta_min s q] is the minimal time in which [q] events can
     arrive: the pseudo-inverse of [eta_plus], i.e. the earliest arrival
     of the [q]-th event of a burst relative to the first.  [q >= 1]. *)
-
-val propagate : t -> response_min:int -> response_max:int -> t
-(** Output stream after a task with the given best/worst response:
-    same period, jitter widened by the response spread, [dmin] kept
-    conservatively at 0 unless the input had slack. *)
-
-val pp : Format.formatter -> t -> unit

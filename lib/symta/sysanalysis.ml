@@ -1,17 +1,7 @@
 open Ita_core
 
-type step_report = {
-  scenario : string;
-  step_index : int;
-  step_name : string;
-  resource : string;
-  wcet : int;
-  r_min : int;
-  r_max : int;
-  activation : Evstream.t;
-}
-
-type t = { steps : step_report list; iterations : int }
+(* the response of each step, keyed by (scenario name, step index) *)
+type t = (string * int, Busywindow.response) Hashtbl.t
 
 exception Diverged of string
 
@@ -183,53 +173,22 @@ let analyze (sys : Sysmodel.t) =
     else
       let responses = round sys chains in
       let chains' = chain_update sys responses chains in
-      if chains_equal chains chains' then (responses, iterations)
+      if chains_equal chains chains' then responses
       else go chains' (iterations + 1)
   in
-  let responses, iterations = go (Hashtbl.create 8) 1 in
-  let steps =
-    List.concat_map
-      (fun (s : Scenario.t) ->
-        List.mapi
-          (fun k st ->
-            let resp = Hashtbl.find responses (s.Scenario.name, k) in
-            {
-              scenario = s.Scenario.name;
-              step_index = k;
-              step_name = Scenario.step_name st;
-              resource = Scenario.step_resource st;
-              wcet = Sysmodel.step_duration_us sys st;
-              r_min = resp.Busywindow.r_min;
-              r_max = resp.Busywindow.r_max;
-              activation = resp.Busywindow.task.Busywindow.stream;
-            })
-          s.Scenario.steps)
-      sys.Sysmodel.scenarios
-  in
-  { steps; iterations }
+  go (Hashtbl.create 8) 1
 
 let wcrt t sys ~scenario ~requirement =
-  let s = Sysmodel.scenario sys scenario in
-  let req = Scenario.requirement s requirement in
-  List.fold_left
-    (fun acc step ->
+  let req = Scenario.requirement (Sysmodel.scenario sys scenario) requirement in
+  Hashtbl.fold
+    (fun (name, k) (resp : Busywindow.response) acc ->
       if
-        step.scenario = scenario
+        name = scenario
         && Scenario.in_window ~from_step:req.Scenario.from_step
-             ~to_step:req.Scenario.to_step step.step_index
-      then acc + step.r_max
+             ~to_step:req.Scenario.to_step k
+      then acc + resp.Busywindow.r_max
       else acc)
-    0 t.steps
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>converged after %d rounds@," t.iterations;
-  List.iter
-    (fun st ->
-      Format.fprintf ppf "%-14s %-16s on %-4s C=%-7d R=[%d, %d] %a@,"
-        st.scenario st.step_name st.resource st.wcet st.r_min st.r_max
-        Evstream.pp st.activation)
-    t.steps;
-  Format.fprintf ppf "@]"
+    t 0
 
 let wcrt_bound sys ~scenario ~requirement =
   match analyze sys with

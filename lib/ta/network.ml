@@ -6,8 +6,7 @@ type t = {
   var_init : int array;
   channels : Channel.t array;
   k : int array;
-  lbase : int array;
-  ubase : int array;
+  floor : int array;
   lloc : int array array array;
   uloc : int array array array;
   active : bool array array array;
@@ -23,12 +22,11 @@ let n_components net = Array.length net.automata
 let bump_clock_bound net x c =
   let k = Array.copy net.k in
   k.(x) <- max k.(x) c;
-  let lbase = Array.copy net.lbase and ubase = Array.copy net.ubase in
-  lbase.(x) <- max lbase.(x) c;
-  ubase.(x) <- max ubase.(x) c;
+  let floor = Array.copy net.floor in
+  floor.(x) <- max floor.(x) c;
   let pinned = Array.copy net.pinned in
   pinned.(x) <- true;
-  { net with k; lbase; ubase; pinned }
+  { net with k; floor; pinned }
 
 let live_clock net locs x =
   net.pinned.(x)
@@ -165,8 +163,7 @@ module Builder = struct
       var_init;
       channels;
       k;
-      lbase = Array.make n_clocks 0;
-      ubase = Array.make n_clocks 0;
+      floor = Array.make n_clocks 0;
       lloc = k_rows;
       uloc = k_rows;
       active = rows (Array.make n_clocks true);

@@ -31,16 +31,16 @@ type t = {
       (** classical maximal constants (ExtraM), [k.(0) = 0]: the
           engine extrapolates with the L/U tables below; [k] feeds the
           test suite's independent ExtraM reference explorer *)
-  lbase : int array;
-      (** per-clock global floor of the lower-bound constants L; query
-          constants registered with {!bump_clock_bound} land here *)
-  ubase : int array;  (** same for the upper-bound constants U *)
+  floor : int array;
+      (** per-clock global floor of both the lower- and the upper-bound
+          constants L and U; query constants registered with
+          {!bump_clock_bound} land here *)
   lloc : int array array array;
       (** [lloc.(comp).(loc).(clock)]: an upper bound on every constant
           a lower-bound guard can still compare the clock against
           before its next reset, from this component location on; the
           per-state L bound is the max over components, then over
-          {!lbase}.  Feeds Extra+LU.  A built network carries [k] in
+          {!floor}.  Feeds Extra+LU.  A built network carries [k] in
           every row, which is sound but coarse;
           [Ita_analysis.Flow.refine_lu] replaces the rows with the
           per-location backward fixpoint over the live control flow.
@@ -70,7 +70,7 @@ val n_components : t -> int
 
 val bump_clock_bound : t -> Guard.clock -> int -> t
 (** [bump_clock_bound net x c] returns a network whose extrapolation
-    constants for [x] (classical [k] and both LU floors) are at least
+    constants for [x] (classical [k] and the LU {!floor}) are at least
     [c] and which pins [x] as always active (queries observe it);
     shares everything else. *)
 

@@ -97,8 +97,8 @@ let normalize_inactive (net : Network.t) st z =
    by certificate emission and checking. *)
 let lu_bounds (net : Network.t) st =
   let n = Array.length net.Network.clock_names in
-  let l = Array.copy net.Network.lbase in
-  let u = Array.copy net.Network.ubase in
+  let l = Array.copy net.Network.floor in
+  let u = Array.copy net.Network.floor in
   Array.iteri
     (fun i li ->
       let ll = net.Network.lloc.(i).(li) and uu = net.Network.uloc.(i).(li) in

@@ -12,7 +12,7 @@
     - after each discrete step the zone is delay-closed (unless delay
       is forbidden), re-constrained by invariants and extrapolated with
       Extra+LU over the per-location lower/upper bounds
-      ([Network.lloc]/[uloc] with the [lbase]/[ubase] floors, see
+      ([Network.lloc]/[uloc] with the [Network.floor] floor, see
       {!lu_bounds}) — coarser than classical maximal-constant
       extrapolation ([Network.k]), with identical reachability verdicts
       on the diagonal-free automata this library builds;
@@ -52,7 +52,7 @@ val state_hash : state -> int
 val lu_bounds : Network.t -> state -> int array * int array
 (** [lu_bounds net st] resolves the per-clock Extra+LU constants in
     discrete state [st]: per-location maxima over the components
-    ([Network.lloc]/[uloc]), floored by [lbase]/[ubase].  Freshly
+    ([Network.lloc]/[uloc]), floored by [Network.floor].  Freshly
     allocated; index [0] is [0].  These are the vectors the Extra+LU
     extrapolation reads. *)
 

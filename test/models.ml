@@ -269,22 +269,20 @@ let binary_search ?budget ?(hi = 1_000_000) net ~at ~clock =
    passed list; every generated zone lies inside one of its zones.
    With [~lu:true] it extrapolates with Extra+LU instead, over the
    network's per-state L/U tables (max over the components' [lloc] /
-   [uloc] rows, floored by [lbase] / [ubase] raised to [extra_bounds]):
+   [uloc] rows, floored by [floor] raised to [extra_bounds]):
    run on [Flow.refine_network net], that checks the flow-refined
    tables alone against ExtraM on the builder's constants. *)
 let reference_passed ?(lu = false) (net : Network.t) extra_bounds =
   let k = Array.copy net.Network.k in
-  let lbase = Array.copy net.Network.lbase in
-  let ubase = Array.copy net.Network.ubase in
+  let floor = Array.copy net.Network.floor in
   List.iter
     (fun (x, c) ->
       k.(x) <- max k.(x) c;
-      lbase.(x) <- max lbase.(x) c;
-      ubase.(x) <- max ubase.(x) c)
+      floor.(x) <- max floor.(x) c)
     extra_bounds;
   let extrapolate (st : Reference.state) z =
     if lu then begin
-      let l = Array.copy lbase and u = Array.copy ubase in
+      let l = Array.copy floor and u = Array.copy floor in
       Array.iteri
         (fun i li ->
           for x = 1 to Array.length l - 1 do

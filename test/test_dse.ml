@@ -467,6 +467,7 @@ let test_deadline_rule () =
       ("upper bound below it is feasible", Job.Upper 3, `Feasible);
       ("lower bound at the deadline is infeasible", Job.Lower 4, `Infeasible);
       ("lower bound below it proves nothing", Job.Lower 3, `Unknown);
+      ("unbounded is infeasible", Job.Unbounded, `Infeasible);
     ]
 
 let () =
