@@ -1,8 +1,7 @@
 (** Abstract-interpretation dataflow engine over timed-automata
     networks.
 
-    A generic round-based fixpoint solver ({!Fixpoint}) instantiated
-    twice:
+    A generic round-based fixpoint solver, instantiated twice:
 
     - a forward {e interval} analysis over the bounded integer
       variables, per (component, location), with guard refinement and
@@ -21,36 +20,6 @@
     enforces at runtime). *)
 
 open Ita_ta
-
-(** Generic join-semilattice fixpoint solver over int-indexed nodes,
-    with optional threshold widening for termination on tall
-    lattices. *)
-module Fixpoint : sig
-  type 'a t
-
-  val create :
-    n:int ->
-    bottom:'a ->
-    equal:('a -> 'a -> bool) ->
-    join:('a -> 'a -> 'a) ->
-    ?widen:('a -> 'a -> 'a) ->
-    unit ->
-    'a t
-  (** [widen old joined] is applied instead of plain join once a node
-      has changed 8 times. *)
-
-  val get : 'a t -> int -> 'a
-
-  val update : 'a t -> int -> 'a -> unit
-  (** Join [v] into node [i]; marks the solver dirty on growth. *)
-
-  val touch : 'a t -> unit
-  (** Record that solver-external state grew, forcing another sweep. *)
-
-  val solve : 'a t -> (unit -> unit) -> unit
-  (** [solve s sweep] runs [sweep] until a whole pass leaves every
-      node (and all touched external state) unchanged. *)
-end
 
 type dead_reason =
   | Unreachable_source  (** no reachable valuation enters the source *)

@@ -127,7 +127,7 @@ type combo = Cv_tmc | Al_tmc
 let combos = [ Cv_tmc; Al_tmc ]
 let combo_name = function Cv_tmc -> "cv" | Al_tmc -> "al"
 
-let system ?(queue_bound = 4) combo column =
+let system combo column =
   let tmc = handle_tmc (trigger column ~period:tmc_period_us) in
   let scenarios =
     match combo with
@@ -148,11 +148,11 @@ let system ?(queue_bound = 4) combo column =
     ~name:
       (Printf.sprintf "radionav-%s-%s" (combo_name combo) (column_name column))
     ~resources:[ mmi; rad; nav; bus ]
-    ~scenarios ~queue_bound ()
+    ~scenarios ()
 
-let system_with ?queue_bound ?mmi_mips ?rad_mips ?nav_mips ?bus_kbps
+let system_with ?mmi_mips ?rad_mips ?nav_mips ?bus_kbps
     ?cpu_policy ?bus_policy ?decode_on combo column =
-  let sys = system ?queue_bound combo column in
+  let sys = system combo column in
   let set_mips name mips sys =
     match mips with
     | None -> sys
@@ -196,8 +196,6 @@ type row = {
   combo : combo;
   scenario : string;
   requirement : string;
-  paper_po : float option;
-  paper_pno : float option;
 }
 
 let table1_rows =
@@ -207,40 +205,30 @@ let table1_rows =
       combo = Cv_tmc;
       scenario = "HandleTMC";
       requirement = "TMC";
-      paper_po = Some 357.133;
-      paper_pno = Some 381.632;
     };
     {
       label = "HandleTMC (+ AddressLookup)";
       combo = Al_tmc;
       scenario = "HandleTMC";
       requirement = "TMC";
-      paper_po = Some 172.106;
-      paper_pno = Some 239.080;
     };
     {
       label = "K2A (ChangeVolume + HandleTMC)";
       combo = Cv_tmc;
       scenario = "ChangeVolume";
       requirement = "K2A";
-      paper_po = Some 27.716;
-      paper_pno = Some 27.716;
     };
     {
       label = "A2V (ChangeVolume + HandleTMC)";
       combo = Cv_tmc;
       scenario = "ChangeVolume";
       requirement = "A2V";
-      paper_po = Some 41.796;
-      paper_pno = Some 41.796;
     };
     {
       label = "AddressLookup (+ HandleTMC)";
       combo = Al_tmc;
       scenario = "AddressLookup";
       requirement = "E2E";
-      paper_po = Some 79.075;
-      paper_pno = Some 79.075;
     };
   ]
 

@@ -67,10 +67,9 @@ val combos : combo list
 val combo_name : combo -> string
 (** Short tags: "cv" and "al". *)
 
-val system : ?queue_bound:int -> combo -> column -> Sysmodel.t
+val system : combo -> column -> Sysmodel.t
 
 val system_with :
-  ?queue_bound:int ->
   ?mmi_mips:float ->
   ?rad_mips:float ->
   ?nav_mips:float ->
@@ -96,8 +95,6 @@ type row = {
   combo : combo;
   scenario : string;
   requirement : string;
-  paper_po : float option;  (** paper's value, ms, for comparison *)
-  paper_pno : float option;
 }
 
 val table1_rows : row list

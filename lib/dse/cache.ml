@@ -11,9 +11,9 @@ let create ~dir =
   mkdir_p dir;
   dir
 
-(* bump when Job.result or the key fields change shape, or a job's
-   answer for the same key changes: old entries become misses *)
-let version = "ita-dse-v13"
+(* the running executable: an entry another build wrote is a miss, so
+   a changed Job.result shape or answer never reads back *)
+let build = lazy (Digest.file Sys.executable_name)
 
 let job_key (spec : Job.spec) =
   let b = spec.Job.budget in
@@ -22,7 +22,7 @@ let job_key (spec : Job.spec) =
     (Digest.string
        (String.concat "\x00"
           [
-            version;
+            Lazy.force build;
             Marshal.to_string spec.Job.sys [];
             Job.technique_name spec.Job.technique;
             spec.Job.scenario;

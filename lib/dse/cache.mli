@@ -6,9 +6,9 @@
     One file per entry, written atomically (temp file + rename), so
     concurrent sweeps over the same directory are safe.  Values are
     marshaled; a stale or corrupt entry reads as a miss and is
-    overwritten.  The key includes a format version, so changing the
-    result type just invalidates old entries instead of misreading
-    them. *)
+    overwritten.  The key includes a digest of the running executable,
+    so an entry another build wrote is a miss: a changed result type
+    or answer invalidates old entries instead of misreading them. *)
 
 type t
 
@@ -17,6 +17,7 @@ val create : dir:string -> t
 
 val job_key : Job.spec -> string
 (** Stable hex digest of everything that determines a job's result:
+    the build (the running executable, digested once, on first use),
     the full system model, technique, measured requirement and
     budget. *)
 

@@ -1,6 +1,6 @@
 module R = Ita_casestudy.Radionav
 
-let radionav ?(combo = R.Al_tmc) ?(column = R.Po) ?queue_bound
+let radionav ?(combo = R.Al_tmc) ?(column = R.Po)
     ?(mmi_mips = []) ?(rad_mips = [ 11.0; 22.0 ]) ?(nav_mips = [])
     ?(bus_kbps = [ 48.0; 72.0; 96.0; 120.0 ]) ?(decode_on = []) () =
   let axis_if levels mk = match levels with [] -> [] | ls -> [ mk ls ] in
@@ -16,5 +16,5 @@ let radionav ?(combo = R.Al_tmc) ?(column = R.Po) ?queue_bound
     ~name:
       (Printf.sprintf "radionav-%s-%s" (R.combo_name combo)
          (R.column_name column))
-    ~base:(R.system ?queue_bound combo column)
+    ~base:(R.system combo column)
     ~axes

@@ -8,7 +8,6 @@
 val radionav :
   ?combo:Ita_casestudy.Radionav.combo ->
   ?column:Ita_casestudy.Radionav.column ->
-  ?queue_bound:int ->
   ?mmi_mips:float list ->
   ?rad_mips:float list ->
   ?nav_mips:float list ->

@@ -1,16 +1,12 @@
-type t = { eval_fn : int -> int; bp_fn : horizon:int -> int list }
+type t = { eval_fn : int -> int; corners_fn : horizon:int -> int list }
 
-(* An [eval] walks the composition once: each [Minplus.leftover] level
-   materialised its corner prefix maxima when it was built, so it
-   evaluates its operands once per call (see curve.mli). *)
 let eval c d = c.eval_fn (max 0 d)
+let corners c ~horizon = c.corners_fn ~horizon
 
-let breakpoints c ~horizon = c.bp_fn ~horizon
+let constant k =
+  { eval_fn = (fun _ -> k); corners_fn = (fun ~horizon:_ -> []) }
 
-let make ~eval ~breakpoints = { eval_fn = eval; bp_fn = breakpoints }
-let zero = make ~eval:(fun _ -> 0) ~breakpoints:(fun ~horizon:_ -> [])
-let constant k = make ~eval:(fun _ -> k) ~breakpoints:(fun ~horizon:_ -> [])
-let rate r = make ~eval:(fun d -> r * d) ~breakpoints:(fun ~horizon:_ -> [])
+let zero = constant 0
 
 let upper_pjd ~period ~jitter ~dmin =
   (* closed-window convention: alpha(0) is the instantaneous burst, so
@@ -22,7 +18,7 @@ let upper_pjd ~period ~jitter ~dmin =
     let by_sep = if dmin > 0 then (d / dmin) + 1 else max_int in
     min periodic by_sep
   in
-  let bp_fn ~horizon =
+  let corners_fn ~horizon =
     let rec steps k acc =
       let p = (k * period) - jitter in
       if p > horizon then acc
@@ -39,12 +35,14 @@ let upper_pjd ~period ~jitter ~dmin =
     in
     steps 0 [] @ sep_steps
   in
-  make ~eval:eval_fn ~breakpoints:bp_fn
+  { eval_fn; corners_fn }
 
-let scale c k = make ~eval:(fun d -> k * eval c d) ~breakpoints:c.bp_fn
+let scale c k = { c with eval_fn = (fun d -> k * c.eval_fn d) }
 
 (* A sum's corners are its operands' corners. *)
 let add c1 c2 =
-  make
-    ~eval:(fun d -> eval c1 d + eval c2 d)
-    ~breakpoints:(fun ~horizon -> c1.bp_fn ~horizon @ c2.bp_fn ~horizon)
+  {
+    eval_fn = (fun d -> c1.eval_fn d + c2.eval_fn d);
+    corners_fn =
+      (fun ~horizon -> c1.corners_fn ~horizon @ c2.corners_fn ~horizon);
+  }

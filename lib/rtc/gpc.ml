@@ -9,7 +9,7 @@ exception Diverged of string
    resources serve High demand from full service, Low demand from the
    leftover. *)
 let round sys ~horizon pendings spreads =
-  let arrival (s : Scenario.t) _k =
+  let arrival (s : Scenario.t) =
     (* step activations happen at the trigger rate: the chain is FIFO,
        so accumulated jitter enters through the backlog and
        cross-stream terms only (cf. Busywindow) *)
@@ -21,8 +21,8 @@ let round sys ~horizon pendings spreads =
     (fun (r : Resource.t) ->
       let jobs = Sysmodel.jobs_on sys r in
       if jobs <> [] then begin
-        let demand_of ((s : Scenario.t), k, st) =
-          Curve.scale (arrival s k) (Sysmodel.step_duration_us sys st)
+        let demand_of ((s : Scenario.t), _, st) =
+          Curve.scale (arrival s) (Sysmodel.step_duration_us sys st)
         in
         let high, low =
           List.partition
@@ -45,11 +45,10 @@ let round sys ~horizon pendings spreads =
                   (Curve.upper_pjd ~period:cycle_us ~jitter:0 ~dmin:cycle_us)
                   (cycle_us - slot_us)
               in
-              Minplus.leftover ~horizon ~service:(Curve.rate 1)
-                ~demand:blackout
+              Minplus.leftover ~horizon ~service:Fun.id ~demand:blackout
           | Resource.Nondet_nonpreemptive | Resource.Priority_nonpreemptive
           | Resource.Priority_preemptive | Resource.Priority_segmented _ ->
-              Curve.rate 1
+              Fun.id
         in
         let low_service =
           Minplus.leftover ~horizon ~service:full ~demand:total_high_demand
@@ -78,7 +77,7 @@ let round sys ~horizon pendings spreads =
                       if k' < k then
                         Curve.add acc
                           (Curve.add pending_demand
-                             (Curve.scale (arrival s' k') c))
+                             (Curve.scale (arrival s') c))
                       else Curve.add acc pending_demand
                     end
                     else begin

@@ -1,10 +1,12 @@
 (** Greedy processing components and their composition into an MPA
     analysis of a {!Ita_core.Sysmodel.t}.
 
-    Each scenario step becomes a greedy component on its resource:
+    Each scenario step becomes a greedy component on its resource,
+    with a demand ({!Curve.t}) and the service ({!Minplus.service})
+    left to it:
 
-    - a processor or link offers the full-rate service curve to its
-      High band; each component consumes demand and passes the
+    - a processor or link offers the unit-rate service ([Fun.id]) to
+      its High band; each component consumes demand and passes the
       leftover service to the Low band (fixed-priority resource
       sharing in RTC);
     - within a band, rival demand is subtracted from the service a

@@ -5,7 +5,6 @@ type sample = { scenario : string; requirement : string; response_us : int }
 
 type run_stats = {
   samples : sample list;
-  events_processed : int;
   busy_us : (string * int) list;
 }
 
@@ -83,7 +82,6 @@ let run ~seed ~horizon_us (sys : Sysmodel.t) =
   let cal : event Calendar.t = Calendar.create () in
   let instances : (int * int, instance) Hashtbl.t = Hashtbl.create 1024 in
   let samples = ref [] in
-  let events_processed = ref 0 in
 
   (* --- arrival generation ---------------------------------------- *)
   (* For each scenario, schedule the next arrival lazily: each Arrival
@@ -269,7 +267,6 @@ let run ~seed ~horizon_us (sys : Sysmodel.t) =
         ignore ev;
         continue := false
     | Some (now, Arrival { scenario = si; inst; at_nominal }) ->
-        incr events_processed;
         Hashtbl.replace instances (si, inst)
           {
             arrived = now;
@@ -287,7 +284,6 @@ let run ~seed ~horizon_us (sys : Sysmodel.t) =
             (Arrival
                { scenario = si; inst = inst + 1; at_nominal = nominal' })
     | Some (now, Completion { resource = ri; gen }) ->
-        incr events_processed;
         let r = rs.(ri) in
         (match r.current with
         | Some running when running.gen = gen && running.work < running.act.remaining
@@ -319,7 +315,6 @@ let run ~seed ~horizon_us (sys : Sysmodel.t) =
   done;
   {
     samples = !samples;
-    events_processed = !events_processed;
     busy_us =
       Array.to_list
         (Array.map (fun r -> (r.res.Resource.name, r.busy)) rs);

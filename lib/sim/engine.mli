@@ -19,7 +19,6 @@ type sample = {
 
 type run_stats = {
   samples : sample list;
-  events_processed : int;
   busy_us : (string * int) list;  (** per-resource busy time *)
 }
 

@@ -25,11 +25,10 @@ let test_upper_pjd () =
   Alcotest.(check int) "dmin: two events 3 apart" 2 (Curve.eval c 3)
 
 let test_curve_algebra () =
-  let r = Curve.rate 2 in
-  Alcotest.(check int) "rate" 14 (Curve.eval r 7);
+  let a = Curve.scale (Curve.upper_pjd ~period:10 ~jitter:0 ~dmin:0) 2 in
   let k = Curve.constant 5 in
-  let s = Curve.add r k in
-  Alcotest.(check int) "add" 19 (Curve.eval s 7)
+  let s = Curve.add a k in
+  Alcotest.(check int) "add" 9 (Curve.eval s 17)
 
 let prop_upper_monotone =
   QCheck2.Test.make ~count:300 ~name:"upper_pjd monotone"
@@ -45,7 +44,7 @@ let prop_upper_monotone =
 let test_horizontal_deviation () =
   (* one event of demand 5 on a unit-rate server: delay 5 *)
   let demand = Curve.scale (Curve.upper_pjd ~period:100 ~jitter:0 ~dmin:0) 5 in
-  let service = Curve.rate 1 in
+  let service = Fun.id in
   Alcotest.(check int) "single job" 5
     (Minplus.horizontal_deviation ~horizon ~demand ~service);
   (* overload within the horizon: no bound *)
@@ -56,19 +55,19 @@ let test_horizontal_deviation () =
 let test_leftover () =
   (* unit rate minus one 5-unit job per 10: leftover has 5 per 10 *)
   let hi = Curve.scale (Curve.upper_pjd ~period:10 ~jitter:0 ~dmin:0) 5 in
-  let left = Minplus.leftover ~horizon ~service:(Curve.rate 1) ~demand:hi in
+  let left = Minplus.leftover ~horizon ~service:Fun.id ~demand:hi in
   (* sup at lambda = 9 (just before the second event): 9 - 5 = 4 *)
-  Alcotest.(check int) "leftover at 10" 4 (Curve.eval left 10);
-  Alcotest.(check int) "leftover at 20" 9 (Curve.eval left 20);
-  Alcotest.(check int) "leftover never negative" 0 (Curve.eval left 0)
+  Alcotest.(check int) "leftover at 10" 4 (left 10);
+  Alcotest.(check int) "leftover at 20" 9 (left 20);
+  Alcotest.(check int) "leftover never negative" 0 (left 0)
 
 let prop_leftover_bounded =
   QCheck2.Test.make ~count:100 ~name:"leftover within [0, service]"
     QCheck2.Gen.(tup3 (int_range 1 30) (int_range 1 10) (int_range 0 300))
     (fun (p, c, x) ->
       let demand = Curve.scale (Curve.upper_pjd ~period:p ~jitter:0 ~dmin:0) c in
-      let left = Minplus.leftover ~horizon ~service:(Curve.rate 1) ~demand in
-      let v = Curve.eval left x in
+      let left = Minplus.leftover ~horizon ~service:Fun.id ~demand in
+      let v = left x in
       0 <= v && v <= x)
 
 (* The operators against brute force over every integer window.  A
@@ -148,9 +147,9 @@ let prop_minplus_brute_force =
       in
       let service =
         match c.rival with
-        | None -> Curve.rate c.rate
+        | None -> (fun d -> c.rate * d)
         | Some r ->
-            Minplus.leftover ~horizon:h ~service:(Curve.rate c.rate)
+            Minplus.leftover ~horizon:h ~service:(fun d -> c.rate * d)
               ~demand:(stair_curve r)
       in
       (* brute force over [0, 2h]: the deviations look up to a horizon
@@ -179,11 +178,9 @@ let prop_minplus_brute_force =
               got expected.(d)
         done
       in
-      agree "service" (Curve.eval service) svc;
+      agree "service" service svc;
       let left = prefix_sup n (fun d -> svc.(d) - dem.(d)) in
-      agree "leftover"
-        (Curve.eval (Minplus.leftover ~horizon:h ~service ~demand))
-        left;
+      agree "leftover" (Minplus.leftover ~horizon:h ~service ~demand) left;
       (* [horizontal_deviation ~demand ~service] against [dem] on [svc]:
          the least y in [x, limit x] with svc y >= dem x, over every x *)
       let delay what ~demand ~service dem svc =
